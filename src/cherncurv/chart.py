@@ -262,38 +262,31 @@ def sample_points(field: ChartMetricField, count: int, seed: int = 0):
 # ---------------------------------------------------------------------------
 # holomorphic derivative assembly
 
-def _dz(grad, i):
-    return 0.5 * (grad[2 * i] - 1j * grad[2 * i + 1])
-
-
-def _dzbar(grad, j):
-    return 0.5 * (grad[2 * j] + 1j * grad[2 * j + 1])
-
-
 def _d2_holo(hess, i, j):
     """d^2 / dz^i dzbar^j from the real Hessian."""
     return 0.25 * (hess[2 * i][2 * j] + hess[2 * i + 1][2 * j + 1]
                    + 1j * (hess[2 * i][2 * j + 1] - hess[2 * i + 1][2 * j]))
 
 
+def _holo(grad, hess):
+    """(d/dz^i, d/dzbar^i, d^2/dz^i dzbar^j) as lists over i (and j), from
+    the real-coordinate gradient and Hessian.  Entries may be scalars,
+    arrays or hyper-dual numbers."""
+    n = len(grad) // 2
+    dz = [0.5 * (grad[2 * i] - 1j * grad[2 * i + 1]) for i in range(n)]
+    dzbar = [0.5 * (grad[2 * i] + 1j * grad[2 * i + 1]) for i in range(n)]
+    d2 = [[_d2_holo(hess, i, j) for j in range(n)] for i in range(n)]
+    return dz, dzbar, d2
+
+
 def _metric_jets(field: ChartMetricField, x):
-    n = field.n
+    """h, d h / dz^i, d h / dzbar^j and d^2 h / dz^i dzbar^j at x, with
+    the derivative index first: dh[i, k, l] = d h_kl / dz^i."""
     val, grad, hess = jet2(field.fn, list(x))
-    h0 = np.array(val, dtype=complex)
-    dh = np.empty((n, n, n), dtype=complex)    # dh[i,k,l] = d h_kl / dz^i
-    dhb = np.empty((n, n, n), dtype=complex)   # dhb[j,k,l] = d h_kl / dzbar^j
-    d2h = np.empty((n, n, n, n), dtype=complex)
     ga = [np.array(g, dtype=complex) for g in grad]
-    he = [[np.array(hess[a][b], dtype=complex) for b in range(2 * n)]
-          for a in range(2 * n)]
-    for i in range(n):
-        dh[i] = 0.5 * (ga[2 * i] - 1j * ga[2 * i + 1])
-        dhb[i] = 0.5 * (ga[2 * i] + 1j * ga[2 * i + 1])
-        for j in range(n):
-            d2h[i, j] = 0.25 * (he[2 * i][2 * j] + he[2 * i + 1][2 * j + 1]
-                                + 1j * (he[2 * i][2 * j + 1]
-                                        - he[2 * i + 1][2 * j]))
-    return h0, dh, dhb, d2h
+    he = [[np.array(v, dtype=complex) for v in row] for row in hess]
+    dh, dhb, d2h = (np.array(v, dtype=complex) for v in _holo(ga, he))
+    return np.array(val, dtype=complex), dh, dhb, d2h
 
 
 def _upper(h0):
@@ -326,17 +319,12 @@ def ricci_matrices_at(field: ChartMetricField, x):
 
 def ric1_logdet_at(field: ChartMetricField, x):
     """- del delbar log det h as a coefficient matrix (independent path)."""
-    n = field.n
 
     def logdet(z):
         return _hd_logdet(field.fn(z))
 
-    _, _, hess = jet2(logdet, list(x))
-    out = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = -_d2_holo(hess, i, j)
-    return out
+    _, grad, hess = jet2(logdet, list(x))
+    return -np.array(_holo(grad, hess)[2], dtype=complex)
 
 
 def _hd_logdet(mat):
@@ -361,14 +349,9 @@ def _hd_det(mat):
 def chern_laplacian_at(field: ChartMetricField, f: ScalarField, x):
     """Delta^Ch f = -2 h^{j kbar} d^2 f / dz^j dzbar^k at x."""
     up = _upper(field.matrix(x))
-    _, _, hess = jet2(f.fn, list(x))
-    acc = 0j
-    n = field.n
-    for j in range(n):
-        for k in range(n):
-            acc += up[j, k] * _d2_holo(hess, j, k)
-    val = -2 * acc
-    return float(val.real)
+    _, grad, hess = jet2(f.fn, list(x))
+    d2f = np.array(_holo(grad, hess)[2], dtype=complex)
+    return float(-2 * np.einsum("jk,jk->", up, d2f).real)
 
 
 def fd_oracle(field: ChartMetricField, x, step: float = 1e-4):
@@ -417,16 +400,7 @@ def fd_oracle(field: ChartMetricField, x, step: float = 1e-4):
 
     def assemble(hstep):
         f0, g, hes = jets(hstep)
-        dh = np.empty((n, n, n), dtype=complex)
-        dhb = np.empty((n, n, n), dtype=complex)
-        d2h = np.empty((n, n, n, n), dtype=complex)
-        for i in range(n):
-            dh[i] = 0.5 * (g[2 * i] - 1j * g[2 * i + 1])
-            dhb[i] = 0.5 * (g[2 * i] + 1j * g[2 * i + 1])
-            for j in range(n):
-                d2h[i, j] = 0.25 * (
-                    hes[2 * i, 2 * j] + hes[2 * i + 1, 2 * j + 1]
-                    + 1j * (hes[2 * i, 2 * j + 1] - hes[2 * i + 1, 2 * j]))
+        dh, dhb, d2h = (np.array(v) for v in _holo(g, hes))
         return _assemble_curvature(f0, dh, dhb, d2h)
 
     coarse = assemble(step)
@@ -456,11 +430,8 @@ def conformal_check(field: ChartMetricField, f: ScalarField, x):
     theta_f = curvature_at(scaled, x)
     theta = curvature_at(field, x)
     h0 = field.matrix(x)
-    fval, _, fhess = jet2(f.fn, list(x))
-    d2f = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            d2f[i, j] = _d2_holo(fhess, i, j)
+    fval, fgrad, fhess = jet2(f.fn, list(x))
+    d2f = np.array(_holo(fgrad, fhess)[2], dtype=complex)
     ef = math.exp(float(np.real(fval)))
     rhs = ef * (theta - np.einsum("kl,ij->ijkl", h0, d2f))
     out = {"curvature": _rel(theta_f, rhs)}
@@ -505,14 +476,8 @@ def metric_from_potential(potential: ScalarField) -> ChartMetricField:
         for zi in z:
             x.append((zi + zi.conjugate()) * 0.5)
             x.append((zi - zi.conjugate()) * (-0.5j))
-        _, _, hess = jet2(potential.fn, x)
-        out = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                out[i][j] = 0.25 * (
-                    hess[2 * i][2 * j] + hess[2 * i + 1][2 * j + 1]
-                    + 1j * (hess[2 * i][2 * j + 1] - hess[2 * i + 1][2 * j]))
-        return out
+        _, grad, hess = jet2(potential.fn, x)
+        return _holo(grad, hess)[2]
 
     return ChartMetricField(n, fn, box=((-1.5, 1.5),) * (2 * n),
                             name=potential.name + "-potential-metric")

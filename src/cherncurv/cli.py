@@ -173,14 +173,10 @@ def cmd_curvature(args) -> int:
     rep = Report()
     rep.add("entry", label)
     _add_params(rep, p)
-    n = alg.n
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                for l in range(1, n + 1):
-                    v = curv.component(i, j, k, l)
-                    if abs(complex(v)) > 1e-14:
-                        rep.add(f"theta_{i}{j}{k}{l}", v)
+    for idx in np.ndindex(curv.lowered.shape):
+        v = curv.lowered[idx]
+        if abs(complex(v)) > 1e-14:
+            rep.add("theta_" + "".join(str(i + 1) for i in idx), v)
     rep.add("ric1", inv.ricci(1, curv, h))
     rep.add("ric2", inv.ricci(2, curv, h))
     rep.add("s_chern", inv.scalar_chern(curv, h))

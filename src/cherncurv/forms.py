@@ -152,11 +152,6 @@ def _one(exact: bool):
     return QQi(1) if exact else 1 + 0j
 
 
-def QQi_or_complex_zero(exact: bool):
-    from .scalars import QQi
-    return QQi() if exact else 0j
-
-
 class InvariantForm:
     """Graded element of the complex exterior algebra over 2n covectors.
 

@@ -1,15 +1,29 @@
 """Chern-connection geometry of invariant Hermitian metrics.
 
 Everything here works over a :class:`~cherncurv.forms.CoframeAlgebra` with a
-constant Hermitian matrix h.  The connection matrix of 1-forms is pinned down
-by its two defining properties: the (0,1)-part kills the (1,1)-torsion and
-the (1,0)-part is forced by compatibility with the constant metric.  All
-contractions (the two Ricci forms, the third Ricci tensor, both scalar
-curvatures) are then index gymnastics on the lowered curvature tensor
+constant Hermitian matrix h.  With B^i_{j k} the coefficient of
+phi^j ^ bar(phi)^k in d phi^i, the Chern connection is
 
-    Theta_{i jbar k lbar} = h_{m lbar} R^m_{k, i jbar},
-    Theta^m_k = d theta^m_k + theta^m_l ^ theta^l_k
-              = R^m_{k, i jbar} phi^i ^ bar(phi)^j.
+    theta^m_k = gamma^m_{k l} phi^l + B^m_{k l} bar(phi)^l,
+
+its (0,1)-part killing the (1,1)-torsion and its (1,0)-part gamma fixed by
+compatibility with the constant metric,
+
+    gamma^m_{i l} h_{m jbar} = - h_{i kbar} conj(B^k_{j l}).
+
+All coefficients are constant, so Theta^m_k = d theta^m_k + theta^m_l ^
+theta^l_k = R^m_{k i jbar} phi^i ^ bar(phi)^j has the closed form
+
+    R^m_{k i jbar} = gamma^m_{k l} B^l_{i j} - B^m_{k l} conj(B^l_{j i})
+                   + gamma^m_{l i} B^l_{k j} - B^m_{l j} gamma^l_{k i},
+    Theta_{i jbar k lbar} = R^m_{k i jbar} h_{m lbar}.
+
+One einsum evaluation of this formula, and one set of contractions (the two
+Ricci forms, the third Ricci tensor, both scalar curvatures, the Einstein
+residuals), serves a single metric in exact QQi or float arithmetic and a
+float batch of metrics alike.  The form-algebra evaluation of the same
+curvature with ``ext_d`` and ``wedge`` is kept as a test oracle in
+``tests/forms_oracle.py``.
 
 Sign calibration is normative against the Hopf anchors
 Ric1 = 2 sqrt(-1) phi^1 ^ bar(phi)^1, Ric2 = (2/r^2) omega, S = 4/r^2.
@@ -19,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 from typing import Optional
 
 import numpy as np
@@ -27,8 +40,6 @@ import numpy as np
 from . import scalars as sc
 from .forms import CoframeAlgebra, InvariantForm, ext_d, del_part, dbar_part
 from .scalars import QQi, conj, is_exact, is_zero, mat_det, mat_inv, mat_solve
-
-TYPE_TOL = 1e-9
 
 
 class NotPositiveDefinite(ValueError):
@@ -78,9 +89,7 @@ class HermitianMetric:
 
     def inverse_upper(self):
         """h^{i jbar}, the inverse satisfying h^{i jbar} h_{k jbar} = delta."""
-        inv = mat_inv(self.h)
-        n = self.n
-        return [[inv[j][i] for j in range(n)] for i in range(n)]
+        return _upper(_metric_stack(self))[0]
 
     def scaled(self, c) -> "HermitianMetric":
         return HermitianMetric([[v * c for v in row] for row in self.h])
@@ -142,33 +151,128 @@ class ConnectionForms:
 
 @dataclass
 class CurvatureTensor:
-    """Lowered Chern curvature Theta[i][j][k][l] = Theta_{i jbar k lbar}."""
+    """Chern curvature of one metric, as (n, n, n, n) arrays.
 
-    theta_end: list  # endomorphism-valued curvature 2-forms Theta^m_k
-    r_upper: list    # R[m][k][i][j] with Theta^m_k = R phi^i ^ bar(phi)^j
-    lowered: list    # Theta[i][j][k][l]
+    ``r_upper[m, k, i, j]`` is R^m_{k i jbar}, with
+    Theta^m_k = R^m_{k i jbar} phi^i ^ bar(phi)^j, and ``lowered[i, j, k, l]``
+    is Theta_{i jbar k lbar} = R^m_{k i jbar} h_{m lbar}.  Entries are QQi
+    (dtype object) for an exact metric and complex otherwise.
+    """
+
+    r_upper: np.ndarray
+    lowered: np.ndarray
     n: int
 
     def component(self, i, j, k, l):
         """1-based Theta_{i jbar k lbar}."""
-        return self.lowered[i - 1][j - 1][k - 1][l - 1]
+        return self.lowered[i - 1, j - 1, k - 1, l - 1]
 
 
-def _zeros(exact, *shape):
-    zero = QQi() if exact else 0j
-    if len(shape) == 1:
-        return [zero for _ in range(shape[0])]
-    return [_zeros(exact, *shape[1:]) for _ in range(shape[0])]
+# ---------------------------------------------------------------------------
+# the curvature formula, over stacks of M metrics
+#
+# Arrays carry a leading batch index M.  Their dtype is the arithmetic:
+# complex for floats, object (QQi entries) for exact input.  Only the
+# gamma solve and the inverse metric depend on it.
 
-
-def _b_tensor(alg: CoframeAlgebra, exact):
-    """B[i][j][k] = coefficient of phi^j ^ bar(phi)^k in d phi^i, 0-based."""
+def _structure_b(alg: CoframeAlgebra, exact):
+    """B[i, j, k] = coefficient of phi^j ^ bar(phi)^k in d phi^i, 0-based."""
     n = alg.n
-    b = _zeros(exact, n, n, n)
+    b = np.full((n, n, n), QQi() if exact else 0j,
+                dtype=object if exact else complex)
     for (i, j, k), v in alg.b.items():
-        b[i - 1][j - 1][k - 1] = b[i - 1][j - 1][k - 1] + v
+        b[i - 1, j - 1, k - 1] += QQi(v) if exact else complex(v)
     return b
 
+
+def _metric_stack(h: HermitianMetric):
+    """h as a (1, n, n) stack in its own arithmetic."""
+    if h.exact:
+        return np.array([[[QQi(v) for v in row] for row in h.h]],
+                        dtype=object)
+    return np.array([h.h], dtype=complex)
+
+
+def _gamma(b, hs):
+    """gamma[M, m, i, l], the (1,0)-part of the connection, solving
+    gamma^m_{i l} h_{m jbar} = - h_{i kbar} conj(B^k_{j l})."""
+    count, n = hs.shape[0], hs.shape[1]
+    rhs = -np.einsum("Mik,kjl->Mjil", hs, np.conj(b)).reshape(count, n,
+                                                                 n * n)
+    ht = np.transpose(hs, (0, 2, 1))
+    if hs.dtype == object:
+        sol = np.array([mat_solve(a.tolist(), r.tolist())
+                        for a, r in zip(ht, rhs)], dtype=object)
+    else:
+        sol = np.linalg.solve(ht, rhs)
+    return sol.reshape(count, n, n, n)
+
+
+def _upper(hs):
+    """up[M, k, l] = h^{k lbar}, the inverse with h^{k lbar} h_{m lbar} =
+    delta_km."""
+    if hs.dtype == object:
+        inv = np.array([mat_inv(a.tolist()) for a in hs], dtype=object)
+    else:
+        inv = np.linalg.inv(hs)
+    return np.transpose(inv, (0, 2, 1))
+
+
+def _curvature(b, gamma, hs):
+    """(R, Theta) of the connection theta = gamma phi + B bar(phi).
+
+    R[M, m, k, i, j] = R^m_{k i jbar} is the (1,1)-part of
+    d theta^m_k + theta^m_l ^ theta^l_k for constant coefficients; the
+    (2,0)- and (0,2)-parts vanish identically for an integrable coframe
+    with the Jacobi identity.  Theta[M, i, j, k, l] is the lowered tensor.
+    """
+    r = (np.einsum("Mmkl,lab->Mmkab", gamma, b)
+         - np.einsum("mkl,lba->mkab", b, np.conj(b))[None]
+         + np.einsum("Mmla,lkb->Mmkab", gamma, b)
+         - np.einsum("mlb,Mlka->Mmkab", b, gamma))
+    return r, np.einsum("Mmkij,Mml->Mijkl", r, hs)
+
+
+_RICCI = {1: "Mkl,Mabkl->Mab", 2: "Mij,Mijab->Mab", 3: "Mil,Mibal->Mab"}
+
+
+def _ricci_stack(kind, up, theta):
+    """Ric^(kind) coefficient matrices [M, a, b]; kind 3 has indices
+    (k, jbar)."""
+    if kind not in _RICCI:
+        raise ValueError("kind must be 1, 2 or 3")
+    return np.einsum(_RICCI[kind], up, theta)
+
+
+def _s_stack(up, theta):
+    return np.einsum("Mij,Mkl,Mijkl->M", up, up, theta)
+
+
+def _einstein_stack(kind, mode, n, hs, up, theta):
+    """(lambda*, residual, relative residual, S) per metric, in floats.
+
+    The relative residual divides by max(|Ric|, |lambda| |h|): a
+    dimensionless distance from the Einstein condition that is comparable
+    across metric scales.
+    """
+    ric = _ricci_stack(kind, up, theta).astype(complex, copy=False)
+    s = _s_stack(up, theta).astype(complex, copy=False)
+    hs = hs.astype(complex, copy=False)
+    if mode == "strong":
+        lam = s.real / n
+    elif mode == "weak":
+        lam = (np.real(np.einsum("Mab,Mab->M", hs.conj(), ric))
+               / np.sum(np.abs(hs) ** 2, axis=(1, 2)))
+    else:
+        raise ValueError("mode must be 'strong' or 'weak'")
+    resid = np.max(np.abs(ric - lam[:, None, None] * hs), axis=(1, 2))
+    scale = np.maximum(np.max(np.abs(ric), axis=(1, 2)),
+                       np.abs(lam) * np.max(np.abs(hs), axis=(1, 2)))
+    return lam, resid, resid / np.maximum(scale, 1e-300), s
+
+
+# ---------------------------------------------------------------------------
+# one metric: connection forms, curvature and contractions
 
 def chern_connection(alg: CoframeAlgebra, h: HermitianMetric) -> ConnectionForms:
     """Connection 1-forms theta^i_j of the Chern connection.
@@ -184,16 +288,9 @@ def chern_connection(alg: CoframeAlgebra, h: HermitianMetric) -> ConnectionForms
     if h.n != alg.n:
         raise ValueError("metric dimension does not match the coframe")
     n = alg.n
-    exact = h.exact
-    b = _b_tensor(alg, exact)
-    ht = [[h.h[m][j] for m in range(n)] for j in range(n)]  # (H^T)[j][m]
-    # right-hand sides for all (i,l) at once: rhs[j][(i,l)]
-    rhs = [[-sum((h.h[i][k] * conj(b[k][j][l]) for k in range(n)),
-                 QQi() if exact else 0j)
-            for i in range(n) for l in range(n)] for j in range(n)]
-    sol = mat_solve(ht, rhs)  # sol[m][(i,l)] = gamma[m][i][l]
-    gamma = [[[sol[m][i * n + l] for l in range(n)] for i in range(n)]
-             for m in range(n)]
+    b = _structure_b(alg, h.exact)
+    gamma = _gamma(b, _metric_stack(h))[0].tolist()
+    b = b.tolist()
     theta = []
     for m in range(n):
         row = []
@@ -212,71 +309,25 @@ def chern_connection(alg: CoframeAlgebra, h: HermitianMetric) -> ConnectionForms
 def chern_curvature(alg: CoframeAlgebra, h: HermitianMetric,
                     connection: Optional[ConnectionForms] = None
                     ) -> CurvatureTensor:
-    """Curvature Theta^m_k = d theta^m_k + theta^m_l ^ theta^l_k, lowered.
-
-    Raises if any Theta^m_k has a (2,0)- or (0,2)-component above tolerance,
-    which would signal invalid structure constants or an internal error.
-    """
+    """Chern curvature of one metric: the M = 1 case of
+    :func:`batch_curvature`, in the metric's own arithmetic."""
     if connection is None:
         connection = chern_connection(alg, h)
-    n = alg.n
-    exact = h.exact
-    theta = connection.theta
-    theta_end = []
-    r_upper = _zeros(exact, n, n, n, n)
-    for m in range(n):
-        row = []
-        for k in range(n):
-            big = ext_d(alg, theta[m][k])
-            for l in range(n):
-                big = big + theta[m][l].wedge(theta[l][k])
-            bad = big.project_bidegree(2, 0) + big.project_bidegree(0, 2)
-            if not bad.is_zero(tol_scale=max(big.max_abs(), 1.0)):
-                raise ValueError(
-                    "endomorphism curvature is not of type (1,1)")
-            row.append(big)
-            for i in range(n):
-                for j in range(n):
-                    r_upper[m][k][i][j] = big.coeff(i, j + n)
-        theta_end.append(row)
-    lowered = _zeros(exact, n, n, n, n)
-    for i, j, k, l in product(range(n), repeat=4):
-        acc = QQi() if exact else 0j
-        for m in range(n):
-            acc = acc + r_upper[m][k][i][j] * h.h[m][l]
-        lowered[i][j][k][l] = acc
-    return CurvatureTensor(theta_end=theta_end, r_upper=r_upper,
-                           lowered=lowered, n=n)
+    hs = _metric_stack(h)
+    gamma = np.array([connection.gamma], dtype=hs.dtype)
+    r, theta = _curvature(_structure_b(alg, h.exact), gamma, hs)
+    return CurvatureTensor(r_upper=r[0], lowered=theta[0], n=alg.n)
 
 
-# ---------------------------------------------------------------------------
-# contractions
+def _stacks(curv: CurvatureTensor, h: HermitianMetric):
+    """(up, Theta) of one metric as M = 1 stacks."""
+    return _upper(_metric_stack(h)), curv.lowered[None]
+
 
 def _ric_matrix(kind: int, curv: CurvatureTensor, h: HermitianMetric):
     """Coefficient matrix M with Ric = sqrt(-1) M_{a bbar} phi^a ^ bar(phi)^b
     for kinds 1 and 2; for kind 3 the tensor Ric3_{k jbar} itself."""
-    n = curv.n
-    up = h.inverse_upper()
-    th = curv.lowered
-    exact = h.exact
-    out = _zeros(exact, n, n)
-    for a in range(n):
-        for b in range(n):
-            acc = QQi() if exact else 0j
-            if kind == 1:
-                for k, l in product(range(n), repeat=2):
-                    acc = acc + up[k][l] * th[a][b][k][l]
-            elif kind == 2:
-                for i, j in product(range(n), repeat=2):
-                    acc = acc + up[i][j] * th[i][j][a][b]
-            elif kind == 3:
-                # indices (k, jbar): contract h^{i lbar} Theta_{i jbar k lbar}
-                for i, l in product(range(n), repeat=2):
-                    acc = acc + up[i][l] * th[i][b][a][l]
-            else:
-                raise ValueError("kind must be 1, 2 or 3")
-            out[a][b] = acc
-    return out
+    return _ricci_stack(kind, *_stacks(curv, h))[0]
 
 
 def _matrix_to_form(m, n, exact) -> InvariantForm:
@@ -298,27 +349,18 @@ def ricci(kind: int, curv: CurvatureTensor, h: HermitianMetric):
     m = _ric_matrix(kind, curv, h)
     if kind == 3:
         return m
-    return _matrix_to_form(m, curv.n, h.exact)
+    return _matrix_to_form(m.tolist(), curv.n, h.exact)
 
 
 def scalar_chern(curv: CurvatureTensor, h: HermitianMetric):
     """S = h^{i jbar} h^{k lbar} Theta_{i jbar k lbar} (real)."""
-    n = curv.n
-    up = h.inverse_upper()
-    acc = QQi() if h.exact else 0j
-    for i, j, k, l in product(range(n), repeat=4):
-        acc = acc + up[i][j] * up[k][l] * curv.lowered[i][j][k][l]
-    return _realize(acc)
+    return _realize(_s_stack(*_stacks(curv, h))[0])
 
 
 def scalar_third(curv: CurvatureTensor, h: HermitianMetric):
     """The alternative double trace h^{k jbar} h^{i lbar} Theta_{i jbar k lbar}."""
-    n = curv.n
-    up = h.inverse_upper()
-    acc = QQi() if h.exact else 0j
-    for i, j, k, l in product(range(n), repeat=4):
-        acc = acc + up[k][j] * up[i][l] * curv.lowered[i][j][k][l]
-    return _realize(acc)
+    up, theta = _stacks(curv, h)
+    return _realize(np.einsum("Mkj,Mil,Mijkl->M", up, up, theta)[0])
 
 
 def _realize(x):
@@ -326,6 +368,7 @@ def _realize(x):
         if x.im != 0:
             raise ValueError(f"expected a real scalar, got {x!r}")
         return x.re
+    x = complex(x)
     if abs(x.imag) > max(1e-9 * abs(x), sc.ABS_TOL):
         raise ValueError(f"expected a real scalar, got {x!r}")
     return x.real
@@ -341,9 +384,7 @@ def torsion(alg: CoframeAlgebra, h: HermitianMetric,
     if connection is None:
         connection = chern_connection(alg, h)
     n = alg.n
-    exact = h.exact
     taus = []
-    t = _zeros(exact, n, n, n)
     for i in range(n):
         tau = ext_d(alg, alg.basis_1form(i + 1))
         for j in range(n):
@@ -352,16 +393,11 @@ def torsion(alg: CoframeAlgebra, h: HermitianMetric,
                 ).is_zero(tol_scale=max(tau.max_abs(), 1.0)):
             raise ValueError("torsion is not of type (2,0)")
         taus.append(tau)
-        for j in range(n):
-            for k in range(n):
-                if j < k:
-                    t[i][j][k] = tau.coeff(j, k)
-                    t[i][k][j] = -tau.coeff(j, k)
     trace_coeffs = {}
     for j in range(n):
-        acc = QQi() if exact else 0j
-        for k in range(n):
-            acc = acc + t[k][j][k]
+        # coeff(j, k) = T^k_{jk}, signed by the order of phi^j ^ phi^k
+        acc = sum((taus[k].coeff(j, k) for k in range(n)),
+                  QQi() if h.exact else 0j)
         if not is_zero(acc):
             trace_coeffs[(j,)] = acc
     return taus, InvariantForm(n, trace_coeffs)
@@ -444,21 +480,14 @@ def einstein_residual(kind: int, alg: CoframeAlgebra, h: HermitianMetric,
     Frobenius inner product of coefficient matrices.  For kind 3 the tensor
     h^{i lbar} Theta_{i jbar k lbar} is compared against lambda h_{k jbar}.
     """
-    if mode not in ("strong", "weak"):
-        raise ValueError("mode must be 'strong' or 'weak'")
     if curv is None:
         curv = chern_curvature(alg, h)
-    n = alg.n
-    m = _ric_matrix(kind, curv, h)
-    mf = np.array([[complex(v) for v in row] for row in m])
-    hf = np.array([[complex(v) for v in row] for row in h.h])
+    hs = _metric_stack(h)
+    lam, resid, _, s = _einstein_stack(kind, mode, alg.n, hs, _upper(hs),
+                                       curv.lowered[None])
     if mode == "strong":
-        lam = float(scalar_chern(curv, h)) / n
-    else:
-        denom = float(np.sum(np.abs(hf) ** 2))
-        lam = float(np.real(np.sum(np.conj(hf) * mf))) / denom
-    residual = float(np.max(np.abs(mf - lam * hf)))
-    return lam, residual
+        _realize(s[0])  # refuses a non-real S, as scalar_chern does
+    return float(lam[0]), float(resid[0])
 
 
 # ---------------------------------------------------------------------------
@@ -467,14 +496,17 @@ def einstein_residual(kind: int, alg: CoframeAlgebra, h: HermitianMetric,
 def chern_weil(curv: CurvatureTensor):
     """(c1, c2) as invariant forms, with the usual 2*pi normalisations."""
     n = curv.n
+    r = curv.r_upper.astype(complex).tolist()
+    theta_end = [[InvariantForm(n, {(i, j + n): r[m][k][i][j]
+                                    for i in range(n) for j in range(n)})
+                  for k in range(n)] for m in range(n)]
     tr = InvariantForm(n)
     for m in range(n):
-        tr = tr + _to_float_form(curv.theta_end[m][m])
+        tr = tr + theta_end[m][m]
     trtr = InvariantForm(n)
     for m in range(n):
         for l in range(n):
-            trtr = trtr + _to_float_form(curv.theta_end[m][l]).wedge(
-                _to_float_form(curv.theta_end[l][m]))
+            trtr = trtr + theta_end[m][l].wedge(theta_end[l][m])
     c1 = tr.scale(1j / (2 * math.pi))
     c2 = (tr.wedge(tr) - trtr).scale(1.0 / (8 * math.pi ** 2))
     return c1, c2
@@ -515,57 +547,26 @@ def batch_curvature(alg: CoframeAlgebra, hs: np.ndarray):
     """Lowered curvature for a batch of constant metrics, vectorised.
 
     ``hs`` has shape (M, n, n).  Returns Theta of shape (M, n, n, n, n)
-    indexed [batch, i, j, k, l].  Agrees with :func:`chern_curvature`
-    (property-tested); only the (1,1)-part is produced.
+    indexed [batch, i, j, k, l], by the formula :func:`chern_curvature`
+    applies to one metric.
     """
     alg.check_integrable()
-    n = alg.n
-    b = np.zeros((n, n, n), dtype=complex)
-    for (i, j, k), v in alg.b.items():
-        b[i - 1, j - 1, k - 1] += complex(v)
-    bc = b.conj()
-    m = hs.shape[0]
-    # gamma[m_,i,l] solves sum_m H[m,j] gamma[m] = -sum_k H[i,k] conj(B[k,j,l])
-    rhs = -np.einsum("Mik,kjl->Mjil", hs, bc).reshape(m, n, n * n)
-    gam = np.linalg.solve(np.transpose(hs, (0, 2, 1)), rhs)
-    gamma = gam.reshape(m, n, n, n)  # [batch, m, i, l]
-    r = (np.einsum("Mmkl,lab->Mmkab", gamma, b)
-         - np.einsum("mkl,lba->mkab", b, bc)[None]
-         + np.einsum("Mmla,lkb->Mmkab", gamma, b)
-         - np.einsum("mlb,Mlka->Mmkab", b, gamma))
-    return np.einsum("Mmkij,Mml->Mijkl", r, hs)
+    b = _structure_b(alg, exact=False)
+    return _curvature(b, _gamma(b, hs), hs)[1]
 
 
 def batch_einstein_residual(kind: int, alg: CoframeAlgebra, hs: np.ndarray,
-                            mode: str = "strong", relative: bool = False):
-    """Vectorised (lambda*, residual) over a batch of metrics.
+                            mode: str = "strong"):
+    """Vectorised (lambda*, residual, relative residual, S) over a batch of
+    metrics.
 
-    With ``relative`` the residual is normalised by
-    max(|Ric|, |lambda| |h|) per point, a dimensionless distance from the
-    Einstein condition that is comparable across metric scales.
+    The relative residual is normalised by max(|Ric|, |lambda| |h|) per
+    point, a dimensionless distance from the Einstein condition that is
+    comparable across metric scales.
     """
-    theta = batch_curvature(alg, hs)
-    up = np.transpose(np.linalg.inv(hs), (0, 2, 1))  # up[M,k,l] = h^{k lbar}
-    if kind == 1:
-        ric = np.einsum("Mkl,Mabkl->Mab", up, theta)
-    elif kind == 2:
-        ric = np.einsum("Mij,Mijab->Mab", up, theta)
-    elif kind == 3:
-        ric = np.einsum("Mil,Mibal->Mab", up, theta)
-    else:
-        raise ValueError("kind must be 1, 2 or 3")
-    s = np.real(np.einsum("Mij,Mkl,Mijkl->M", up, up, theta))
-    if mode == "strong":
-        lam = s / alg.n
-    else:
-        lam = (np.real(np.einsum("Mab,Mab->M", hs.conj(), ric))
-               / np.sum(np.abs(hs) ** 2, axis=(1, 2)))
-    resid = np.max(np.abs(ric - lam[:, None, None] * hs), axis=(1, 2))
-    if relative:
-        scale = np.maximum(np.max(np.abs(ric), axis=(1, 2)),
-                           np.abs(lam) * np.max(np.abs(hs), axis=(1, 2)))
-        resid = resid / np.maximum(scale, 1e-300)
-    return lam, resid, s
+    lam, resid, rel, s = _einstein_stack(kind, mode, alg.n, hs, _upper(hs),
+                                         batch_curvature(alg, hs))
+    return lam, resid, rel, s.real
 
 
 # ---------------------------------------------------------------------------
@@ -626,9 +627,8 @@ def scan(alg: CoframeAlgebra, kind: int, grid=None, mode: str = "strong",
         hs[idx, 1, 1] = s * s / 2
         hs[idx, 0, 1] = -1j * u / 2
         hs[idx, 1, 0] = 1j * u.conjugate() / 2
-    lam, resid, _s = batch_einstein_residual(kind, alg, hs, mode=mode,
-                                             relative=True)
-    _, resid_abs, _ = batch_einstein_residual(kind, alg, hs, mode=mode)
+    lam, resid_abs, resid, _ = batch_einstein_residual(kind, alg, hs,
+                                                       mode=mode)
     order = np.lexsort((np.arange(len(grid)), resid))
     best = int(order[0])
     cert_ok, cert_worst = None, None

@@ -40,9 +40,15 @@ class QQi:
             return QQi(other)
         return NotImplemented
 
+    # Zero operands short-circuit: sparse structure constants make most
+    # terms of a dense contraction zero, and Fraction arithmetic is costly.
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
+            return o
+        if not (o.re or o.im):
+            return self
+        if not (self.re or self.im):
             return o
         return QQi(self.re + o.re, self.im + o.im)
 
@@ -63,6 +69,10 @@ class QQi:
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
+            return o
+        if not (self.re or self.im):
+            return self
+        if not (o.re or o.im):
             return o
         return QQi(self.re * o.re - self.im * o.im,
                    self.re * o.im + self.im * o.re)
@@ -124,10 +134,6 @@ def is_exact(x) -> bool:
 def conj(x):
     """Complex conjugate, valid for both scalar backends."""
     return x.conjugate()
-
-
-def to_complex(x) -> complex:
-    return complex(x)
 
 
 def zero_like(x):

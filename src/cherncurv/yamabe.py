@@ -45,7 +45,6 @@ class PeriodicGrid:
         if N < 4:
             raise ValueError("grid resolution must be at least 4")
         self.N = N
-        self.spacing = 1.0 / N
         k = 2.0 * math.pi * np.fft.fftfreq(N, d=1.0 / N)
         self._mult = -(k[:, None] ** 2 + k[None, :] ** 2)
 

@@ -10,6 +10,7 @@ from cherncurv.forms import InvariantForm, ext_d
 from cherncurv.scalars import I_EXACT, QQi, conj
 from cherncurv.invariant import (DegenerateMetric, HermitianMetric,
                                  NotPositiveDefinite, SurfaceMetricParams)
+from forms_oracle import forms_curvature
 
 ENTRIES = catalog.list_entries()
 
@@ -104,7 +105,35 @@ def test_third_ricci_hopf():
 
 
 # ---------------------------------------------------------------------------
-# batched backend against the forms engine
+# the tensor formula against the form-algebra oracle
+
+@pytest.mark.parametrize("name", ENTRIES)
+def test_curvature_matches_forms_oracle_exact(name):
+    for point in catalog.get(name).points:
+        alg, h, _ = catalog.build(name, point, exact=True)
+        curv = inv.chern_curvature(alg, h)
+        r_upper, lowered = (np.array(t, dtype=object)
+                            for t in forms_curvature(alg, h))
+        for idx in product(range(alg.n), repeat=4):
+            assert isinstance(curv.lowered[idx], QQi)
+            assert isinstance(curv.r_upper[idx], QQi)
+            assert curv.lowered[idx] == lowered[idx]
+            assert curv.r_upper[idx] == r_upper[idx]
+
+
+@pytest.mark.parametrize("name", ENTRIES)
+def test_curvature_matches_forms_oracle_float(name):
+    rng = np.random.default_rng(5)
+    alg, _, _ = catalog.build(name, {"r": 1.0}, exact=False)
+    for _ in range(4):
+        h = rng_metric(rng, alg.n)
+        curv = inv.chern_curvature(alg, h)
+        r_upper, lowered = forms_curvature(alg, h)
+        for got, want in ((curv.lowered, lowered), (curv.r_upper, r_upper)):
+            want = np.array(want, dtype=complex)
+            scale = np.max(np.abs(want)) + 1e-30
+            assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
 
 def test_batch_matches_forms_engine():
     rng = np.random.default_rng(3)
@@ -118,7 +147,7 @@ def test_batch_matches_forms_engine():
             hs[idx] = np.array(m.h)
         batch = inv.batch_curvature(alg, hs)
         for idx, m in enumerate(mets):
-            ref = np.array(inv.chern_curvature(alg, m).lowered)
+            ref = np.array(forms_curvature(alg, m)[1])
             scale = np.max(np.abs(ref)) + 1e-30
             assert np.max(np.abs(batch[idx] - ref)) < 1e-12 * scale
 
@@ -128,8 +157,11 @@ def test_batch_residual_relative_dimensionless():
     hs = np.empty((2, 2, 2), dtype=complex)
     for idx, c in enumerate((1.0, 50.0)):
         hs[idx] = c * np.array([[0.5, 0], [0, 0.5]])
-    _, rel, _ = inv.batch_einstein_residual(2, alg, hs, relative=True)
+    _, absolute, rel, _ = inv.batch_einstein_residual(2, alg, hs)
     assert rel[0] == pytest.approx(rel[1], rel=1e-12)
+    for idx in range(2):
+        single = inv.einstein_residual(2, alg, HermitianMetric(hs[idx]))
+        assert absolute[idx] == pytest.approx(single[1], rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

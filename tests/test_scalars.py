@@ -37,6 +37,25 @@ def test_conjugation(a, b):
     assert complex(conj(a)) == complex(a).conjugate()
 
 
+def _parts(x):
+    return (x.re, x.im) if isinstance(x, QQi) else (Fraction(x), Fraction(0))
+
+
+@given(qqis)
+def test_zero_operand_short_circuit(a):
+    # a zero on either side, as QQi, int or Fraction, still gives the QQi
+    # that full arithmetic gives
+    third = Fraction(-2, 7)
+    for left, right in ((QQi(), a), (a, QQi()), (QQi(), 3), (3, QQi()),
+                        (QQi(), third), (third, QQi()), (a, 0), (0, a),
+                        (a, Fraction(0)), (Fraction(0), a)):
+        (lr, li), (rr, ri) = _parts(left), _parts(right)
+        total, prod = left + right, left * right
+        assert isinstance(total, QQi) and isinstance(prod, QQi)
+        assert (total.re, total.im) == (lr + rr, li + ri)
+        assert (prod.re, prod.im) == (lr * rr - li * ri, lr * ri + li * rr)
+
+
 def test_unit_square():
     assert I_EXACT * I_EXACT == QQi(-1)
     assert complex(I_EXACT) == 1j
