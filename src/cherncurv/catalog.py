@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional
 
 from .forms import CoframeAlgebra, InvariantForm
-from .scalars import QQi, I_EXACT, conj, is_exact
+from .scalars import QQi, I_EXACT, conj, is_exact, is_zero, times_i, unify
 from . import invariant as inv
 
 
@@ -28,54 +28,15 @@ class UnknownQuantity(KeyError):
 
 
 # ---------------------------------------------------------------------------
-# parameter handling
-
-def _norm_params(params: Optional[dict], defaults: dict, exact: bool) -> dict:
-    out = dict(defaults)
-    if params:
-        out.update(params)
-    if exact:
-        coerced = {}
-        for key, val in out.items():
-            if isinstance(val, QQi):
-                coerced[key] = val
-            elif isinstance(val, complex):
-                raise ValueError(
-                    f"parameter {key}={val!r} is not rational; use float mode")
-            else:
-                coerced[key] = Fraction(val) if key != "u" else QQi(val)
-        if not isinstance(coerced["u"], QQi):
-            coerced["u"] = QQi(coerced["u"])
-        return coerced
-    coerced = {}
-    for key, val in out.items():
-        coerced[key] = complex(val) if key == "u" else float(
-            complex(val).real)
-    return coerced
-
-
-def _params_exact(params: Optional[dict]) -> bool:
-    if not params:
-        return True
-    return all(not isinstance(v, (float, complex)) or isinstance(v, QQi)
-               for v in params.values())
-
+# closed-form helpers, in the arithmetic of the parameters
 
 def _uu(u):
     """|u|^2 in the arithmetic of u."""
-    if isinstance(u, QQi):
-        return (u * u.conjugate()).re
-    return abs(u) ** 2
+    return (u * conj(u)).real
 
 
 def _re_u2(u):
-    if isinstance(u, QQi):
-        return (u * u).re
     return (u * u).real
-
-
-def _i_unit(exact):
-    return I_EXACT if exact else 1j
 
 
 def _D(p):
@@ -83,11 +44,12 @@ def _D(p):
     return r * r * s * s - _uu(u)
 
 
-def _form(n, coeffs_fn, exact):
-    """(1,1)-form sqrt(-1) * m_ab phi^a ^ bar(phi)^b from a coefficient map."""
-    i_unit = _i_unit(exact)
-    return InvariantForm(n, {(a, b + n): i_unit * v
-                             for (a, b), v in coeffs_fn.items()})
+def _form(n, coeffs, exact):
+    """(1,1)-form sqrt(-1) * m_ab phi^a ^ bar(phi)^b from rational constant
+    coefficients, in the given arithmetic."""
+    _, (coeffs,) = unify([coeffs], exact)
+    return InvariantForm(n, {(a, b + n): times_i(v)
+                             for (a, b), v in coeffs.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -104,10 +66,14 @@ class ExpectedQuantity:
 
 @dataclass
 class ExampleEntry:
+    """``structure`` maps the parameters to the structure-constant tables
+    (a, b) of d phi^i; ``metric`` maps parameters in one arithmetic to the
+    metric."""
+
     name: str
     doc: str
-    algebra: Callable[[dict, bool], CoframeAlgebra]
-    metric: Callable[[dict, bool], inv.HermitianMetric]
+    structure: Callable[[dict], tuple]
+    metric: Callable[[dict], inv.HermitianMetric]
     expected: List[ExpectedQuantity] = field(default_factory=list)
     defaults: dict = field(default_factory=lambda: {"r": 1, "s": 1, "u": 0})
     points: List[dict] = field(default_factory=list)
@@ -116,43 +82,25 @@ class ExampleEntry:
     fixup: Optional[Callable[[dict], dict]] = None
 
 
-def _surface_metric(p, exact):
-    return inv.SurfaceMetricParams(p["r"], p["s"], p["u"]).metric(exact=exact)
+def _surface_metric(p):
+    return inv.SurfaceMetricParams(p["r"], p["s"], p["u"]).metric()
 
 
-def _snow_metric(p, exact):
+def _snow_metric(p):
     # the Snow display writes omega without the 1/2 factors: h11 = r^2,
     # h22 = s^2, h12 = -sqrt(-1) u
     r, s, u = p["r"], p["s"], p["u"]
-    i_unit = _i_unit(exact)
-    if exact:
-        u = u if isinstance(u, QQi) else QQi(u)
-        return inv.HermitianMetric([[QQi(r * r), -(i_unit * u)],
-                                    [i_unit * conj(u), QQi(s * s)]])
-    u = complex(u)
-    return inv.HermitianMetric([[complex(r * r), -1j * u],
-                                [1j * u.conjugate(), complex(s * s)]])
+    return inv.HermitianMetric([[r * r, -times_i(u)],
+                                [times_i(conj(u)), s * s]])
 
 
-def _const_algebra(a, b):
-    def build(p, exact):
-        if exact:
-            return CoframeAlgebra(2, dict(a), dict(b))
-        return CoframeAlgebra(
-            2, {k: complex(v) for k, v in a.items()},
-            {k: complex(v) for k, v in b.items()})
-    return build
+def _const_structure(a, b):
+    return lambda p: (a, b)
 
 
-def _snow_algebra(p, exact):
-    ell = p["ell"]
-    if exact:
-        half = Fraction(ell) / 2
-        return CoframeAlgebra(2, {(2, 1, 2): QQi(half)},
-                              {(2, 2, 1): QQi(-half)})
-    half = float(ell) / 2
-    return CoframeAlgebra(2, {(2, 1, 2): complex(half)},
-                          {(2, 2, 1): complex(-half)})
+def _snow_structure(p):
+    half = p["ell"] * Fraction(1, 2)
+    return {(2, 1, 2): half}, {(2, 2, 1): -half}
 
 
 # ---------------------------------------------------------------------------
@@ -190,10 +138,9 @@ def _lemma_inoue_spm(p) -> bool:
     r, s, u = p["r"], p["s"], p["u"]
     d = r * r * s * s - _uu(u)
     lhs = r * r * s * s + _uu(u) + 2 * _re_u2(u)
-    if is_exact(d):
-        return lhs >= d and d > 0
-    scale = max(abs(lhs), abs(d), 1.0)
-    return lhs - d >= -1e-12 * scale and d > 0
+    gap = lhs - d  # in floats, rounding may make it slightly negative
+    return d > 0 and (gap >= 0 or is_zero(gap, scale=max(abs(lhs), abs(d),
+                                                         1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +198,7 @@ def _build_registry() -> Dict[str, ExampleEntry]:
     reg["flat-torus"] = ExampleEntry(
         name="flat-torus",
         doc="Abelian structure equations; every curvature quantity vanishes.",
-        algebra=_const_algebra({}, {}),
+        structure=_const_structure({}, {}),
         metric=_surface_metric,
         expected=[
             exq("S_Ch", lambda p, e: 0),
@@ -268,12 +215,11 @@ def _build_registry() -> Dict[str, ExampleEntry]:
         name="hopf",
         doc=("Diagonal invariant metric, strong-(2)-Chern-Einstein with "
              "factor 2/r^2."),
-        algebra=_const_algebra({(1, 1, 2): i},
-                               {(1, 1, 2): i, (2, 1, 1): -i}),
+        structure=_const_structure({(1, 1, 2): i},
+                                   {(1, 1, 2): i, (2, 1, 1): -i}),
         metric=_surface_metric,
         expected=[
-            exq("Ric1", lambda p, e: _form(2, {(0, 0): 2 * _i_unit(e)
-                                               / _i_unit(e)}, e)),
+            exq("Ric1", lambda p, e: _form(2, {(0, 0): 2}, e)),
             exq("S_Ch", lambda p, e: 4 / (p["r"] * p["r"])),
             exq("einstein2_lambda", lambda p, e: 2 / (p["r"] * p["r"])),
             exq("einstein2_residual", lambda p, e: 0.0),
@@ -297,13 +243,12 @@ def _build_registry() -> Dict[str, ExampleEntry]:
     reg["inoue-sm"] = ExampleEntry(
         name="inoue-sm",
         doc="No invariant metric is strong-(2)-Chern-Einstein.",
-        algebra=_const_algebra({(1, 1, 2): i * quarter},
-                               {(1, 1, 2): -(i * quarter),
-                                (2, 2, 2): i * half}),
+        structure=_const_structure({(1, 1, 2): i * quarter},
+                                   {(1, 1, 2): -(i * quarter),
+                                    (2, 2, 2): i * half}),
         metric=_surface_metric,
         expected=[
-            exq("Ric1", lambda p, e: _form(2, {(1, 1): -quarter if e
-                                               else -0.25}, e)),
+            exq("Ric1", lambda p, e: _form(2, {(1, 1): -quarter}, e)),
             exq("S_Ch", lambda p, e: -(p["r"] * p["r"]) / (2 * _D(p))),
             exq("S3", lambda p, e: -(p["r"] * p["r"]) * (
                 8 * p["r"] ** 2 * p["s"] ** 2 + _uu(p["u"]))
@@ -317,14 +262,13 @@ def _build_registry() -> Dict[str, ExampleEntry]:
     reg["inoue-spm"] = ExampleEntry(
         name="inoue-spm",
         doc="No invariant metric is strong-(2)-Chern-Einstein.",
-        algebra=_const_algebra({(1, 1, 2): -(i * half)},
-                               {(1, 2, 1): -(i * half),
-                                (1, 2, 2): i * half,
-                                (2, 2, 2): -(i * half)}),
+        structure=_const_structure({(1, 1, 2): -(i * half)},
+                                   {(1, 2, 1): -(i * half),
+                                    (1, 2, 2): i * half,
+                                    (2, 2, 2): -(i * half)}),
         metric=_surface_metric,
         expected=[
-            exq("Ric1", lambda p, e: _form(2, {(1, 1): -half if e
-                                               else -0.5}, e)),
+            exq("Ric1", lambda p, e: _form(2, {(1, 1): -half}, e)),
             exq("S_Ch", lambda p, e: -(p["r"] * p["r"]) / _D(p)),
         ],
         points=_surface_points(),
@@ -336,7 +280,7 @@ def _build_registry() -> Dict[str, ExampleEntry]:
     reg["kodaira-primary"] = ExampleEntry(
         name="kodaira-primary",
         doc="First-Chern-Ricci flat; no strong-(2)-Chern-Einstein metric.",
-        algebra=_const_algebra({}, {(2, 1, 1): i * half}),
+        structure=_const_structure({}, {(2, 1, 1): i * half}),
         metric=_surface_metric,
         expected=[
             exq("Ric1", _ric1_zero),
@@ -351,8 +295,9 @@ def _build_registry() -> Dict[str, ExampleEntry]:
     reg["kodaira-secondary"] = ExampleEntry(
         name="kodaira-secondary",
         doc="First-Chern-Ricci flat; no strong-(2)-Chern-Einstein metric.",
-        algebra=_const_algebra({(1, 1, 2): QQi(-half)},
-                               {(1, 1, 2): QQi(half), (2, 1, 1): i * half}),
+        structure=_const_structure({(1, 1, 2): QQi(-half)},
+                                   {(1, 1, 2): QQi(half),
+                                    (2, 1, 1): i * half}),
         metric=_surface_metric,
         expected=[
             exq("Ric1", _ric1_zero),
@@ -370,8 +315,8 @@ def _build_registry() -> Dict[str, ExampleEntry]:
 
     def _snow_ric2_12(p, e):
         ell = p["ell"]
-        return -(_i_unit(e)) * ell * ell * p["r"] ** 2 * p["s"] ** 4 \
-            * p["u"] / (4 * _D(p) ** 2)
+        return -times_i(ell * ell * p["r"] ** 2 * p["s"] ** 4 * p["u"]
+                        / (4 * _D(p) ** 2))
 
     def _snow_ric2_22(p, e):
         ell = p["ell"]
@@ -381,7 +326,7 @@ def _build_registry() -> Dict[str, ExampleEntry]:
         name="snow-s5",
         doc=("Strong-(1)-Chern-Einstein with zero factor for all "
              "parameters; Chern flat when u = 0."),
-        algebra=_snow_algebra,
+        structure=_snow_structure,
         metric=_snow_metric,
         expected=[
             exq("Ric1", _ric1_zero),
@@ -394,8 +339,9 @@ def _build_registry() -> Dict[str, ExampleEntry]:
                 note="regression value; the published display carries "
                      "denominator 2 instead of 4, a convention-sensitive "
                      "factor"),
-            exq("Ric3_12", lambda p, e: _i_unit(e) * p["ell"] ** 2
-                * p["s"] ** 2 * p["u"] / (4 * _D(p)), asserted=False,
+            exq("Ric3_12", lambda p, e: times_i(p["ell"] ** 2 * p["s"] ** 2
+                                                * p["u"] / (4 * _D(p))),
+                asserted=False,
                 note="regression value; magnitude matches the published "
                      "component, the sign is convention sensitive"),
         ],
@@ -413,13 +359,12 @@ def _build_registry() -> Dict[str, ExampleEntry]:
         name="ovando-r2r2",
         doc=("The diagonal metric is complete Kahler-Einstein with "
              "negative factor."),
-        algebra=_const_algebra({}, {(1, 1, 1): QQi(-half),
-                                    (2, 2, 2): QQi(-half)}),
+        structure=_const_structure({}, {(1, 1, 1): QQi(-half),
+                                        (2, 2, 2): QQi(-half)}),
         metric=_surface_metric,
         expected=[
-            exq("Ric1", lambda p, e: _form(
-                2, {(0, 0): -half if e else -0.5,
-                    (1, 1): -half if e else -0.5}, e)),
+            exq("Ric1", lambda p, e: _form(2, {(0, 0): -half,
+                                               (1, 1): -half}, e)),
             exq("einstein2_lambda", lambda p, e: -1, only_when=_diag_only),
             exq("einstein2_residual", lambda p, e: 0.0,
                 only_when=_diag_only),
@@ -434,9 +379,9 @@ def _build_registry() -> Dict[str, ExampleEntry]:
         name="ovando-r4",
         doc=("Always strong-(2)-Chern-Einstein with negative factor "
              "-s^2/(r^2 s^2 - |u|^2)."),
-        algebra=_const_algebra({(2, 1, 2): -(i * half)},
-                               {(1, 1, 1): -(i * half),
-                                (2, 2, 1): -(i * half)}),
+        structure=_const_structure({(2, 1, 2): -(i * half)},
+                                   {(1, 1, 1): -(i * half),
+                                    (2, 2, 1): -(i * half)}),
         metric=_surface_metric,
         expected=[
             exq("Ric1", lambda p, e: _form(2, {(0, 0): -1}, e)),
@@ -486,24 +431,32 @@ def get(name: str) -> ExampleEntry:
         raise UnknownEntry(name) from None
 
 
+def _resolve(name: str, params: Optional[dict], exact: Optional[bool]):
+    """(entry, exact, algebra, parameters) of an entry at the given
+    parameters, with the entry's defaults filled in.
+
+    The structure constants and the parameters enter one
+    :func:`~cherncurv.scalars.unify`: the arithmetic is exact when the
+    parameters are rational, unless ``exact`` says otherwise.
+    """
+    entry = get(name)
+    raw = dict(entry.defaults)
+    raw.update(entry.fixup(params) if entry.fixup else params or {})
+    exact, (a, b, p) = unify([*entry.structure(raw), raw], exact)
+    return entry, exact, CoframeAlgebra(2, a, b), p
+
+
 def build(name: str, params: Optional[dict] = None,
           exact: Optional[bool] = None):
-    """(algebra, metric) for an entry at the given parameters."""
-    entry = get(name)
-    if exact is None:
-        exact = _params_exact(params)
-    p = _norm_params(entry.fixup(params) if entry.fixup else params,
-                     entry.defaults, exact)
-    return entry.algebra(p, exact), entry.metric(p, exact), p
+    """(algebra, metric, parameters) for an entry at the given
+    parameters."""
+    entry, _, alg, p = _resolve(name, params, exact)
+    return alg, entry.metric(p), p
 
 
 def expected(name: str, quantity: str, params: Optional[dict] = None,
              exact: Optional[bool] = None):
-    entry = get(name)
-    if exact is None:
-        exact = _params_exact(params)
-    p = _norm_params(entry.fixup(params) if entry.fixup else params,
-                     entry.defaults, exact)
+    entry, exact, _, p = _resolve(name, params, exact)
     for q in entry.expected:
         if q.name == quantity:
             if q.only_when is not None and not q.only_when(p):
@@ -572,19 +525,15 @@ def _computed_value(quantity, alg, h, curv):
 
 def _agree(expected_v, computed_v, exact) -> bool:
     if isinstance(computed_v, InvariantForm):
-        diff = computed_v - expected_v
-        if exact and computed_v.coefficients and all(
-                is_exact(v) for v in computed_v.coefficients.values()):
-            return not diff.coefficients
-        return diff.is_zero(tol_scale=max(expected_v.max_abs(),
-                                          computed_v.max_abs(), 1.0))
+        # exact coefficients compare by equality, floats by tolerance
+        return (computed_v - expected_v).is_zero(
+            tol_scale=max(expected_v.max_abs(), computed_v.max_abs(), 1.0))
     if isinstance(computed_v, bool):
         return computed_v == expected_v
+    # a few rows (residuals, magnitudes) are floats in exact mode too
+    if is_exact(computed_v) and is_exact(expected_v):
+        return computed_v == expected_v
     a, b = complex(expected_v), complex(computed_v)
-    if exact and is_exact(computed_v) and is_exact(expected_v):
-        diff = (QQi(computed_v) if not isinstance(computed_v, QQi)
-                else computed_v) - QQi(expected_v)
-        return not bool(diff)
     scale = max(abs(a), abs(b), 1e-30)
     tol = 1e-12 if exact else 1e-9
     return abs(a - b) <= max(tol * scale, 1e-12)
@@ -599,12 +548,8 @@ def verify(name: str, params: Optional[dict] = None,
     """
     if mode not in ("float", "exact"):
         raise ValueError("mode must be 'float' or 'exact'")
-    exact = mode == "exact"
-    entry = get(name)
-    p = _norm_params(entry.fixup(params) if entry.fixup else params,
-                     entry.defaults, exact)
-    alg = entry.algebra(p, exact)
-    h = entry.metric(p, exact)
+    entry, exact, alg, p = _resolve(name, params, mode == "exact")
+    h = entry.metric(p)
     try:
         curv = inv.chern_curvature(alg, h)
     except Exception as exc:
@@ -636,8 +581,7 @@ def verify_all(params: Optional[dict] = None, mode: str = "float"):
 def scan_entry(name: str, kind: int = 2, grid=None,
                mode: str = "strong") -> inv.ScanReport:
     """Einstein-residual scan with the entry's sign certificate attached."""
-    entry = get(name)
-    alg = entry.algebra(_norm_params(None, entry.defaults, False), False)
+    entry, _, alg, _ = _resolve(name, None, False)
     return inv.scan(alg, kind, grid=grid, mode=mode,
                     certificate=entry.certificate, entry_name=name)
 
@@ -645,10 +589,5 @@ def scan_entry(name: str, kind: int = 2, grid=None,
 def to_structure_text(name: str, params: Optional[dict] = None) -> str:
     """Entry rendered in the structure-file format (round-trippable)."""
     from . import structfile
-    entry = get(name)
-    p = _norm_params(params, entry.defaults, _params_exact(params))
-    exact = all(not isinstance(v, (float, complex)) or isinstance(v, QQi)
-                for v in p.values())
-    alg = entry.algebra(p, exact)
-    metric = {k: v for k, v in p.items()}
-    return structfile.print_structure(alg, metric)
+    _, _, alg, p = _resolve(name, params, None)
+    return structfile.print_structure(alg, p)

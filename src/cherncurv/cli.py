@@ -5,6 +5,11 @@ files; metric parameters come from ``--params r=..,s=..,u=..`` or the
 file's metric block.  Output is deterministic: fixed key order and 12
 significant digits for floats.
 
+Without ``--exact`` every command computes in floats.  ``--exact``
+(``curvature``, ``einstein`` and ``catalog verify``) computes in exact
+Gaussian rationals and refuses, with exit code 2, any input that is not
+rational.
+
 Exit codes: 0 success or condition holds, 1 condition fails, 2 input
 error.
 """
@@ -14,13 +19,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
 
 import numpy as np
 
 from . import catalog, invariant as inv, structfile, yamabe
 from .forms import CoframeAlgebra, InvariantForm, NotIntegrable
-from .scalars import QQi, is_exact
+from .scalars import is_exact, unify
 
 
 class InputError(ValueError):
@@ -31,10 +35,8 @@ class InputError(ValueError):
 # deterministic formatting
 
 def fmt_number(v) -> str:
-    if isinstance(v, QQi):
-        return structfile.format_complex(v)
     if is_exact(v):
-        return str(Fraction(v))
+        return structfile.format_complex(v)
     v = complex(v)
     if v.imag == 0:
         return _fmt_float(v.real)
@@ -114,19 +116,11 @@ def parse_params(text: str) -> dict:
     return out
 
 
-def _simplify(v):
-    """QQi with zero imaginary part to Fraction, for r, s, ell slots."""
-    if isinstance(v, QQi) and v.im == 0:
-        return v.re
-    return v
-
-
 def resolve_source(source: str, params: dict, exact: bool):
-    """(algebra, metric, label, params) from an entry name or a file."""
+    """(algebra, metric, label, params) from an entry name or a file, in
+    exact arithmetic or in floats as ``exact`` says."""
     if source in catalog.list_entries():
-        merged = {k: _simplify(v) if k != "u" else v
-                  for k, v in params.items()}
-        alg, h, p = catalog.build(source, merged, exact=exact)
+        alg, h, p = catalog.build(source, params, exact=exact)
         return alg, h, source, p
     if not os.path.exists(source):
         raise InputError(f"{source!r} is neither a catalog entry nor a file")
@@ -135,29 +129,17 @@ def resolve_source(source: str, params: dict, exact: bool):
     if doc.jacobi_passed is False:
         print(f"warning: Jacobi identity fails "
               f"(residual {doc.jacobi_residual:.3e})", file=sys.stderr)
-    merged = dict(doc.metric_params or {})
-    merged.update(params)
-    merged.setdefault("r", QQi(1))
-    merged.setdefault("s", QQi(1))
-    merged.setdefault("u", QQi(0))
-    p = {k: (_simplify(v) if k != "u" else (v if isinstance(v, QQi)
-                                            else QQi(v)))
-         for k, v in merged.items() if k in ("r", "s", "u")}
+    merged = {"r": 1, "s": 1, "u": 0, **(doc.metric_params or {}), **params}
     alg = doc.algebra
-    if not exact:
-        alg = CoframeAlgebra(
-            alg.n, {k: complex(v) for k, v in alg.a.items()},
-            {k: complex(v) for k, v in alg.b.items()},
-            {k: complex(v) for k, v in alg.c.items()})
-        sp = inv.SurfaceMetricParams(
-            complex(p["r"]).real, complex(p["s"]).real, complex(p["u"]))
-    else:
-        sp = inv.SurfaceMetricParams(p["r"], p["s"], p["u"])
+    _, (a, b, c, p) = unify([alg.a, alg.b, alg.c, merged], exact)
+    alg = CoframeAlgebra(alg.n, a, b, c)
+    p = {k: p[k] for k in ("r", "s", "u")}  # ell has no role in a file
+    sp = inv.SurfaceMetricParams(p["r"], p["s"], p["u"])
     if alg.n != 2:
         raise InputError("surface metric parameters need dim 2")
     if not sp.admissible():
         raise InputError("metric parameters are not admissible")
-    return alg, sp.metric(exact=exact), os.path.basename(source), p
+    return alg, sp.metric(), os.path.basename(source), p
 
 
 def _emit(report: Report, args) -> None:
@@ -206,10 +188,8 @@ def cmd_scan(args) -> int:
     if args.grid:
         grid = _parse_grid(args.grid)
     if args.source in catalog.list_entries():
-        entry = catalog.get(args.source)
-        alg = entry.algebra(
-            catalog._norm_params(None, entry.defaults, False), False)
-        cert = entry.certificate
+        alg, _, _ = catalog.build(args.source, exact=False)
+        cert = catalog.get(args.source).certificate
         label = args.source
     else:
         alg, _, label, _ = resolve_source(args.source, args.params, False)
@@ -379,17 +359,19 @@ def _add_params(rep: Report, p: dict):
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _add_common(sub, source=True):
-    if source:
-        sub.add_argument("source", help="catalog entry name or structure "
-                         "file path")
+def _add_common(sub):
+    sub.add_argument("source", help="catalog entry name or structure "
+                     "file path")
     sub.add_argument("--params", type=parse_params, default={},
                      help="metric parameters, e.g. r=1,s=2,u=1/2+1i")
     sub.add_argument("--format", choices=("text", "kv"), default="text")
     sub.add_argument("--tol", type=float, default=1e-9)
+
+
+def _add_exact(sub):
     sub.add_argument("--exact", action="store_true",
-                     help="exact rational arithmetic (rational parameters "
-                     "only)")
+                     help="exact rational arithmetic; input that is not "
+                     "rational is refused")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -401,10 +383,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("curvature", help="curvature tensor and Ricci forms")
     _add_common(p)
+    _add_exact(p)
     p.set_defaults(fn=cmd_curvature)
 
     p = subs.add_parser("einstein", help="Einstein factor and residual")
     _add_common(p)
+    _add_exact(p)
     p.add_argument("--kind", type=int, choices=(1, 2, 3), default=2)
     p.add_argument("--mode", choices=("strong", "weak"), default="strong")
     p.set_defaults(fn=cmd_einstein)
@@ -421,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("entry", nargs="?", help="restrict to one entry")
     p.add_argument("--params", type=parse_params, default={})
     p.add_argument("--format", choices=("text", "kv"), default="text")
-    p.add_argument("--exact", action="store_true")
+    _add_exact(p)
     p.set_defaults(fn=cmd_catalog)
 
     p = subs.add_parser("yamabe", help="conformal normalization solver")

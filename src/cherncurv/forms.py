@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
-from .scalars import conj, is_exact, is_zero, zero_like
+from .scalars import conj, is_exact, is_zero
 
 
 class DimensionMismatch(ValueError):
@@ -54,7 +54,8 @@ class CoframeAlgebra:
     ``a``, ``b``, ``c`` map 1-based index triples (i, j, k) to coefficients:
     a[(i,j,k)] multiplies phi^j^phi^k (j<k) in d(phi^i), b[(i,j,k)]
     multiplies phi^j^bar(phi)^k, c[(i,j,k)] multiplies bar(phi)^j^bar(phi)^k
-    (j<k).
+    (j<k).  Entry points build it from :func:`~cherncurv.scalars.unify`,
+    so all coefficients share one arithmetic.
     """
 
     n: int
@@ -75,16 +76,18 @@ class CoframeAlgebra:
 
     @property
     def exact(self) -> bool:
-        for table in (self.a, self.b, self.c):
-            for v in table.values():
-                return is_exact(v)
-        return True
+        """Every structure constant is rational (vacuously so with none).
+
+        An algebra without constants fixes no arithmetic; the metric of a
+        computation does."""
+        return all(is_exact(v) for table in (self.a, self.b, self.c)
+                   for v in table.values())
 
     def basis_1form(self, idx: int, barred=False) -> "InvariantForm":
-        """phi^idx (or bar(phi)^idx), idx 1-based."""
-        one = _one(self.exact)
+        """phi^idx (or bar(phi)^idx), idx 1-based; the coefficient 1 is the
+        unit of both arithmetics."""
         key = (idx - 1 + (self.n if barred else 0),)
-        return InvariantForm(self.n, {key: one})
+        return InvariantForm(self.n, {key: 1})
 
     def d_basis(self, idx: int, barred=False) -> "InvariantForm":
         """Structure-equation expansion of d(phi^idx) resp. d(bar phi^idx)."""
@@ -96,8 +99,8 @@ class CoframeAlgebra:
             if srt is None:
                 return
             key2, sgn = srt
-            cur = coeffs.get(key2, zero_like(val))
-            coeffs[key2] = cur + (val if sgn > 0 else -val)
+            v = val if sgn > 0 else -val
+            coeffs[key2] = coeffs[key2] + v if key2 in coeffs else v
 
         for (i, j, k), v in self.a.items():
             if i == idx:
@@ -145,11 +148,6 @@ class CoframeAlgebra:
     def _coefficient_scale(self):
         vals = [abs(v) for t in (self.a, self.b, self.c) for v in t.values()]
         return max(vals, default=0.0)
-
-
-def _one(exact: bool):
-    from .scalars import QQi
-    return QQi(1) if exact else 1 + 0j
 
 
 class InvariantForm:

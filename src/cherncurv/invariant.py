@@ -37,9 +37,9 @@ from typing import Optional
 
 import numpy as np
 
-from . import scalars as sc
 from .forms import CoframeAlgebra, InvariantForm, ext_d, del_part, dbar_part
-from .scalars import QQi, conj, is_exact, is_zero, mat_det, mat_inv, mat_solve
+from .scalars import (QQi, conj, is_zero, mat_det, mat_inv, mat_solve,
+                      times_i, unify)
 
 
 class NotPositiveDefinite(ValueError):
@@ -54,19 +54,23 @@ class HermitianMetric:
     """Constant Hermitian positive-definite matrix h_{i jbar}.
 
     The associated fundamental form is
-    omega = sqrt(-1) h_{i jbar} phi^i ^ bar(phi)^j.
+    omega = sqrt(-1) h_{i jbar} phi^i ^ bar(phi)^j.  The entries pass
+    through :func:`~cherncurv.scalars.unify`: ``exact`` is True when all
+    of them are rational, and they are then QQi, else complex.
     """
 
     def __init__(self, h):
-        self.h = [list(row) for row in h]
-        self.n = len(self.h)
+        rows = [list(row) for row in h]
+        self.n = len(rows)
+        if any(len(row) != self.n for row in rows):
+            raise ValueError("metric matrix must be square")
+        self.exact, (flat,) = unify([{(i, j): v for i, row in enumerate(rows)
+                                      for j, v in enumerate(row)}])
+        self.h = [[flat[i, j] for j in range(self.n)] for i in range(self.n)]
         self._validate()
 
     def _validate(self):
         n = self.n
-        for i in range(n):
-            if len(self.h[i]) != n:
-                raise ValueError("metric matrix must be square")
         scale = max(abs(self.h[i][j]) for i in range(n) for j in range(n))
         for i in range(n):
             for j in range(n):
@@ -83,10 +87,6 @@ class HermitianMetric:
                 raise NotPositiveDefinite(
                     f"leading principal minor {k} is not positive")
 
-    @property
-    def exact(self) -> bool:
-        return is_exact(self.h[0][0])
-
     def inverse_upper(self):
         """h^{i jbar}, the inverse satisfying h^{i jbar} h_{k jbar} = delta."""
         return _upper(_metric_stack(self))[0]
@@ -95,14 +95,7 @@ class HermitianMetric:
         return HermitianMetric([[v * c for v in row] for row in self.h])
 
     def omega(self) -> InvariantForm:
-        n = self.n
-        i_unit = sc.I_EXACT if self.exact else 1j
-        coeffs = {}
-        for i in range(n):
-            for j in range(n):
-                if not is_zero(self.h[i][j]):
-                    coeffs[(i, j + n)] = i_unit * self.h[i][j]
-        return InvariantForm(n, coeffs)
+        return _matrix_to_form(self.h, self.n)
 
     def det(self):
         return mat_det(self.h)
@@ -127,20 +120,12 @@ class SurfaceMetricParams:
         return r2 > 0 and s2 > 0 and r2 * s2 - uu > 0
 
     def metric(self, exact: Optional[bool] = None) -> HermitianMetric:
-        if exact is None:
-            exact = all(is_exact(v) for v in (self.r, self.s, self.u))
-        if exact:
-            r, s = QQi(self.r), QQi(self.s)
-            u = self.u if isinstance(self.u, QQi) else QQi(self.u)
-            half, i_unit = QQi(1, 0) / 2, sc.I_EXACT
-        else:
-            r, s = complex(self.r), complex(self.s)
-            u, half, i_unit = complex(self.u), 0.5 + 0j, 1j
-        h11 = r * r * half
-        h22 = s * s * half
-        h12 = -i_unit * u * half
-        h21 = i_unit * conj(u) * half
-        return HermitianMetric([[h11, h12], [h21, h22]])
+        """The metric, exact when r, s and u are rational unless ``exact``
+        says otherwise (see :func:`~cherncurv.scalars.unify`)."""
+        _, (p,) = unify([{"r": self.r, "s": self.s, "u": self.u}], exact)
+        r, s, u = p["r"], p["s"], p["u"]
+        return HermitianMetric([[r * r / 2, -times_i(u) / 2],
+                                [times_i(conj(u)) / 2, s * s / 2]])
 
 
 @dataclass
@@ -181,16 +166,13 @@ def _structure_b(alg: CoframeAlgebra, exact):
     b = np.full((n, n, n), QQi() if exact else 0j,
                 dtype=object if exact else complex)
     for (i, j, k), v in alg.b.items():
-        b[i - 1, j - 1, k - 1] += QQi(v) if exact else complex(v)
+        b[i - 1, j - 1, k - 1] = v
     return b
 
 
 def _metric_stack(h: HermitianMetric):
     """h as a (1, n, n) stack in its own arithmetic."""
-    if h.exact:
-        return np.array([[[QQi(v) for v in row] for row in h.h]],
-                        dtype=object)
-    return np.array([h.h], dtype=complex)
+    return np.array([h.h], dtype=object if h.exact else complex)
 
 
 def _gamma(b, hs):
@@ -330,13 +312,13 @@ def _ric_matrix(kind: int, curv: CurvatureTensor, h: HermitianMetric):
     return _ricci_stack(kind, *_stacks(curv, h))[0]
 
 
-def _matrix_to_form(m, n, exact) -> InvariantForm:
-    i_unit = sc.I_EXACT if exact else 1j
+def _matrix_to_form(m, n) -> InvariantForm:
+    """The (1,1)-form sqrt(-1) m_{a bbar} phi^a ^ bar(phi)^b."""
     coeffs = {}
     for a in range(n):
         for b in range(n):
             if not is_zero(m[a][b]):
-                coeffs[(a, b + n)] = i_unit * m[a][b]
+                coeffs[(a, b + n)] = times_i(m[a][b])
     return InvariantForm(n, coeffs)
 
 
@@ -349,27 +331,32 @@ def ricci(kind: int, curv: CurvatureTensor, h: HermitianMetric):
     m = _ric_matrix(kind, curv, h)
     if kind == 3:
         return m
-    return _matrix_to_form(m.tolist(), curv.n, h.exact)
+    return _matrix_to_form(m.tolist(), curv.n)
 
 
 def scalar_chern(curv: CurvatureTensor, h: HermitianMetric):
     """S = h^{i jbar} h^{k lbar} Theta_{i jbar k lbar} (real)."""
-    return _realize(_s_stack(*_stacks(curv, h))[0])
+    up, theta = _stacks(curv, h)
+    return _realize(_s_stack(up, theta).item(), _trace_scale(up, theta))
 
 
 def scalar_third(curv: CurvatureTensor, h: HermitianMetric):
     """The alternative double trace h^{k jbar} h^{i lbar} Theta_{i jbar k lbar}."""
     up, theta = _stacks(curv, h)
-    return _realize(np.einsum("Mkj,Mil,Mijkl->M", up, up, theta)[0])
+    return _realize(np.einsum("Mkj,Mil,Mijkl->M", up, up, theta).item(),
+                    _trace_scale(up, theta))
 
 
-def _realize(x):
-    if isinstance(x, QQi):
-        if x.im != 0:
-            raise ValueError(f"expected a real scalar, got {x!r}")
-        return x.re
-    x = complex(x)
-    if abs(x.imag) > max(1e-9 * abs(x), sc.ABS_TOL):
+def _trace_scale(up, theta):
+    """max |h^-1|^2 max |Theta|, a bound on each term of a double trace."""
+    return float(np.max(np.abs(up))) ** 2 * float(np.max(np.abs(theta)))
+
+
+def _realize(x, scale):
+    """The real part of a trace whose terms are at most ``scale``; its
+    imaginary part must vanish exactly, or in floats up to rounding
+    relative to ``scale``."""
+    if not is_zero(x.imag, scale=max(abs(x), scale), tol=1e-9):
         raise ValueError(f"expected a real scalar, got {x!r}")
     return x.real
 
@@ -396,8 +383,7 @@ def torsion(alg: CoframeAlgebra, h: HermitianMetric,
     trace_coeffs = {}
     for j in range(n):
         # coeff(j, k) = T^k_{jk}, signed by the order of phi^j ^ phi^k
-        acc = sum((taus[k].coeff(j, k) for k in range(n)),
-                  QQi() if h.exact else 0j)
+        acc = sum(taus[k].coeff(j, k) for k in range(n))
         if not is_zero(acc):
             trace_coeffs[(j,)] = acc
     return taus, InvariantForm(n, trace_coeffs)
@@ -483,10 +469,10 @@ def einstein_residual(kind: int, alg: CoframeAlgebra, h: HermitianMetric,
     if curv is None:
         curv = chern_curvature(alg, h)
     hs = _metric_stack(h)
-    lam, resid, _, s = _einstein_stack(kind, mode, alg.n, hs, _upper(hs),
-                                       curv.lowered[None])
-    if mode == "strong":
-        _realize(s[0])  # refuses a non-real S, as scalar_chern does
+    up, theta = _upper(hs), curv.lowered[None]
+    lam, resid, _, s = _einstein_stack(kind, mode, alg.n, hs, up, theta)
+    if mode == "strong":  # refuses a non-real S, as scalar_chern does
+        _realize(s.item(), _trace_scale(up, theta))
     return float(lam[0]), float(resid[0])
 
 
@@ -537,7 +523,7 @@ def bogomolov_lubke(curv: CurvatureTensor, h: HermitianMetric):
     if is_zero(vc):
         raise DegenerateMetric("volume form vanishes")
     ratio = complex(lhs.coefficients.get(key, 0)) / complex(vc)
-    return _realize(ratio)
+    return _realize(ratio, abs(ratio))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,11 @@ Two interchangeable coefficient fields are supported:
 * :class:`QQi`, exact Gaussian rationals, used when structure constants and
   metric parameters are rational so that verification can be exact.
 
-The two are never mixed inside a single computation.
+The two are never mixed inside a single computation.  :func:`unify` is the
+one place where the arithmetic of an input is decided: every entry point
+(structure files, command-line parameters, catalog entries, metric
+matrices) passes its numbers through it, and the containers built from the
+result carry the decision as their ``exact`` attribute.
 """
 
 from __future__ import annotations
@@ -19,6 +23,9 @@ from numbers import Rational
 # outright.  Calibrated for double precision over <= 4 wedge factors.
 REL_TOL = 1e-12
 ABS_TOL = 1e-14
+
+# metric parameters that must be real
+REAL_KEYS = ("r", "s", "ell")
 
 
 class QQi:
@@ -98,6 +105,11 @@ class QQi:
     def __neg__(self):
         return QQi(-self.re, -self.im)
 
+    # the parts under python's complex-number names, so that code written
+    # against ``.real``/``.imag`` serves both backends
+    real = property(lambda self: self.re)
+    imag = property(lambda self: self.im)
+
     def conjugate(self):
         return QQi(self.re, -self.im)
 
@@ -131,13 +143,47 @@ def is_exact(x) -> bool:
     return isinstance(x, (QQi, Rational))
 
 
+def unify(tables, exact=None):
+    """Decide the arithmetic of one input and coerce all of it to it.
+
+    ``tables`` is a list of dicts of numbers that enter one computation.
+    With ``exact=None`` they are exact when every value is rational (int,
+    Fraction or QQi) and float otherwise, so mixed input is promoted to
+    float; ``exact=True`` refuses a non-rational value and ``exact=False``
+    forces floats.  Exact values become QQi and floats complex, except
+    under the keys in ``REAL_KEYS``, which become Fractions or floats and
+    must be real.  Returns ``(exact, coerced tables)``; raises ValueError.
+    """
+    if exact is not False:
+        bad = [v for t in tables for v in t.values() if not is_exact(v)]
+        if exact and bad:
+            raise ValueError(f"exact arithmetic needs rational input, got "
+                             f"{bad[0]}")
+        exact = not bad
+    lift = QQi if exact else complex
+    out = []
+    for table in tables:
+        coerced = {}
+        for key, val in table.items():
+            z = lift(val)
+            if key in REAL_KEYS:
+                if z.imag:
+                    raise ValueError(f"parameter {key} must be real, "
+                                     f"got {complex(val)}")
+                z = z.real
+            coerced[key] = z
+        out.append(coerced)
+    return exact, out
+
+
 def conj(x):
     """Complex conjugate, valid for both scalar backends."""
     return x.conjugate()
 
 
-def zero_like(x):
-    return QQi() if is_exact(x) else 0j
+def times_i(x):
+    """sqrt(-1) * x in the arithmetic of x, exactly in both backends."""
+    return I_EXACT * x if is_exact(x) else 1j * x
 
 
 def is_zero(x, scale=None, tol=REL_TOL) -> bool:
@@ -147,7 +193,7 @@ def is_zero(x, scale=None, tol=REL_TOL) -> bool:
     expression; when given, the test is relative to it.
     """
     if is_exact(x):
-        return not bool(QQi(x) if not isinstance(x, QQi) else x)
+        return not x
     m = abs(x)
     if scale is not None and scale > 0:
         return m <= max(tol * scale, ABS_TOL)
@@ -156,8 +202,8 @@ def is_zero(x, scale=None, tol=REL_TOL) -> bool:
 
 def mat_mul(a, b):
     n, m, p = len(a), len(b), len(b[0])
-    return [[sum((a[i][k] * b[k][j] for k in range(m)),
-                 zero_like(a[0][0])) for j in range(p)] for i in range(n)]
+    return [[sum(a[i][k] * b[k][j] for k in range(m)) for j in range(p)]
+            for i in range(n)]
 
 
 def mat_solve(a, rhs):
@@ -177,8 +223,7 @@ def mat_solve(a, rhs):
             raise ZeroDivisionError("singular matrix in generic solve")
         if piv != col:
             aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col] if not isinstance(aug[col][col], QQi) \
-            else QQi(1) / aug[col][col]
+        inv = 1 / aug[col][col]
         for j in range(col, n + m):
             aug[col][j] = aug[col][j] * inv
         for r in range(n):
@@ -191,13 +236,7 @@ def mat_solve(a, rhs):
 
 def mat_inv(a):
     n = len(a)
-    if is_exact(a[0][0]):
-        eye = [[QQi(1) if i == j else QQi() for j in range(n)]
-               for i in range(n)]
-    else:
-        eye = [[1 + 0j if i == j else 0j for j in range(n)]
-               for i in range(n)]
-    return mat_solve(a, eye)
+    return mat_solve(a, [[int(i == j) for j in range(n)] for i in range(n)])
 
 
 def mat_det(a):
@@ -207,7 +246,7 @@ def mat_det(a):
         return a[0][0]
     if n == 2:
         return a[0][0] * a[1][1] - a[0][1] * a[1][0]
-    acc = zero_like(a[0][0])
+    acc = 0
     for j in range(n):
         minor = [row[:j] + row[j + 1:] for row in a[1:]]
         term = a[0][j] * mat_det(minor)

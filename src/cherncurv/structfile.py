@@ -9,8 +9,10 @@ Grammar (one declaration per line, '#' comments)::
 A term is ``<complex> phi<j>^phi<k>``, ``<complex> phi<j>^bar<k>`` or
 ``<complex> bar<j>^bar<k>``; the coefficient may be omitted when it is 1.
 Complex literals look like ``a+bi`` with rational (``3/4``) or decimal
-parts; a bare ``i`` denotes the unit.  Rational literals parse to exact
-Gaussian rationals, decimals to floats.
+parts; a bare ``i`` denotes the unit.  A file whose literals are all
+rational parses to exact Gaussian rationals; one decimal literal anywhere
+puts the whole file in floats (:func:`~cherncurv.scalars.unify`).  The
+metric parameters r, s and ell must be real.
 
 ``print_structure(parse_structure(text))`` is the identity on canonical
 files, and parse(print(alg)) always reproduces the algebra.
@@ -24,7 +26,7 @@ from fractions import Fraction
 from typing import Dict, Optional
 
 from .forms import CoframeAlgebra
-from .scalars import QQi, is_exact
+from .scalars import QQi, is_exact, unify
 
 
 class ParseError(ValueError):
@@ -40,6 +42,8 @@ _COMPLEX = rf"[+-]?{_NUM}?i|[+-]?{_NUM}(?:[+-]{_NUM}?i)?"
 _MONO = r"(phi|bar)(\d+)\^(phi|bar)(\d+)"
 _TERM_RE = re.compile(rf"^(?:({_COMPLEX})\s+)?{_MONO}$")
 _COMPLEX_RE = re.compile(rf"^{_COMPLEX}$")
+# the CoframeAlgebra table of each monomial type
+_TABLES = {("phi", "phi"): "a", ("phi", "bar"): "b", ("bar", "bar"): "c"}
 
 
 def parse_complex(text: str):
@@ -75,16 +79,9 @@ def parse_complex(text: str):
 
 def format_complex(v) -> str:
     """Canonical rendering, inverse of :func:`parse_complex`."""
-    if isinstance(v, QQi):
-        re_p, im_p = v.re, v.im
-        exact = True
-    elif is_exact(v):
-        re_p, im_p = Fraction(v), Fraction(0)
-        exact = True
-    else:
-        v = complex(v)
-        re_p, im_p = v.real, v.imag
-        exact = False
+    exact = is_exact(v)
+    v = QQi(v) if exact else complex(v)
+    re_p, im_p = v.real, v.imag
 
     def num(x):
         return str(x) if exact else repr(float(x))
@@ -130,7 +127,7 @@ def _parse_metric_line(rest: str, lineno: int, col: int):
 def parse_structure(text: str) -> StructureDoc:
     """Parse a structure file; Jacobi is checked and reported, not raised."""
     n = None
-    tables = {"a": {}, "b": {}, "c": {}}
+    terms = []
     metric = None
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].rstrip()
@@ -160,17 +157,24 @@ def parse_structure(text: str) -> StructureDoc:
         i = int(m.group(1))
         if not 1 <= i <= n:
             raise ParseError(lineno, col, f"index phi{i} out of range 1..{n}")
-        _parse_terms(m.group(2), i, n, tables, lineno,
-                     col + m.start(2))
+        _parse_terms(m.group(2), i, n, terms, lineno, col + m.start(2))
     if n is None:
         raise ParseError(1, 1, "missing dim declaration")
-    alg = CoframeAlgebra(n, tables["a"], tables["b"], tables["c"])
-    doc = StructureDoc(alg, metric)
+    _, (coefs, params) = unify([dict(enumerate(c for _, _, c in terms)),
+                                metric or {}])
+    tables = {"a": {}, "b": {}, "c": {}}
+    for (name, key, _), v in zip(terms, coefs.values()):
+        table = tables[name]
+        table[key] = table[key] + v if key in table else v
+    alg = CoframeAlgebra(n, *({k: v for k, v in tables[name].items() if v}
+                              for name in "abc"))
+    doc = StructureDoc(alg, params if metric is not None else None)
     doc.jacobi_passed, doc.jacobi_residual = alg.check_jacobi()
     return doc
 
 
-def _parse_terms(body: str, i: int, n: int, tables, lineno: int, col0: int):
+def _parse_terms(body: str, i: int, n: int, terms, lineno: int, col0: int):
+    """Append the (table, (i, j, k), coefficient) terms of one equation."""
     body = body.strip()
     if not body or body == "0":
         return
@@ -197,29 +201,17 @@ def _parse_terms(body: str, i: int, n: int, tables, lineno: int, col0: int):
             if not 1 <= idx <= n:
                 raise ParseError(lineno, offset,
                                  f"index {idx} out of range 1..{n}")
-        if (t1, t2) == ("phi", "phi"):
-            table, key = tables["a"], (i, j, k)
-        elif (t1, t2) == ("phi", "bar"):
-            table, key = tables["b"], (i, j, k)
-        elif (t1, t2) == ("bar", "bar"):
-            table, key = tables["c"], (i, j, k)
-        else:
+        table = _TABLES.get((t1, t2))
+        if table is None:
             raise ParseError(lineno, offset,
                              "bar^phi terms must be written as -phi^bar")
-        if table is not tables["b"]:
+        if table != "b":
             if j == k:
                 continue  # phi^j ^ phi^j vanishes
             if j > k:
                 j, k, coef = k, j, -coef
-                key = (i, j, k)
-        cur = table.get(key)
-        table[key] = coef if cur is None else cur + coef
+        terms.append((table, (i, j, k), coef))
         offset += len(piece) + 3
-    for name in ("a", "b", "c"):
-        dead = [key for key, v in tables[name].items() if not bool(
-            v if isinstance(v, QQi) else abs(complex(v)) > 0)]
-        for key in dead:
-            del tables[name][key]
 
 
 def print_structure(alg: CoframeAlgebra,

@@ -1,4 +1,8 @@
+import contextlib
+import io
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cherncurv import catalog
 from cherncurv.cli import fmt_number, main, parse_params
@@ -174,3 +178,144 @@ def test_exact_mode_output(capsys):
                        "--params", "r=1/2")
     assert code == 0
     assert "16" in out  # S = 4/r^2 = 16 exactly
+
+
+# ---------------------------------------------------------------------------
+# one arithmetic per run: float by default, --exact refuses what is not
+# rational
+
+def fields(out):
+    return dict(line.split(None, 1) for line in out.splitlines())
+
+
+MIXED_TEXT = """dim 2
+d phi1 = -1/2 phi1^bar1
+d phi2 = -0.5 phi2^bar2
+metric surface r=1 s=3/2 u=0.25
+"""
+
+
+def test_lee_flat_torus(capsys):
+    code, out, _ = run(capsys, "lee", "flat-torus")
+    assert code == 0
+    assert fields(out)["lee_form"] == "0"
+
+
+def test_mixed_literals_compute_in_float(capsys, tmp_path):
+    path = tmp_path / "mixed.struct"
+    path.write_text(MIXED_TEXT)
+    code, out, err = run(capsys, "curvature", str(path))
+    assert code == 0 and err == ""
+    assert fields(out)["param_s"] == "1.5"
+    code, _, err = run(capsys, "curvature", str(path), "--exact")
+    assert code == 2
+    assert err.startswith("error: exact arithmetic needs rational input")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("equations", [
+    "d phi1 = 0.5 phi1^phi2\nd phi2 = 0\n",   # decimals only in phi^phi
+    "d phi1 = 0.5i phi1^bar1\nd phi2 = 0\n",
+])
+def test_exact_refuses_decimal_structure_constants(capsys, tmp_path,
+                                                   equations):
+    path = tmp_path / "decimal.struct"
+    path.write_text("dim 2\n" + equations)
+    code, out, err = run(capsys, "curvature", str(path), "--exact")
+    assert code == 2 and out == ""
+    assert err.startswith("error: exact arithmetic needs rational input")
+
+
+def test_exact_refuses_decimal_params(capsys):
+    code, out, err = run(capsys, "einstein", "hopf", "--exact",
+                         "--params", "r=0.5")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("name", catalog.list_entries())
+def test_catalog_verify_exact_with_params(capsys, name):
+    # hopf's closed forms hold on its family s = r, u = 0 only, so away
+    # from it both arithmetics agree that its rows fail
+    code, exact_out, _ = run(capsys, "catalog", "verify", name, "--exact",
+                             "--params", "r=1,s=2,u=1/2")
+    assert code == (1 if name == "hopf" else 0)
+    _, float_out, _ = run(capsys, "catalog", "verify", name,
+                          "--params", "r=1,s=2,u=1/2")
+
+    def verdicts(text):
+        return [line for line in text.splitlines() if "reported" not in line]
+
+    assert verdicts(exact_out) == verdicts(float_out)
+
+
+HOPF_FILE = """dim 2
+d phi1 = i phi1^phi2 + i phi1^bar2
+d phi2 = -i phi1^bar1
+"""
+
+
+@pytest.mark.parametrize("source", ["hopf", "file"])
+@pytest.mark.parametrize("exact", [[], ["--exact"]])
+def test_non_real_parameter_refused(capsys, tmp_path, source, exact):
+    if source == "file":
+        source = tmp_path / "hopf.struct"
+        source.write_text(HOPF_FILE)
+    code, out, err = run(capsys, "curvature", str(source), *exact,
+                         "--params", "r=1+1i")
+    assert code == 2 and out == ""
+    assert err == "error: parameter r must be real, got (1+1j)\n"
+
+
+@pytest.mark.parametrize("command", ["lee", "gauduchon", "bl", "scan"])
+def test_float_only_commands_take_no_exact_flag(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "hopf", "--exact"])
+    assert exc.value.code == 2
+    assert "--exact" in capsys.readouterr().err
+
+
+def test_tiny_metric_scale(capsys):
+    code, out, _ = run(capsys, "curvature", "hopf", "--params", "r=1e-8")
+    assert code == 0
+    assert fields(out)["s_chern"] == "4e+16"
+
+
+def test_zero_scalar_curvature_is_real_up_to_rounding(capsys):
+    code, out, err = run(
+        capsys, "curvature", "kodaira-secondary", "--params",
+        "r=0.5,s=3.0,u=0.6061470133953551-0.33875424153513073i")
+    assert code == 0 and err == ""
+    assert "s_chern" in out
+
+
+# ---------------------------------------------------------------------------
+# fuzz: structure files of rational and decimal literals never escape the
+# exit-code contract
+
+_LITERALS = st.sampled_from(["1", "-1", "2", "1/2", "-3/4", "i", "-i",
+                             "1/3i", "1+1/2i", "-2/5-i", "0.5", "-0.25",
+                             "1.5i", "0.5-0.5i", "2e-3", "1/2+0.5i", "0"])
+_MONOMIALS = st.sampled_from(["phi1^phi2", "phi2^phi1", "phi1^bar1",
+                              "phi1^bar2", "phi2^bar1", "phi2^bar2",
+                              "bar1^bar2", "phi1^phi1"])
+_EQUATION = st.lists(st.tuples(_LITERALS, _MONOMIALS), max_size=3).map(
+    lambda terms: " + ".join(f"{c} {m}" for c, m in terms) or "0")
+_METRIC = st.one_of(st.just(""), st.tuples(
+    st.sampled_from(["1", "3/2", "0.75", "2"]),
+    st.sampled_from(["1", "1/2", "1.25"]),
+    st.sampled_from(["0", "1/4", "0.1i", "1/3-1/5i", "5"])).map(
+        lambda rsu: "metric surface r={} s={} u={}\n".format(*rsu)))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_EQUATION, _EQUATION, _METRIC, st.booleans())
+def test_structure_file_fuzz(tmp_path_factory, eq1, eq2, metric, exact):
+    path = tmp_path_factory.mktemp("fuzz") / "f.struct"
+    path.write_text(f"dim 2\nd phi1 = {eq1}\nd phi2 = {eq2}\n{metric}")
+    argv = ["curvature", str(path)] + (["--exact"] if exact else [])
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

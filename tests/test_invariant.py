@@ -288,3 +288,23 @@ def test_ricci_report_consistent():
     rep = inv.ricci_report(alg, h)
     assert rep.einstein[(2, "strong")][1] < 1e-13
     assert rep.s_chern == pytest.approx(-2.0, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# rescaling: S(c h) = S(h) / c, with no tolerance tied to an absolute scale
+
+@pytest.mark.parametrize("name", ENTRIES)
+def test_scalar_chern_rescales(name):
+    for point in catalog.get(name).points:
+        alg, h, _ = catalog.build(name, point, exact=False)
+        curv = inv.chern_curvature(alg, h)
+        s = inv.scalar_chern(curv, h)
+        # each term of the trace is at most max|h^-1|^2 max|Theta|
+        bound = 1e-9 * np.max(np.abs(np.linalg.inv(h.h))) ** 2 \
+            * np.max(np.abs(curv.lowered))
+        for c in (1e-12, 1e-6, 1e6, 1e12):
+            hc = h.scaled(c)
+            curv_c = inv.chern_curvature(alg, hc)
+            assert abs(c * inv.scalar_chern(curv_c, hc) - s) <= bound
+            inv.scalar_third(curv_c, hc)
+            inv.einstein_residual(2, alg, hc, curv=curv_c)

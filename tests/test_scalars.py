@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cherncurv.scalars import (QQi, I_EXACT, conj, is_exact, is_zero,
-                               mat_det, mat_inv, mat_mul, mat_solve)
+                               mat_det, mat_inv, mat_mul, mat_solve, unify)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=9)
 qqis = st.builds(QQi, rationals, rationals)
@@ -104,3 +104,27 @@ def test_det_3x3_exact():
          [QQi(0), QQi(1), QQi(3)],
          [QQi(4), QQi(0), QQi(1)]]
     assert mat_det(a) == QQi(25)
+
+
+def test_unify_decides_once_for_all_values():
+    exact, (a, p) = unify([{(1, 1, 2): QQi(0, 1)},
+                           {"r": QQi(2), "u": Fraction(1, 2)}])
+    assert exact
+    assert a == {(1, 1, 2): QQi(0, 1)} and isinstance(a[(1, 1, 2)], QQi)
+    assert type(p["r"]) is Fraction and p["r"] == 2
+    assert isinstance(p["u"], QQi)
+    # one decimal promotes everything, parameters included
+    exact, (a, p) = unify([{(1, 1, 2): QQi(0, 1)}, {"r": 2, "u": 0.5}])
+    assert not exact
+    assert a == {(1, 1, 2): 1j} and type(p["r"]) is float
+    assert type(p["u"]) is complex
+    exact, (p,) = unify([{"r": Fraction(1, 2)}], exact=False)
+    assert not exact and p == {"r": 0.5}
+
+
+def test_unify_refusals():
+    with pytest.raises(ValueError, match="rational"):
+        unify([{"u": 0.5j}], exact=True)
+    for exact in (None, True, False):
+        with pytest.raises(ValueError, match="must be real"):
+            unify([{"s": QQi(1, 1)}], exact=exact)

@@ -126,3 +126,18 @@ def test_comments_and_blank_lines():
     doc = parse_structure("# header\n\ndim 2  # trailing\n"
                           "d phi1 = i phi1^phi2  # structure\n")
     assert doc.algebra.a == {(1, 1, 2): QQi(0, 1)}
+
+
+def test_mixed_literals_promote_the_whole_file():
+    doc = parse_structure("dim 2\nd phi1 = 1/2 phi1^phi2 - 0.5 phi1^phi2"
+                          " + i phi1^bar1\nmetric surface r=1 s=1/2 u=0.5\n")
+    assert not doc.algebra.a  # 1/2 - 0.5 cancels once both are floats
+    assert doc.algebra.b == {(1, 1, 1): 1j}
+    assert not doc.algebra.exact
+    assert doc.metric_params == {"r": 1.0, "s": 0.5, "u": 0.5 + 0j}
+    assert type(doc.metric_params["r"]) is float
+
+
+def test_metric_parameters_must_be_real():
+    with pytest.raises(ValueError, match="ell must be real"):
+        parse_structure("dim 2\nmetric surface r=1 s=1 ell=2i\n")
