@@ -550,11 +550,7 @@ def verify(name: str, params: Optional[dict] = None,
         raise ValueError("mode must be 'float' or 'exact'")
     entry, exact, alg, p = _resolve(name, params, mode == "exact")
     h = entry.metric(p)
-    try:
-        curv = inv.chern_curvature(alg, h)
-    except Exception as exc:
-        raise RuntimeError(f"pipeline failure on entry {name}: {exc}") \
-            from exc
+    curv = inv.chern_curvature(alg, h)
     rows = []
     for q in entry.expected:
         if q.only_when is not None and not q.only_when(p):
@@ -572,10 +568,6 @@ def verify(name: str, params: Optional[dict] = None,
                               entry.lemma(p), True,
                               "inequality used by the non-existence proof"))
     return VerifyReport(entry=name, params=p, mode=mode, rows=rows)
-
-
-def verify_all(params: Optional[dict] = None, mode: str = "float"):
-    return {name: verify(name, params, mode) for name in list_entries()}
 
 
 def scan_entry(name: str, kind: int = 2, grid=None,

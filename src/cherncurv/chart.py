@@ -25,6 +25,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .scalars import mat_det
+
 
 # ---------------------------------------------------------------------------
 # hyper-dual forward mode
@@ -100,47 +102,31 @@ class HyperDual:
 
     def conjugate(self):
         # valid because differentiation directions are real coordinates
-        return HyperDual(_conj(self.f0), _conj(self.f1),
-                         _conj(self.f2), _conj(self.f12))
+        return HyperDual(self.f0.conjugate(), self.f1.conjugate(),
+                         self.f2.conjugate(), self.f12.conjugate())
 
     def _chain(self, f, df, d2f):
         return HyperDual(f, df * self.f1, df * self.f2,
                          df * self.f12 + d2f * self.f1 * self.f2)
 
     def exp(self):
-        v = _exp(self.f0)
+        v = hd_exp(self.f0)
         return self._chain(v, v, v)
 
     def log(self):
         v0 = self.f0
-        return self._chain(_log(v0), 1 / v0, -1 / (v0 * v0))
+        return self._chain(hd_log(v0), 1 / v0, -1 / (v0 * v0))
 
     def __repr__(self):
         return f"HyperDual({self.f0!r}, {self.f1!r}, {self.f2!r}, {self.f12!r})"
 
 
-def _conj(x):
-    return x.conjugate() if hasattr(x, "conjugate") else x
-
-
-def _exp(x):
-    if isinstance(x, HyperDual):
-        return x.exp()
-    return cmath.exp(x)
-
-
-def _log(x):
-    if isinstance(x, HyperDual):
-        return x.log()
-    return cmath.log(x)
-
-
 def hd_exp(x):
-    return _exp(x)
+    return x.exp() if isinstance(x, HyperDual) else cmath.exp(x)
 
 
 def hd_log(x):
-    return _log(x)
+    return x.log() if isinstance(x, HyperDual) else cmath.log(x)
 
 
 def _seed(x, a, b):
@@ -165,21 +151,19 @@ def jet2(fn, x):
     ``fn`` maps a list of n complex scalars to a scalar or a nested list;
     the jet is computed entrywise.  Returns (value, grad, hess) where grad
     has one entry per real coordinate and hess is the full symmetric matrix.
+    ``fn`` is evaluated m(m+1)/2 times, once per seeded pair a <= b of the
+    m real coordinates; the pairs a == b also give the gradient.
     """
     m = len(x)
-    probe = fn(_seed(x, -1, -1))
-    val = _map_struct(lambda h: h.f0, probe)
     grad = [None] * m
     hess = [[None] * m for _ in range(m)]
     for a in range(m):
         for b in range(a, m):
             out = fn(_seed(x, a, b))
-            if grad[a] is None:
+            if a == b:
                 grad[a] = _map_struct(lambda h: h.f1, out)
-            if grad[b] is None:
-                grad[b] = _map_struct(lambda h: h.f2, out)
             hess[a][b] = hess[b][a] = _map_struct(lambda h: h.f12, out)
-    return val, grad, hess
+    return _map_struct(lambda h: h.f0, out), grad, hess
 
 
 def _map_struct(f, struct):
@@ -279,14 +263,15 @@ def _holo(grad, hess):
     return dz, dzbar, d2
 
 
-def _metric_jets(field: ChartMetricField, x):
-    """h, d h / dz^i, d h / dzbar^j and d^2 h / dz^i dzbar^j at x, with
-    the derivative index first: dh[i, k, l] = d h_kl / dz^i."""
-    val, grad, hess = jet2(field.fn, list(x))
-    ga = [np.array(g, dtype=complex) for g in grad]
-    he = [[np.array(v, dtype=complex) for v in row] for row in hess]
-    dh, dhb, d2h = (np.array(v, dtype=complex) for v in _holo(ga, he))
-    return np.array(val, dtype=complex), dh, dhb, d2h
+def _holo_jets(fn, x):
+    """Value, d/dz^i, d/dzbar^i and d^2/dz^i dzbar^j of ``fn`` at the real
+    point x as complex arrays, derivative indices first:
+    dz[i, k, l] = d fn_kl / dz^i."""
+    val, grad, hess = jet2(fn, list(x))
+    dz, dzbar, d2 = _holo(np.array(grad, dtype=complex),
+                          np.array(hess, dtype=complex))
+    return (np.array(val, dtype=complex), np.array(dz), np.array(dzbar),
+            np.array(d2))
 
 
 def _upper(h0):
@@ -299,18 +284,23 @@ def _assemble_curvature(h0, dh, dhb, d2h):
     return -d2h + np.einsum("pq,ikq,jpl->ijkl", up, dh, dhb)
 
 
-def curvature_at(field: ChartMetricField, x):
-    """Lowered Chern curvature Theta[i,j,k,l] at the point x (real coords)."""
-    h0, dh, dhb, d2h = _metric_jets(field, x)
+def _curvature(field: ChartMetricField, x):
+    """(Theta, h) at x from one jet of the metric field."""
+    h0, dh, dhb, d2h = _holo_jets(field.fn, x)
     if np.min(np.linalg.eigvalsh(h0)) <= 0:
         raise ValueError("metric is not positive definite at the point")
-    return _assemble_curvature(h0, dh, dhb, d2h)
+    return _assemble_curvature(h0, dh, dhb, d2h), h0
+
+
+def curvature_at(field: ChartMetricField, x):
+    """Lowered Chern curvature Theta[i,j,k,l] at the point x (real coords)."""
+    return _curvature(field, x)[0]
 
 
 def ricci_matrices_at(field: ChartMetricField, x):
     """(Ric1, Ric2, S) from the curvature tensor at x."""
-    theta = curvature_at(field, x)
-    up = _upper(field.matrix(x))
+    theta, h0 = _curvature(field, x)
+    up = _upper(h0)
     ric1 = np.einsum("kl,ijkl->ij", up, theta)
     ric2 = np.einsum("ij,ijkl->kl", up, theta)
     s = float(np.real(np.einsum("ij,kl,ijkl->", up, up, theta)))
@@ -321,36 +311,15 @@ def ric1_logdet_at(field: ChartMetricField, x):
     """- del delbar log det h as a coefficient matrix (independent path)."""
 
     def logdet(z):
-        return _hd_logdet(field.fn(z))
+        return hd_log(mat_det(field.fn(z)))
 
-    _, grad, hess = jet2(logdet, list(x))
-    return -np.array(_holo(grad, hess)[2], dtype=complex)
-
-
-def _hd_logdet(mat):
-    return _log(_hd_det(mat))
-
-
-def _hd_det(mat):
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    if n == 2:
-        return mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
-    acc = None
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in mat[1:]]
-        term = mat[0][j] * _hd_det(minor)
-        term = term if j % 2 == 0 else -term
-        acc = term if acc is None else acc + term
-    return acc
+    return -_holo_jets(logdet, x)[3]
 
 
 def chern_laplacian_at(field: ChartMetricField, f: ScalarField, x):
     """Delta^Ch f = -2 h^{j kbar} d^2 f / dz^j dzbar^k at x."""
     up = _upper(field.matrix(x))
-    _, grad, hess = jet2(f.fn, list(x))
-    d2f = np.array(_holo(grad, hess)[2], dtype=complex)
+    d2f = _holo_jets(f.fn, x)[3]
     return float(-2 * np.einsum("jk,jk->", up, d2f).real)
 
 
@@ -420,27 +389,25 @@ def conformal_check(field: ChartMetricField, f: ScalarField, x):
     n = field.n
 
     def scaled_fn(z):
-        ef = _exp(f.fn(z))
+        ef = hd_exp(f.fn(z))
         mat = field.fn(z)
         return [[ef * mat[i][j] for j in range(n)] for i in range(n)]
 
     scaled = ChartMetricField(n, scaled_fn, field.box,
                               name=field.name + "*e^f",
                               excluded=field.excluded)
-    theta_f = curvature_at(scaled, x)
-    theta = curvature_at(field, x)
-    h0 = field.matrix(x)
-    fval, fgrad, fhess = jet2(f.fn, list(x))
-    d2f = np.array(_holo(fgrad, fhess)[2], dtype=complex)
+    theta_f, h_f = _curvature(scaled, x)
+    theta, h0 = _curvature(field, x)
+    fval, _, _, d2f = _holo_jets(f.fn, x)
     ef = math.exp(float(np.real(fval)))
     rhs = ef * (theta - np.einsum("kl,ij->ijkl", h0, d2f))
     out = {"curvature": _rel(theta_f, rhs)}
 
-    ric1_f = np.einsum("kl,ijkl->ij", _upper(ef * h0), theta_f)
+    ric1_f = np.einsum("kl,ijkl->ij", _upper(h_f), theta_f)
     ric1 = np.einsum("kl,ijkl->ij", _upper(h0), theta)
     out["ric1"] = _rel(ric1_f, ric1 - n * d2f)
 
-    ric2_f = np.einsum("ij,ijkl->kl", _upper(ef * h0), theta_f)
+    ric2_f = np.einsum("ij,ijkl->kl", _upper(h_f), theta_f)
     ric2 = np.einsum("ij,ijkl->kl", _upper(h0), theta)
     lap = -2 * float(np.real(np.einsum("jk,jk->", _upper(h0), d2f)))
     out["ric2"] = _rel(ric2_f, ric2 + 0.5 * lap * h0)
@@ -498,12 +465,12 @@ def first_ce_from_potential(potential: ScalarField, sign: int,
     n = potential.n
     base = metric_from_potential(potential)
 
-    def f_fn(z):
-        return -_hd_logdet(base.fn(z)) - sign * potential.fn(z)
+    def f_of(mat, z):
+        return -hd_log(mat_det(mat)) - sign * potential.fn(z)
 
     def scaled_fn(z):
-        ef = _exp(f_fn(z) * (1.0 / n))
         mat = base.fn(z)
+        ef = hd_exp(f_of(mat, z) * (1.0 / n))
         return [[ef * mat[i][j] for j in range(n)] for i in range(n)]
 
     scaled = ChartMetricField(n, scaled_fn, base.box,
@@ -515,11 +482,11 @@ def first_ce_from_potential(potential: ScalarField, sign: int,
         if np.min(np.linalg.eigvalsh(h0)) <= 0:
             raise ValueError(
                 "potential is not strictly plurisubharmonic at a point")
-        ric1 = np.einsum("kl,ijkl->ij", _upper(scaled.matrix(x)),
-                         curvature_at(scaled, x))
+        theta, h_ce = _curvature(scaled, x)
+        ric1 = np.einsum("kl,ijkl->ij", _upper(h_ce), theta)
         worst = max(worst, _rel(ric1, sign * h0))
         z = [complex(x[2 * i], x[2 * i + 1]) for i in range(n)]
-        fval = float(np.real(complex(f_fn(z))))
+        fval = float(np.real(complex(f_of(h0.tolist(), z))))
         factors.append(sign * math.exp(-fval / n))
     return PotentialCEReport(points=list(points), max_error=worst,
                              factors=factors)

@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import catalog, invariant as inv, structfile, yamabe
-from .forms import CoframeAlgebra, InvariantForm, NotIntegrable
+from .forms import CoframeAlgebra, InvariantForm
 from .scalars import is_exact, unify
 
 
@@ -365,7 +365,6 @@ def _add_common(sub):
     sub.add_argument("--params", type=parse_params, default={},
                      help="metric parameters, e.g. r=1,s=2,u=1/2+1i")
     sub.add_argument("--format", choices=("text", "kv"), default="text")
-    sub.add_argument("--tol", type=float, default=1e-9)
 
 
 def _add_exact(sub):
@@ -391,6 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_exact(p)
     p.add_argument("--kind", type=int, choices=(1, 2, 3), default=2)
     p.add_argument("--mode", choices=("strong", "weak"), default="strong")
+    p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(fn=cmd_einstein)
 
     p = subs.add_parser("scan", help="Einstein residual over an (r,s,u) grid")
@@ -429,6 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("bl", help="Bogomolov-Lubke pairing")
     _add_common(p)
+    p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(fn=cmd_bl)
 
     return parser
@@ -439,11 +440,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (InputError, structfile.ParseError, NotIntegrable,
-            catalog.UnknownEntry, catalog.UnknownQuantity) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError, OSError) as exc:
+    # the package's input errors are ValueErrors or KeyErrors; a huge
+    # rational literal read as a float raises OverflowError
+    except (ValueError, KeyError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

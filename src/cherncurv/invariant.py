@@ -394,11 +394,15 @@ def lee_form(alg: CoframeAlgebra, h: HermitianMetric):
 
     Returns (theta, lck, residual); ``theta`` is None when no 1-form
     factorisation exists.  lck is True when additionally d theta = 0
-    (for n = 2 this is the locally-conformally-Kahler condition).
+    (for n = 2 this is the locally-conformally-Kahler condition).  The
+    system is solved by float least squares, so exact input is refused.
     """
     n = alg.n
     if n < 2:
         raise ValueError("Lee form needs n >= 2")
+    if h.exact:
+        raise ValueError("the Lee form is solved in floats; "
+                         "exact input is refused")
     omega = h.omega()
     power = omega
     for _ in range(n - 2):

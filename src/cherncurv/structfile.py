@@ -205,13 +205,13 @@ def _parse_terms(body: str, i: int, n: int, terms, lineno: int, col0: int):
         if table is None:
             raise ParseError(lineno, offset,
                              "bar^phi terms must be written as -phi^bar")
+        offset += len(piece) + 3
         if table != "b":
             if j == k:
                 continue  # phi^j ^ phi^j vanishes
             if j > k:
                 j, k, coef = k, j, -coef
         terms.append((table, (i, j, k), coef))
-        offset += len(piece) + 3
 
 
 def print_structure(alg: CoframeAlgebra,

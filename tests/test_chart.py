@@ -93,6 +93,31 @@ def test_fd_oracle_margin_check():
         fd_oracle(field, (1.2, 0.0, 0.0, 0.0))
 
 
+def counted(fn):
+    """``fn`` with a call counter in its ``calls`` attribute."""
+
+    def wrapped(z):
+        wrapped.calls += 1
+        return fn(z)
+
+    wrapped.calls = 0
+    return wrapped
+
+
+@pytest.mark.parametrize("call, evals", [
+    (curvature_at, 10),
+    (ricci_matrices_at, 10),
+    (lambda field, x: conformal_check(field, FACTORS["mixed"], x), 20),
+])
+def test_one_jet_per_field_per_point(call, evals):
+    # n = 2: one evaluation per seeded pair of the 4 real coordinates, and
+    # conformal_check takes one jet of the field and one of e^f times it
+    base = METRICS["random-poly"]
+    field = ChartMetricField(base.n, counted(base.fn), base.box)
+    call(field, sample_points(base, 1, seed=6)[0])
+    assert field.fn.calls == evals
+
+
 # ---------------------------------------------------------------------------
 # conformal change laws
 
@@ -162,6 +187,16 @@ def test_first_ce_from_potential(sign):
     assert len(report.factors) == len(points)
     for fac in report.factors:
         assert fac * sign > 0
+
+
+def test_first_ce_one_potential_jet_per_point():
+    pot = fs_potential()
+    pot.fn = counted(pot.fn)
+    points = sample_points(metric_from_potential(pot), 2, seed=6)
+    first_ce_from_potential(pot, 1, points)
+    # 10 passes of the rescaled metric, each one 10-pass jet of the
+    # potential plus one value; then one jet and one value at the point
+    assert pot.fn.calls == 121 * len(points)
 
 
 def test_potential_must_be_psh():

@@ -1,5 +1,6 @@
 import contextlib
 import io
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -273,6 +274,48 @@ def test_float_only_commands_take_no_exact_flag(capsys, command):
         main([command, "hopf", "--exact"])
     assert exc.value.code == 2
     assert "--exact" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["curvature", "scan", "lee",
+                                     "gauduchon"])
+def test_only_condition_commands_take_tol(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "hopf", "--tol", "1e-6"])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
+def test_huge_rational_literal_in_float_mode(capsys):
+    code, out, err = run(capsys, "curvature", "hopf",
+                         "--params", "r=1" + "0" * 400)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def readme_commands():
+    """argv of every ``cherncurv`` line in the README's command-line
+    block, in order."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line.split()[1:] for line in block.splitlines()
+            if line.startswith("cherncurv ")]
+
+
+def test_readme_examples(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert len(commands) == 12
+    for argv in commands:
+        target = None
+        if ">" in argv:
+            argv, target = argv[:argv.index(">")], argv[-1]
+        code, out, err = run(capsys, *argv)
+        # the README documents exit 1 for this one: the condition fails
+        expected = 1 if argv[:2] == ["einstein", "inoue-sm"] else 0
+        assert code == expected, (argv, err)
+        if target is not None:
+            (tmp_path / target).write_text(out)
 
 
 def test_tiny_metric_scale(capsys):

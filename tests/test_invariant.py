@@ -182,6 +182,13 @@ def test_torsion_is_20(name):
         assert t.bidegrees() <= {(2, 0)}
 
 
+@pytest.mark.parametrize("name", ENTRIES)
+def test_lee_form_refuses_exact_input(name):
+    alg, h, _ = catalog.build(name, exact=True)
+    with pytest.raises(ValueError, match="exact input is refused"):
+        inv.lee_form(alg, h)
+
+
 def test_lee_form_snow():
     alg, h, _ = catalog.build("snow-s5", {"r": 1.0, "ell": 1.0},
                               exact=False)

@@ -122,6 +122,13 @@ def test_error_positions():
     assert err.col == 3  # leading indentation counted
 
 
+@pytest.mark.parametrize("term", ["phi1^phi1", "phi1^phi2"])
+def test_error_column_after_a_term(term):
+    # phi1^phi1 vanishes and is dropped, but still takes up its columns
+    err = errors_with_position(f"dim 2\nd phi1 = {term} + wibble\n", 2)
+    assert err.col == 22
+
+
 def test_comments_and_blank_lines():
     doc = parse_structure("# header\n\ndim 2  # trailing\n"
                           "d phi1 = i phi1^phi2  # structure\n")
