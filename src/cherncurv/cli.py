@@ -24,7 +24,7 @@ import numpy as np
 
 from . import catalog, invariant as inv, structfile, yamabe
 from .forms import CoframeAlgebra, InvariantForm
-from .scalars import is_exact, unify
+from .scalars import is_exact, negligible, unify
 
 
 class InputError(ValueError):
@@ -155,9 +155,10 @@ def cmd_curvature(args) -> int:
     rep = Report()
     rep.add("entry", label)
     _add_params(rep, p)
+    scale = np.max(np.abs(curv.lowered))
     for idx in np.ndindex(curv.lowered.shape):
         v = curv.lowered[idx]
-        if abs(complex(v)) > 1e-14:
+        if not negligible(v, scale):
             rep.add("theta_" + "".join(str(i + 1) for i in idx), v)
     rep.add("ric1", inv.ricci(1, curv, h))
     rep.add("ric2", inv.ricci(2, curv, h))

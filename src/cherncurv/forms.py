@@ -175,14 +175,6 @@ class InvariantForm:
             self._prune()
 
     # -- helpers --------------------------------------------------------
-    @classmethod
-    def zero(cls, n: int) -> "InvariantForm":
-        return cls(n)
-
-    @classmethod
-    def scalar(cls, n: int, value) -> "InvariantForm":
-        return cls(n, {(): value})
-
     def _prune(self):
         scale = self.max_abs()
         dead = [k for k, v in self.coefficients.items()

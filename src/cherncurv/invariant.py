@@ -21,9 +21,30 @@ theta^l_k = R^m_{k i jbar} phi^i ^ bar(phi)^j has the closed form
 One einsum evaluation of this formula, and one set of contractions (the two
 Ricci forms, the third Ricci tensor, both scalar curvatures, the Einstein
 residuals), serves a single metric in exact QQi or float arithmetic and a
-float batch of metrics alike.  The form-algebra evaluation of the same
-curvature with ``ext_d`` and ``wedge`` is kept as a test oracle in
-``tests/forms_oracle.py``.
+float batch of metrics alike.
+
+The other invariant quantities are contractions of gamma, B, the
+antisymmetric (2,0)-table A (d phi^i = A^i_{a b} phi^a ^ phi^b / 2 + ...),
+R and up = h^{-1} (up^{a bbar}), with (n-1)-fold and (n-2)-fold powers of
+omega entering through det h and up alone:
+
+* torsion  T^i_{a b} = A^i_{a b} + gamma^i_{b a} - gamma^i_{a b}, the
+  coefficients of d phi^i + theta^i_j ^ phi^j, whose (1,1)-part cancels
+  identically; its trace is tau_j = T^k_{j k};
+* Lee form  theta = tau + conj(tau), with d omega^{n-1} = theta ^ omega^{n-1};
+* Gauduchon residual  |del dbar omega^{n-1}| =
+  (n-1)! |det h| |up^{l kbar} alpha_{l kbar}|, with
+  alpha_{l kbar} = - conj(tau_j B^j_{k l}) + tau_l conj(tau_k);
+* Bogomolov-Lubke pairing  ((n-1) c1^2 - 2n c2) ^ omega^{n-2} against
+  omega^n / n!, equal to
+  -(n-2)!/(4 pi^2) [ (L tr R)^2 - <tr R, tr R>
+                     - n sum_{m,l} (L R^m_l L R^l_m - <R^m_l, R^l_m>) ],
+  with L X = up^{a bbar} X_{a bbar} and
+  <X, Y> = up^{a bbar} up^{c dbar} X_{a dbar} Y_{c bbar}.
+
+The form-algebra evaluations of the same quantities with ``ext_d`` and
+``wedge`` are kept as test oracles in ``tests/forms_oracle.py``; the Lee
+checks still use ``ext_d`` and ``wedge`` on the computed Lee form.
 
 Sign calibration is normative against the Hopf anchors
 Ric1 = 2 sqrt(-1) phi^1 ^ bar(phi)^1, Ric2 = (2/r^2) omega, S = 4/r^2.
@@ -37,9 +58,9 @@ from typing import Optional
 
 import numpy as np
 
-from .forms import CoframeAlgebra, InvariantForm, ext_d, del_part, dbar_part
+from .forms import CoframeAlgebra, InvariantForm, ext_d
 from .scalars import (QQi, conj, is_zero, mat_det, mat_inv, mat_solve,
-                      times_i, unify)
+                      negligible, times_i, unify)
 
 
 class NotPositiveDefinite(ValueError):
@@ -95,10 +116,7 @@ class HermitianMetric:
         return HermitianMetric([[v * c for v in row] for row in self.h])
 
     def omega(self) -> InvariantForm:
-        return _matrix_to_form(self.h, self.n)
-
-    def det(self):
-        return mat_det(self.h)
+        return _matrix_to_form(self.h, self.n, negligible)
 
 
 @dataclass(frozen=True)
@@ -129,12 +147,6 @@ class SurfaceMetricParams:
 
 
 @dataclass
-class ConnectionForms:
-    theta: list  # n x n matrix of InvariantForm (mixed-type 1-forms)
-    gamma: list  # (1,0)-coefficients gamma[m][k][l]: phi^l part of theta^m_k
-
-
-@dataclass
 class CurvatureTensor:
     """Chern curvature of one metric, as (n, n, n, n) arrays.
 
@@ -160,14 +172,18 @@ class CurvatureTensor:
 # complex for floats, object (QQi entries) for exact input.  Only the
 # gamma solve and the inverse metric depend on it.
 
-def _structure_b(alg: CoframeAlgebra, exact):
-    """B[i, j, k] = coefficient of phi^j ^ bar(phi)^k in d phi^i, 0-based."""
+def _structure(alg: CoframeAlgebra, exact):
+    """(A, B), 0-based: d phi^i = A[i, j, k] phi^j ^ phi^k / 2
+    + B[i, j, k] phi^j ^ bar(phi)^k, with A antisymmetric in (j, k)."""
     n = alg.n
-    b = np.full((n, n, n), QQi() if exact else 0j,
-                dtype=object if exact else complex)
+    a, b = (np.full((n, n, n), QQi() if exact else 0j,
+                    dtype=object if exact else complex) for _ in range(2))
+    for (i, j, k), v in alg.a.items():
+        a[i - 1, j - 1, k - 1] = v
+        a[i - 1, k - 1, j - 1] = -v
     for (i, j, k), v in alg.b.items():
         b[i - 1, j - 1, k - 1] = v
-    return b
+    return a, b
 
 
 def _metric_stack(h: HermitianMetric):
@@ -254,14 +270,17 @@ def _einstein_stack(kind, mode, n, hs, up, theta):
 
 
 # ---------------------------------------------------------------------------
-# one metric: connection forms, curvature and contractions
+# one metric: connection, curvature and contractions
 
-def chern_connection(alg: CoframeAlgebra, h: HermitianMetric) -> ConnectionForms:
-    """Connection 1-forms theta^i_j of the Chern connection.
+def chern_connection(alg: CoframeAlgebra, h: HermitianMetric) -> np.ndarray:
+    """gamma[m, k, l] = gamma^m_{k l}, the (1,0)-part of the Chern
+    connection theta^m_k = gamma^m_{k l} phi^l + B^m_{k l} bar(phi)^l, in
+    the metric's arithmetic.
 
-    The (0,1)-part is B^i_{j kbar} bar(phi)^k (this removes the (1,1)-part
-    of the torsion); the (1,0)-part gamma solves metric compatibility
-    gamma^k_{i l} h_{k jbar} = - h_{i kbar} conj(B^k_{j lbar}).
+    The (0,1)-part B removes the (1,1)-part of the torsion; gamma solves
+    metric compatibility gamma^k_{i l} h_{k jbar} = - h_{i kbar}
+    conj(B^k_{j l}).  Refuses a coframe that is not integrable or fails
+    the Jacobi check.
     """
     alg.check_integrable()
     ok, res = alg.check_jacobi()
@@ -269,35 +288,16 @@ def chern_connection(alg: CoframeAlgebra, h: HermitianMetric) -> ConnectionForms
         raise ValueError(f"structure equations fail the Jacobi check ({res})")
     if h.n != alg.n:
         raise ValueError("metric dimension does not match the coframe")
-    n = alg.n
-    b = _structure_b(alg, h.exact)
-    gamma = _gamma(b, _metric_stack(h))[0].tolist()
-    b = b.tolist()
-    theta = []
-    for m in range(n):
-        row = []
-        for k in range(n):
-            coeffs = {}
-            for l in range(n):
-                if not is_zero(gamma[m][k][l]):
-                    coeffs[(l,)] = gamma[m][k][l]
-                if not is_zero(b[m][k][l]):
-                    coeffs[(l + n,)] = b[m][k][l]
-            row.append(InvariantForm(n, coeffs))
-        theta.append(row)
-    return ConnectionForms(theta=theta, gamma=gamma)
+    return _gamma(_structure(alg, h.exact)[1], _metric_stack(h))[0]
 
 
-def chern_curvature(alg: CoframeAlgebra, h: HermitianMetric,
-                    connection: Optional[ConnectionForms] = None
+def chern_curvature(alg: CoframeAlgebra, h: HermitianMetric
                     ) -> CurvatureTensor:
     """Chern curvature of one metric: the M = 1 case of
     :func:`batch_curvature`, in the metric's own arithmetic."""
-    if connection is None:
-        connection = chern_connection(alg, h)
-    hs = _metric_stack(h)
-    gamma = np.array([connection.gamma], dtype=hs.dtype)
-    r, theta = _curvature(_structure_b(alg, h.exact), gamma, hs)
+    gamma = chern_connection(alg, h)
+    r, theta = _curvature(_structure(alg, h.exact)[1], gamma[None],
+                          _metric_stack(h))
     return CurvatureTensor(r_upper=r[0], lowered=theta[0], n=alg.n)
 
 
@@ -312,14 +312,15 @@ def _ric_matrix(kind: int, curv: CurvatureTensor, h: HermitianMetric):
     return _ricci_stack(kind, *_stacks(curv, h))[0]
 
 
-def _matrix_to_form(m, n) -> InvariantForm:
-    """The (1,1)-form sqrt(-1) m_{a bbar} phi^a ^ bar(phi)^b."""
-    coeffs = {}
-    for a in range(n):
-        for b in range(n):
-            if not is_zero(m[a][b]):
-                coeffs[(a, b + n)] = times_i(m[a][b])
-    return InvariantForm(n, coeffs)
+def _matrix_to_form(m, n, zero) -> InvariantForm:
+    """The (1,1)-form sqrt(-1) m_{a bbar} phi^a ^ bar(phi)^b, without the
+    entries v for which ``zero(v, largest entry magnitude)`` holds."""
+    big = max(abs(v) for row in m for v in row)
+    form = InvariantForm(n)
+    form.coefficients = {(a, b + n): times_i(m[a][b])
+                         for a in range(n) for b in range(n)
+                         if not zero(m[a][b], big)}
+    return form
 
 
 def ricci(kind: int, curv: CurvatureTensor, h: HermitianMetric):
@@ -331,7 +332,10 @@ def ricci(kind: int, curv: CurvatureTensor, h: HermitianMetric):
     m = _ric_matrix(kind, curv, h)
     if kind == 3:
         return m
-    return _matrix_to_form(m.tolist(), curv.n)
+    # Ricci forms do not change when h is rescaled, and a form that is 0
+    # comes out as rounding noise of any size relative to its largest
+    # entry, so the zero test keeps its absolute floor
+    return _matrix_to_form(m.tolist(), curv.n, is_zero)
 
 
 def scalar_chern(curv: CurvatureTensor, h: HermitianMetric):
@@ -364,82 +368,76 @@ def _realize(x, scale):
 # ---------------------------------------------------------------------------
 # torsion, Lee form, Gauduchon
 
-def torsion(alg: CoframeAlgebra, h: HermitianMetric,
-            connection: Optional[ConnectionForms] = None):
-    """(2,0)-torsion forms tau^i = d phi^i + theta^i_j ^ phi^j and the trace
-    1-form T^k_{jk} phi^j."""
-    if connection is None:
-        connection = chern_connection(alg, h)
-    n = alg.n
-    taus = []
-    for i in range(n):
-        tau = ext_d(alg, alg.basis_1form(i + 1))
-        for j in range(n):
-            tau = tau + connection.theta[i][j].wedge(alg.basis_1form(j + 1))
-        if not (tau.project_bidegree(1, 1) + tau.project_bidegree(0, 2)
-                ).is_zero(tol_scale=max(tau.max_abs(), 1.0)):
-            raise ValueError("torsion is not of type (2,0)")
-        taus.append(tau)
-    trace_coeffs = {}
-    for j in range(n):
-        # coeff(j, k) = T^k_{jk}, signed by the order of phi^j ^ phi^k
-        acc = sum(taus[k].coeff(j, k) for k in range(n))
-        if not is_zero(acc):
-            trace_coeffs[(j,)] = acc
-    return taus, InvariantForm(n, trace_coeffs)
+def torsion(alg: CoframeAlgebra, h: HermitianMetric):
+    """(T, tau) of the Chern connection, in the metric's arithmetic.
+
+    T[i, a, b] = T^i_{a b}, antisymmetric in (a, b), gives the torsion
+    d phi^i + theta^i_j ^ phi^j = T^i_{a b} phi^a ^ phi^b / 2, of type
+    (2,0) since the B-part of theta cancels the (1,1)-part of d phi^i;
+    tau[j] = T^k_{j k} is its trace.
+    """
+    gamma = chern_connection(alg, h)
+    t = _structure(alg, h.exact)[0] + np.transpose(gamma, (0, 2, 1)) - gamma
+    return t, np.einsum("kjk->j", t)
 
 
 def lee_form(alg: CoframeAlgebra, h: HermitianMetric):
-    """Solve d omega^{n-1} = theta ^ omega^{n-1} for the Lee 1-form.
+    """The Lee 1-form theta = tau + conj(tau), for which
+    d omega^{n-1} = theta ^ omega^{n-1}.
 
-    Returns (theta, lck, residual); ``theta`` is None when no 1-form
-    factorisation exists.  lck is True when additionally d theta = 0
-    (for n = 2 this is the locally-conformally-Kahler condition).  The
-    system is solved by float least squares, so exact input is refused.
+    Returns (theta, lck, residual), with ``residual`` the largest
+    coefficient of d omega^{n-1} - theta ^ omega^{n-1}; ``theta`` is None
+    when the residual exceeds 1e-9 max(|d omega^{n-1}|, 1).  lck is True
+    when additionally d theta = 0 (for n = 2 this is the
+    locally-conformally-Kahler condition).  The checks are float form
+    algebra, so exact input is refused.
     """
     n = alg.n
     if n < 2:
         raise ValueError("Lee form needs n >= 2")
     if h.exact:
-        raise ValueError("the Lee form is solved in floats; "
+        raise ValueError("the Lee form is checked in floats; "
                          "exact input is refused")
+    tau = torsion(alg, h)[1].tolist()
+    theta = InvariantForm(n, {(j + bar * n,): conj(t) if bar else t
+                              for bar in (0, 1) for j, t in enumerate(tau)})
     omega = h.omega()
     power = omega
     for _ in range(n - 2):
         power = power.wedge(omega)
     target = ext_d(alg, power)
-    # unknown 1-form over the 2n covectors; assemble a least-squares system
-    basis = [alg.basis_1form(i + 1, barred=bar)
-             for bar in (False, True) for i in range(n)]
-    wedges = [e.wedge(power) for e in basis]
-    keys = sorted({k for w in wedges for k in w.coefficients}
-                  | set(target.coefficients))
-    a = np.array([[complex(w.coefficients.get(k, 0)) for w in wedges]
-                  for k in keys])
-    rhs = np.array([complex(target.coefficients.get(k, 0)) for k in keys])
-    sol, *_ = np.linalg.lstsq(a, rhs, rcond=None)
-    residual = float(np.max(np.abs(a @ sol - rhs))) if len(keys) else 0.0
-    scale = max(float(np.max(np.abs(rhs))) if len(keys) else 0.0, 1.0)
-    if residual > 1e-9 * scale:
+    residual = (target - theta.wedge(power)).max_abs()
+    if residual > 1e-9 * max(target.max_abs(), 1.0):
         return None, False, residual
-    theta = InvariantForm(n, {(i if not bar else i + n,):
-                              sol[bar * n + i]
-                              for bar in (0, 1) for i in range(n)})
-    dtheta = ext_d(alg, theta)
-    lck = dtheta.is_zero(tol_scale=max(theta.max_abs(), 1.0))
+    lck = ext_d(alg, theta).is_zero(tol_scale=max(theta.max_abs(), 1.0))
     return theta, lck, residual
 
 
 def is_gauduchon(alg: CoframeAlgebra, h: HermitianMetric):
-    """del dbar omega^{n-1} = 0, with residual."""
-    omega = h.omega()
-    power = omega
-    for _ in range(alg.n - 2):
-        power = power.wedge(omega)
-    ddc = del_part(alg, dbar_part(alg, power))
-    residual = ddc.max_abs()
-    scale = max(power.max_abs(), 1.0)
-    return ddc.is_zero(tol_scale=scale), float(residual)
+    """del dbar omega^{n-1} = 0, with the magnitude of its one coefficient
+    as residual (see the module docstring).
+
+    A coefficient within rounding of the terms it sums is 0: tau grows
+    with the condition of h, and so does the rounding of terms that
+    cancel.  Otherwise the test is relative to max(|omega^{n-1}|, 1), where
+    |omega^{n-1}| = (n-1)! |det h| max|up|.
+    """
+    n = alg.n
+    _, tau = torsion(alg, h)
+    b = _structure(alg, h.exact)[1]
+    up = _upper(_metric_stack(h))[0]
+    alpha = (np.einsum("l,k->lk", tau, np.conj(tau))
+             - np.conj(np.einsum("j,jkl->lk", tau, b)))
+    volume = math.factorial(n - 1) * mat_det(h.h).real
+    ddc = volume * np.einsum("lk,lk->", up, alpha)
+    abs_up, abs_tau, abs_b = (np.abs(x).astype(float) for x in (up, tau, b))
+    terms = float(volume) * np.einsum(
+        "lk,lk->", abs_up, np.outer(abs_tau, abs_tau)
+        + np.einsum("j,jkl->lk", abs_tau, abs_b))
+    if negligible(ddc, terms):
+        return True, 0.0
+    scale = max(float(volume) * float(np.max(abs_up)), 1.0)
+    return bool(is_zero(ddc, scale=scale)), float(abs(ddc))
 
 
 def gauduchon_degree(alg: CoframeAlgebra, h: HermitianMetric):
@@ -484,7 +482,8 @@ def einstein_residual(kind: int, alg: CoframeAlgebra, h: HermitianMetric,
 # Chern-Weil forms and the Bogomolov-Lubke pairing
 
 def chern_weil(curv: CurvatureTensor):
-    """(c1, c2) as invariant forms, with the usual 2*pi normalisations."""
+    """(c1, c2) as invariant forms: the degree-2 and degree-4 parts of
+    det(I + sqrt(-1) Theta / 2 pi)."""
     n = curv.n
     r = curv.r_upper.astype(complex).tolist()
     theta_end = [[InvariantForm(n, {(i, j + n): r[m][k][i][j]
@@ -498,36 +497,30 @@ def chern_weil(curv: CurvatureTensor):
         for l in range(n):
             trtr = trtr + theta_end[m][l].wedge(theta_end[l][m])
     c1 = tr.scale(1j / (2 * math.pi))
-    c2 = (tr.wedge(tr) - trtr).scale(1.0 / (8 * math.pi ** 2))
+    c2 = (tr.wedge(tr) - trtr).scale(-1.0 / (8 * math.pi ** 2))
     return c1, c2
 
 
-def _to_float_form(form: InvariantForm) -> InvariantForm:
-    out = InvariantForm(form.n)
-    out.coefficients = {k: complex(v) for k, v in form.coefficients.items()}
-    return out
-
-
 def bogomolov_lubke(curv: CurvatureTensor, h: HermitianMetric):
-    """Coefficient of ((n-1) c1^2 - 2n c2) ^ omega^{n-1} against the volume
-    form omega^n / n!.  Non-positive for (2)-Chern-Einstein data."""
+    """Coefficient of ((n-1) c1^2 - 2n c2) ^ omega^{n-2} against the volume
+    form omega^n / n!, by the contraction in the module docstring.
+    Non-positive for (2)-Chern-Einstein data (Lubke)."""
     n = curv.n
     if n < 2:
         raise ValueError("Bogomolov-Lubke pairing needs n >= 2")
-    c1, c2 = chern_weil(curv)
-    omega = _to_float_form(h.omega())
-    wpow = omega
-    for _ in range(n - 2):
-        wpow = wpow.wedge(omega)
-    lhs = (c1.wedge(c1).scale(float(n - 1)) - c2.scale(2.0 * n)).wedge(wpow)
-    vol = wpow.wedge(omega)
-    vol = vol.scale(1.0 / math.factorial(n))
-    key = tuple(range(2 * n))
-    vc = vol.coefficients.get(key, 0)
-    if is_zero(vc):
-        raise DegenerateMetric("volume form vanishes")
-    ratio = complex(lhs.coefficients.get(key, 0)) / complex(vc)
-    return _realize(ratio, abs(ratio))
+    r = curv.r_upper.astype(complex)
+    up = _upper(_metric_stack(h))[0].astype(complex)
+    tr = np.einsum("mmab->ab", r)
+    lam = np.einsum("ab,mlab->ml", up, r)
+    pairs = (np.trace(lam) ** 2
+             - np.einsum("ab,cd,ad,cb->", up, up, tr, tr)
+             - n * (np.einsum("ml,lm->", lam, lam)
+                    - np.einsum("ab,cd,mlad,lmcb->", up, up, r, r)))
+    c = math.factorial(n - 2) / (4 * math.pi ** 2)
+    # each summand of the pairs is at most max|up|^2 max|R|^2
+    scale = c * (float(np.max(np.abs(up))) * float(np.max(np.abs(r)))) ** 2
+    value = _realize(complex(-c * pairs), scale)
+    return 0.0 if negligible(value, scale) else value
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +534,7 @@ def batch_curvature(alg: CoframeAlgebra, hs: np.ndarray):
     applies to one metric.
     """
     alg.check_integrable()
-    b = _structure_b(alg, exact=False)
+    b = _structure(alg, exact=False)[1]
     return _curvature(b, _gamma(b, hs), hs)[1]
 
 
@@ -574,8 +567,7 @@ class ScanReport:
     min_residual_abs: float = 0.0
 
 
-def default_surface_grid(r_values=None, s_values=None, radii=9, phases=8,
-                         include_zero=True):
+def default_surface_grid(r_values=None, s_values=None, radii=9, phases=8):
     """(r, s, u) triples with r, s in 0.25..3 and u on a polar grid strictly
     inside the admissibility cone |u| < 0.95 r s."""
     if r_values is None:
@@ -585,8 +577,7 @@ def default_surface_grid(r_values=None, s_values=None, radii=9, phases=8,
     pts = []
     for r in r_values:
         for s in s_values:
-            if include_zero:
-                pts.append((r, s, 0j))
+            pts.append((r, s, 0j))
             for a in range(1, radii + 1):
                 rho = 0.95 * r * s * a / (radii + 1)
                 for p in range(phases):
@@ -597,7 +588,7 @@ def default_surface_grid(r_values=None, s_values=None, radii=9, phases=8,
 
 
 def scan(alg: CoframeAlgebra, kind: int, grid=None, mode: str = "strong",
-         certificate=None, entry_name=None, extra_params=None) -> ScanReport:
+         certificate=None, entry_name=None) -> ScanReport:
     """Einstein residual over a (r, s, u) grid, with optional per-point sign
     certificate callable(r, s, u, lam) -> float that must stay negative.
 

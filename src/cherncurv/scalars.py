@@ -200,6 +200,14 @@ def is_zero(x, scale=None, tol=REL_TOL) -> bool:
     return m <= ABS_TOL
 
 
+def negligible(x, scale) -> bool:
+    """Whether x is zero against ``scale``, the largest entry of its tensor
+    or a bound on the terms it sums: exact x when it is zero, float x when
+    it is at most ``REL_TOL * scale``.  There is no absolute floor, so the
+    answer is the same at every scale of the input."""
+    return not x if is_exact(x) else abs(x) <= REL_TOL * scale
+
+
 def mat_mul(a, b):
     n, m, p = len(a), len(b), len(b[0])
     return [[sum(a[i][k] * b[k][j] for k in range(m)) for j in range(p)]

@@ -125,8 +125,12 @@ def _residual(grid, f, S, n, lam):
     return grid.laplacian(f) + S / n - lam * np.exp(-f)
 
 
-def solve_chya(p: YamabeProblem, f0: Optional[np.ndarray] = None,
-               damping: float = 0.5) -> YamabeResult:
+# step length of the quasi-Newton iteration, whose Jacobian is approximate
+DAMPING = 0.5
+
+
+def solve_chya(p: YamabeProblem, f0: Optional[np.ndarray] = None
+               ) -> YamabeResult:
     """Solve lap f + S/n = lam exp(-f) on the torus, mean(S) <= 0 branch.
 
     The solution family f + c, lam * exp(c) is pinned by mean(f) = 0.  For
@@ -162,7 +166,7 @@ def solve_chya(p: YamabeProblem, f0: Optional[np.ndarray] = None,
         mu = lam * float(np.mean(w))
         hat = np.fft.fft2(-F) / (grid._mult + mu)
         delta = np.real(np.fft.ifft2(hat))
-        f = f + damping * delta
+        f = f + DAMPING * delta
         f -= np.mean(f)
         if not np.all(np.isfinite(f)):
             raise SolverDiverged("iteration produced non-finite values")

@@ -1,18 +1,25 @@
-"""Regenerate the golden exact-arithmetic CLI outputs in this directory.
+"""Regenerate the golden CLI outputs in this directory.
 
-Each case is one ``cherncurv`` invocation; its stdout is stored byte for
-byte in ``<case>.txt``:
+Each case is one ``cherncurv`` invocation, stored in ``<case>.txt``.
+Exact-arithmetic cases store their stdout byte for byte:
 
 * ``curvature <entry> --exact --params ...`` at every registry point of
   every catalog entry (``curvature-<entry>-<index>.txt``);
 * ``catalog verify <entry> --exact`` for every entry
   (``verify-<entry>.txt``).
 
+Float cases store a first line ``exit <code>`` followed by the stdout:
+
+* ``lee``, ``gauduchon`` and ``bl <entry> --params ...`` at every registry
+  point of every catalog entry (``<command>-<entry>-<index>.txt``).
+
 Run from the repository root, against the package under test::
 
     PYTHONPATH=src python tests/golden/regen.py
 
-``tests/test_golden.py`` reruns the same cases and compares the bytes.
+``tests/test_golden.py`` reruns the same cases; it compares the exact
+outputs byte for byte and the float outputs key by key, with numbers
+compared relative to the largest number of the output.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ def _params_arg(point: dict) -> str:
 
 
 def cases():
-    """(case name, argv) for every golden output, in a fixed order."""
+    """(case name, argv) for every exact golden output, in a fixed order."""
     out = []
     for entry in catalog.list_entries():
         for idx, point in enumerate(catalog.get(entry).points):
@@ -44,6 +51,18 @@ def cases():
         out.append((f"verify-{entry}",
                     ["catalog", "verify", entry, "--exact"]))
     return out
+
+
+FLOAT_COMMANDS = ("lee", "gauduchon", "bl")
+
+
+def float_cases():
+    """(case name, argv) for every float golden output, in a fixed order."""
+    return [(f"{command}-{entry}-{idx}",
+             [command, entry, "--params", _params_arg(point)])
+            for command in FLOAT_COMMANDS
+            for entry in catalog.list_entries()
+            for idx, point in enumerate(catalog.get(entry).points)]
 
 
 def run(argv):
@@ -61,6 +80,10 @@ def main() -> int:
             print(f"{name}: exit {rc}", file=sys.stderr)
             return 1
         (GOLDEN_DIR / f"{name}.txt").write_bytes(text.encode())
+    for name, argv in float_cases():
+        rc, text = run(argv)
+        (GOLDEN_DIR / f"{name}.txt").write_bytes(
+            f"exit {rc}\n{text}".encode())
     return 0
 
 

@@ -322,6 +322,40 @@ def test_tiny_metric_scale(capsys):
     code, out, _ = run(capsys, "curvature", "hopf", "--params", "r=1e-8")
     assert code == 0
     assert fields(out)["s_chern"] == "4e+16"
+    # printed entries are judged against the largest one, not against 1
+    assert fields(out)["theta_1111"] == "5e-17"
+    assert fields(out)["theta_1122"] == "5e-17"
+    code, out, _ = run(capsys, "curvature", "hopf", "--exact",
+                       "--params", "r=1/100000000")
+    assert code == 0
+    assert fields(out)["theta_1111"] == "1/20000000000000000"
+    assert fields(out)["s_chern"] == "40000000000000000"
+
+
+def test_bl_ovando_r2r2_kahler_einstein(capsys):
+    # H^2 x H^2: ((n-1) c1^2 - 2n c2) ^ omega^{n-2} = -1/(2 pi^2) omega^n/n!
+    code, out, _ = run(capsys, "bl", "ovando-r2r2",
+                       "--params", "r=1,s=1,u=0")
+    assert code == 0
+    assert fields(out)["bogomolov_lubke"] == "-0.0506605918212"
+    assert fields(out)["inequality_holds"] == "true"
+
+
+@pytest.mark.parametrize("command", ["lee", "gauduchon"])
+@pytest.mark.parametrize("text", [
+    "dim 2\nd phi1 = phi1^phi2\nd phi2 = phi1^bar1\n",  # fails Jacobi
+    "dim 2\nd phi1 = bar1^bar2\n",                       # not integrable
+])
+def test_refuses_non_jacobi_or_non_integrable_file(capsys, tmp_path,
+                                                   command, text):
+    path = tmp_path / "bad.struct"
+    path.write_text(text)
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2 and out == ""
+    # one error line, after the parser's Jacobi warning
+    lines = [line for line in err.splitlines()
+             if not line.startswith("warning: Jacobi identity fails")]
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 def test_zero_scalar_curvature_is_real_up_to_rounding(capsys):

@@ -6,11 +6,12 @@ import pytest
 
 from cherncurv import catalog
 from cherncurv import invariant as inv
-from cherncurv.forms import InvariantForm, ext_d
+from cherncurv.forms import CoframeAlgebra, InvariantForm, ext_d
 from cherncurv.scalars import I_EXACT, QQi, conj
 from cherncurv.invariant import (DegenerateMetric, HermitianMetric,
                                  NotPositiveDefinite, SurfaceMetricParams)
-from forms_oracle import forms_curvature
+from forms_oracle import (ddbar_gauduchon, forms_curvature, forms_torsion,
+                          lstsq_lee_form, wedge_bogomolov_lubke)
 
 ENTRIES = catalog.list_entries()
 
@@ -169,17 +170,67 @@ def test_batch_residual_relative_dimensionless():
 
 def test_torsion_flat_torus_vanishes():
     alg, h, _ = catalog.build("flat-torus", exact=True)
-    taus, trace = inv.torsion(alg, h)
-    assert all(t.is_zero() for t in taus)
-    assert trace.is_zero()
+    t, tau = inv.torsion(alg, h)
+    assert not any(t.flat)
+    assert not any(tau)
 
 
 @pytest.mark.parametrize("name", ENTRIES)
 def test_torsion_is_20(name):
+    # the form-algebra torsion has no (1,1)- or (0,2)-part, so the (2,0)
+    # tensor T holds all of it
     alg, h, _ = catalog.build(name, exact=True)
-    taus, _ = inv.torsion(alg, h)
+    taus, _ = forms_torsion(alg, h)
     for t in taus:
         assert t.bidegrees() <= {(2, 0)}
+
+
+@pytest.mark.parametrize("name", ENTRIES)
+def test_torsion_matches_forms_oracle_exact(name):
+    for point in catalog.get(name).points:
+        alg, h, _ = catalog.build(name, point, exact=True)
+        t, tau = inv.torsion(alg, h)
+        taus, trace = forms_torsion(alg, h)
+        n = alg.n
+        for i, a, b in product(range(n), repeat=3):
+            assert isinstance(t[i, a, b], QQi)
+            assert t[i, a, b] == taus[i].coeff(a, b)
+        for j in range(n):
+            assert tau[j] == trace.coeff(j)
+
+
+def _coefficients(form):
+    """The 1-form coefficients over phi^1..phi^n, bar(phi)^1..bar(phi)^n."""
+    return np.array([complex(form.coeff(k)) for k in range(2 * form.n)])
+
+
+@pytest.mark.parametrize("name,n", [(name, n) for n in (2, 3)
+                                    for name in ENTRIES])
+def test_lee_gauduchon_bl_match_forms_oracle_float(name, n):
+    # n = 3 is the entry's coframe plus a closed phi^3
+    rng = np.random.default_rng(17)
+    alg, _, _ = catalog.build(name, {"r": 1.0}, exact=False)
+    alg = CoframeAlgebra(n, alg.a, alg.b)
+    for _ in range(3):
+        h = rng_metric(rng, n)
+        theta, _, residual = inv.lee_form(alg, h)
+        want, want_residual = lstsq_lee_form(alg, h)
+        got, want = _coefficients(theta), _coefficients(want)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert residual <= 1e-12 * max(np.max(np.abs(want)), 1.0)
+
+        ok, residual = inv.is_gauduchon(alg, h)
+        want_ok, want_residual, scale = ddbar_gauduchon(alg, h)
+        assert ok == want_ok
+        assert abs(residual - want_residual) <= 1e-12 * max(want_residual,
+                                                            scale)
+
+        curv = inv.chern_curvature(alg, h)
+        value = inv.bogomolov_lubke(curv, h)
+        want = wedge_bogomolov_lubke(curv, h)
+        bound = (np.max(np.abs(np.linalg.inv(h.h)))
+                 * np.max(np.abs(curv.r_upper))) ** 2
+        assert abs(value - want) <= 1e-12 * max(abs(want), bound)
 
 
 @pytest.mark.parametrize("name", ENTRIES)
@@ -215,6 +266,23 @@ def test_gauduchon_degrees():
             assert deg * sign > 0
 
 
+def test_ill_conditioned_metric_rounding():
+    # at h11 / h22 ~ 2e5 the terms of the Gauduchon and Bogomolov-Lubke
+    # contractions cancel to rounding where the exact value is 0: every
+    # metric on the unimodular inoue-spm is Gauduchon, and its pairing
+    # vanishes; ovando-r2r2's small nonzero pairing survives
+    float_p = {"r": 1000.0, "s": 2.2, "u": 0.1j}
+    exact_p = {"r": 1000, "s": Fraction(11, 5), "u": QQi(0, Fraction(1, 10))}
+    for p, exact in ((float_p, False), (exact_p, True)):
+        alg, h, _ = catalog.build("inoue-spm", p, exact=exact)
+        assert inv.is_gauduchon(alg, h) == (True, 0.0)
+    alg, h, _ = catalog.build("inoue-spm", float_p, exact=False)
+    assert inv.bogomolov_lubke(inv.chern_curvature(alg, h), h) == 0.0
+    alg, h, _ = catalog.build("ovando-r2r2", float_p, exact=False)
+    value = inv.bogomolov_lubke(inv.chern_curvature(alg, h), h)
+    assert value == pytest.approx(-1.0467064469113673e-08, rel=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # metric validation
 
@@ -227,6 +295,20 @@ def test_metric_validation():
         HermitianMetric([[1 + 0j, 1j], [1j, 1 + 0j]])  # not Hermitian
     with pytest.raises(DegenerateMetric):
         HermitianMetric([[1e-30 + 0j, 0j], [0j, 1e30 + 0j]])
+
+
+def test_omega_of_tiny_metric():
+    # entries are judged against the largest one, at any scale
+    h = HermitianMetric([[1e-16, 0.5e-16j], [-0.5e-16j, 2e-16]])
+    omega = h.omega()
+    assert omega.coeff(0, 2) == 1e-16j
+    assert omega.coeff(0, 3) == -0.5e-16
+    assert omega.coeff(1, 3) == 2e-16j
+    assert len(omega.coefficients) == 4
+    exact = HermitianMetric([[QQi(1, 0), QQi()], [QQi(), QQi(2, 0)]])
+    assert exact.scaled(QQi(Fraction(1, 10 ** 20))).omega().coefficients \
+        == {(0, 2): QQi(0, Fraction(1, 10 ** 20)),
+            (1, 3): QQi(0, Fraction(2, 10 ** 20))}
 
 
 def test_admissibility():
