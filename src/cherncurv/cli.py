@@ -126,9 +126,6 @@ def resolve_source(source: str, params: dict, exact: bool):
         raise InputError(f"{source!r} is neither a catalog entry nor a file")
     with open(source) as fh:
         doc = structfile.parse_structure(fh.read())
-    if doc.jacobi_passed is False:
-        print(f"warning: Jacobi identity fails "
-              f"(residual {doc.jacobi_residual:.3e})", file=sys.stderr)
     merged = {"r": 1, "s": 1, "u": 0, **(doc.metric_params or {}), **params}
     alg = doc.algebra
     _, (a, b, c, p) = unify([alg.a, alg.b, alg.c, merged], exact)
@@ -326,14 +323,15 @@ def cmd_lee(args) -> int:
 
 def cmd_gauduchon(args) -> int:
     alg, h, label, p = resolve_source(args.source, args.params, False)
-    ok, residual = inv.is_gauduchon(alg, h)
+    curv = inv.chern_curvature(alg, h)
+    ok, residual = inv.is_gauduchon(curv, h)
     rep = Report()
     rep.add("entry", label)
     _add_params(rep, p)
     rep.add("gauduchon", ok)
     rep.add("residual", residual)
     if ok:
-        rep.add("degree", inv.gauduchon_degree(alg, h))
+        rep.add("degree", inv.gauduchon_degree(curv, h))
     _emit(rep, args)
     return 0 if ok else 1
 

@@ -23,6 +23,10 @@ Ricci forms, the third Ricci tensor, both scalar curvatures, the Einstein
 residuals), serves a single metric in exact QQi or float arithmetic and a
 float batch of metrics alike.
 
+:func:`chern_curvature` validates and solves a (coframe, metric) pair once;
+its :class:`CurvatureTensor` carries A, B, gamma and h^{-1} beside R and
+Theta, and that one solved tensor serves every contraction below.
+
 The other invariant quantities are contractions of gamma, B, the
 antisymmetric (2,0)-table A (d phi^i = A^i_{a b} phi^a ^ phi^b / 2 + ...),
 R and up = h^{-1} (up^{a bbar}), with (n-1)-fold and (n-2)-fold powers of
@@ -77,7 +81,8 @@ class HermitianMetric:
     The associated fundamental form is
     omega = sqrt(-1) h_{i jbar} phi^i ^ bar(phi)^j.  The entries pass
     through :func:`~cherncurv.scalars.unify`: ``exact`` is True when all
-    of them are rational, and they are then QQi, else complex.
+    of them are rational, and they are then QQi, else complex.  ``h``
+    holds the matrix as nested lists and ``array`` as a numpy array.
     """
 
     def __init__(self, h):
@@ -89,6 +94,8 @@ class HermitianMetric:
                                       for j, v in enumerate(row)}])
         self.h = [[flat[i, j] for j in range(self.n)] for i in range(self.n)]
         self._validate()
+        self.array = np.array(self.h, dtype=object if self.exact else complex)
+        self._up = None
 
     def _validate(self):
         n = self.n
@@ -109,8 +116,11 @@ class HermitianMetric:
                     f"leading principal minor {k} is not positive")
 
     def inverse_upper(self):
-        """h^{i jbar}, the inverse satisfying h^{i jbar} h_{k jbar} = delta."""
-        return _upper(_metric_stack(self))[0]
+        """h^{i jbar}, the inverse satisfying h^{i jbar} h_{k jbar} = delta,
+        computed on the first call and kept."""
+        if self._up is None:
+            self._up = _upper(self.array[None])[0]
+        return self._up
 
     def scaled(self, c) -> "HermitianMetric":
         return HermitianMetric([[v * c for v in row] for row in self.h])
@@ -148,17 +158,25 @@ class SurfaceMetricParams:
 
 @dataclass
 class CurvatureTensor:
-    """Chern curvature of one metric, as (n, n, n, n) arrays.
+    """The solved Chern connection and curvature of one (coframe, metric)
+    pair, as numpy arrays.
 
     ``r_upper[m, k, i, j]`` is R^m_{k i jbar}, with
     Theta^m_k = R^m_{k i jbar} phi^i ^ bar(phi)^j, and ``lowered[i, j, k, l]``
-    is Theta_{i jbar k lbar} = R^m_{k i jbar} h_{m lbar}.  Entries are QQi
-    (dtype object) for an exact metric and complex otherwise.
+    is Theta_{i jbar k lbar} = R^m_{k i jbar} h_{m lbar}; ``a`` and ``b``
+    are A and B (:func:`_structure`), ``gamma[m, k, l]`` = gamma^m_{k l}
+    and ``up[k, l]`` = h^{k lbar}, the inverse every contraction reads.
+    Entries are QQi (dtype object) for an exact metric and complex
+    otherwise.
     """
 
     r_upper: np.ndarray
     lowered: np.ndarray
     n: int
+    a: np.ndarray
+    b: np.ndarray
+    gamma: np.ndarray
+    up: np.ndarray
 
     def component(self, i, j, k, l):
         """1-based Theta_{i jbar k lbar}."""
@@ -171,6 +189,17 @@ class CurvatureTensor:
 # Arrays carry a leading batch index M.  Their dtype is the arithmetic:
 # complex for floats, object (QQi entries) for exact input.  Only the
 # gamma solve and the inverse metric depend on it.
+
+def _check_pair(alg: CoframeAlgebra, n: int):
+    """Refuse a coframe that is not integrable or fails the Jacobi check,
+    and a metric dimension n other than the coframe's."""
+    alg.check_integrable()
+    ok, res = alg.check_jacobi()
+    if not ok:
+        raise ValueError(f"structure equations fail the Jacobi check ({res})")
+    if n != alg.n:
+        raise ValueError("metric dimension does not match the coframe")
+
 
 def _structure(alg: CoframeAlgebra, exact):
     """(A, B), 0-based: d phi^i = A[i, j, k] phi^j ^ phi^k / 2
@@ -186,14 +215,11 @@ def _structure(alg: CoframeAlgebra, exact):
     return a, b
 
 
-def _metric_stack(h: HermitianMetric):
-    """h as a (1, n, n) stack in its own arithmetic."""
-    return np.array([h.h], dtype=object if h.exact else complex)
-
-
-def _gamma(b, hs):
-    """gamma[M, m, i, l], the (1,0)-part of the connection, solving
-    gamma^m_{i l} h_{m jbar} = - h_{i kbar} conj(B^k_{j l})."""
+def chern_connection(b, hs):
+    """gamma[M, m, k, l] = gamma^m_{k l}, the (1,0)-part of the Chern
+    connection theta^m_k = gamma^m_{k l} phi^l + B^m_{k l} bar(phi)^l of
+    each metric in ``hs``: B removes the (1,1)-part of the torsion, and
+    gamma solves gamma^m_{i l} h_{m jbar} = - h_{i kbar} conj(B^k_{j l})."""
     count, n = hs.shape[0], hs.shape[1]
     rhs = -np.einsum("Mik,kjl->Mjil", hs, np.conj(b)).reshape(count, n,
                                                                  n * n)
@@ -242,10 +268,6 @@ def _ricci_stack(kind, up, theta):
     return np.einsum(_RICCI[kind], up, theta)
 
 
-def _s_stack(up, theta):
-    return np.einsum("Mij,Mkl,Mijkl->M", up, up, theta)
-
-
 def _einstein_stack(kind, mode, n, hs, up, theta):
     """(lambda*, residual, relative residual, S) per metric, in floats.
 
@@ -254,7 +276,8 @@ def _einstein_stack(kind, mode, n, hs, up, theta):
     across metric scales.
     """
     ric = _ricci_stack(kind, up, theta).astype(complex, copy=False)
-    s = _s_stack(up, theta).astype(complex, copy=False)
+    s = np.einsum("Mij,Mkl,Mijkl->M", up, up, theta).astype(complex,
+                                                           copy=False)
     hs = hs.astype(complex, copy=False)
     if mode == "strong":
         lam = s.real / n
@@ -270,46 +293,26 @@ def _einstein_stack(kind, mode, n, hs, up, theta):
 
 
 # ---------------------------------------------------------------------------
-# one metric: connection, curvature and contractions
-
-def chern_connection(alg: CoframeAlgebra, h: HermitianMetric) -> np.ndarray:
-    """gamma[m, k, l] = gamma^m_{k l}, the (1,0)-part of the Chern
-    connection theta^m_k = gamma^m_{k l} phi^l + B^m_{k l} bar(phi)^l, in
-    the metric's arithmetic.
-
-    The (0,1)-part B removes the (1,1)-part of the torsion; gamma solves
-    metric compatibility gamma^k_{i l} h_{k jbar} = - h_{i kbar}
-    conj(B^k_{j l}).  Refuses a coframe that is not integrable or fails
-    the Jacobi check.
-    """
-    alg.check_integrable()
-    ok, res = alg.check_jacobi()
-    if not ok:
-        raise ValueError(f"structure equations fail the Jacobi check ({res})")
-    if h.n != alg.n:
-        raise ValueError("metric dimension does not match the coframe")
-    return _gamma(_structure(alg, h.exact)[1], _metric_stack(h))[0]
-
+# one metric: the solve, and the contractions that read it
 
 def chern_curvature(alg: CoframeAlgebra, h: HermitianMetric
                     ) -> CurvatureTensor:
-    """Chern curvature of one metric: the M = 1 case of
-    :func:`batch_curvature`, in the metric's own arithmetic."""
-    gamma = chern_connection(alg, h)
-    r, theta = _curvature(_structure(alg, h.exact)[1], gamma[None],
-                          _metric_stack(h))
-    return CurvatureTensor(r_upper=r[0], lowered=theta[0], n=alg.n)
-
-
-def _stacks(curv: CurvatureTensor, h: HermitianMetric):
-    """(up, Theta) of one metric as M = 1 stacks."""
-    return _upper(_metric_stack(h)), curv.lowered[None]
+    """The one solve of (alg, h), the M = 1 case of :func:`batch_curvature`
+    in the metric's own arithmetic; refuses a coframe that is not
+    integrable or fails the Jacobi check."""
+    _check_pair(alg, h.n)
+    a, b = _structure(alg, h.exact)
+    hs = h.array[None]
+    gamma = chern_connection(b, hs)
+    r, theta = _curvature(b, gamma, hs)
+    return CurvatureTensor(r_upper=r[0], lowered=theta[0], n=alg.n, a=a,
+                           b=b, gamma=gamma[0], up=h.inverse_upper())
 
 
 def _ric_matrix(kind: int, curv: CurvatureTensor, h: HermitianMetric):
     """Coefficient matrix M with Ric = sqrt(-1) M_{a bbar} phi^a ^ bar(phi)^b
     for kinds 1 and 2; for kind 3 the tensor Ric3_{k jbar} itself."""
-    return _ricci_stack(kind, *_stacks(curv, h))[0]
+    return _ricci_stack(kind, curv.up[None], curv.lowered[None])[0]
 
 
 def _matrix_to_form(m, n, zero) -> InvariantForm:
@@ -340,14 +343,17 @@ def ricci(kind: int, curv: CurvatureTensor, h: HermitianMetric):
 
 def scalar_chern(curv: CurvatureTensor, h: HermitianMetric):
     """S = h^{i jbar} h^{k lbar} Theta_{i jbar k lbar} (real)."""
-    up, theta = _stacks(curv, h)
-    return _realize(_s_stack(up, theta).item(), _trace_scale(up, theta))
+    return _double_trace("Mij,Mkl,Mijkl->M", curv)
 
 
 def scalar_third(curv: CurvatureTensor, h: HermitianMetric):
     """The alternative double trace h^{k jbar} h^{i lbar} Theta_{i jbar k lbar}."""
-    up, theta = _stacks(curv, h)
-    return _realize(np.einsum("Mkj,Mil,Mijkl->M", up, up, theta).item(),
+    return _double_trace("Mkj,Mil,Mijkl->M", curv)
+
+
+def _double_trace(spec, curv):
+    up, theta = curv.up[None], curv.lowered[None]
+    return _realize(np.einsum(spec, up, up, theta).item(),
                     _trace_scale(up, theta))
 
 
@@ -368,16 +374,15 @@ def _realize(x, scale):
 # ---------------------------------------------------------------------------
 # torsion, Lee form, Gauduchon
 
-def torsion(alg: CoframeAlgebra, h: HermitianMetric):
-    """(T, tau) of the Chern connection, in the metric's arithmetic.
+def torsion(curv: CurvatureTensor):
+    """(T, tau) of the solved Chern connection, in its arithmetic.
 
     T[i, a, b] = T^i_{a b}, antisymmetric in (a, b), gives the torsion
     d phi^i + theta^i_j ^ phi^j = T^i_{a b} phi^a ^ phi^b / 2, of type
     (2,0) since the B-part of theta cancels the (1,1)-part of d phi^i;
     tau[j] = T^k_{j k} is its trace.
     """
-    gamma = chern_connection(alg, h)
-    t = _structure(alg, h.exact)[0] + np.transpose(gamma, (0, 2, 1)) - gamma
+    t = curv.a + np.transpose(curv.gamma, (0, 2, 1)) - curv.gamma
     return t, np.einsum("kjk->j", t)
 
 
@@ -398,7 +403,7 @@ def lee_form(alg: CoframeAlgebra, h: HermitianMetric):
     if h.exact:
         raise ValueError("the Lee form is checked in floats; "
                          "exact input is refused")
-    tau = torsion(alg, h)[1].tolist()
+    tau = torsion(chern_curvature(alg, h))[1].tolist()
     theta = InvariantForm(n, {(j + bar * n,): conj(t) if bar else t
                               for bar in (0, 1) for j, t in enumerate(tau)})
     omega = h.omega()
@@ -413,7 +418,7 @@ def lee_form(alg: CoframeAlgebra, h: HermitianMetric):
     return theta, lck, residual
 
 
-def is_gauduchon(alg: CoframeAlgebra, h: HermitianMetric):
+def is_gauduchon(curv: CurvatureTensor, h: HermitianMetric):
     """del dbar omega^{n-1} = 0, with the magnitude of its one coefficient
     as residual (see the module docstring).
 
@@ -422,10 +427,8 @@ def is_gauduchon(alg: CoframeAlgebra, h: HermitianMetric):
     cancel.  Otherwise the test is relative to max(|omega^{n-1}|, 1), where
     |omega^{n-1}| = (n-1)! |det h| max|up|.
     """
-    n = alg.n
-    _, tau = torsion(alg, h)
-    b = _structure(alg, h.exact)[1]
-    up = _upper(_metric_stack(h))[0]
+    n, b, up = curv.n, curv.b, curv.up
+    _, tau = torsion(curv)
     alpha = (np.einsum("l,k->lk", tau, np.conj(tau))
              - np.conj(np.einsum("j,jkl->lk", tau, b)))
     volume = math.factorial(n - 1) * mat_det(h.h).real
@@ -440,20 +443,19 @@ def is_gauduchon(alg: CoframeAlgebra, h: HermitianMetric):
     return bool(is_zero(ddc, scale=scale)), float(abs(ddc))
 
 
-def gauduchon_degree(alg: CoframeAlgebra, h: HermitianMetric):
+def gauduchon_degree(curv: CurvatureTensor, h: HermitianMetric):
     """Gauduchon degree for invariant data: the Chern scalar curvature of
     the unit-volume rescaling of h (the integrand is constant).
 
     Requires h to be Gauduchon.
     """
-    ok, res = is_gauduchon(alg, h)
+    ok, res = is_gauduchon(curv, h)
     if not ok:
         raise ValueError(f"metric is not Gauduchon (residual {res})")
     det = complex(mat_det(h.h)).real
-    curv = chern_curvature(alg, h)
     s = float(scalar_chern(curv, h))
     # S(c*h) = S(h)/c with c = det^{-1/n} normalising det to 1
-    return s * det ** (1.0 / alg.n)
+    return s * det ** (1.0 / curv.n)
 
 
 # ---------------------------------------------------------------------------
@@ -470,8 +472,7 @@ def einstein_residual(kind: int, alg: CoframeAlgebra, h: HermitianMetric,
     """
     if curv is None:
         curv = chern_curvature(alg, h)
-    hs = _metric_stack(h)
-    up, theta = _upper(hs), curv.lowered[None]
+    hs, up, theta = h.array[None], curv.up[None], curv.lowered[None]
     lam, resid, _, s = _einstein_stack(kind, mode, alg.n, hs, up, theta)
     if mode == "strong":  # refuses a non-real S, as scalar_chern does
         _realize(s.item(), _trace_scale(up, theta))
@@ -509,7 +510,7 @@ def bogomolov_lubke(curv: CurvatureTensor, h: HermitianMetric):
     if n < 2:
         raise ValueError("Bogomolov-Lubke pairing needs n >= 2")
     r = curv.r_upper.astype(complex)
-    up = _upper(_metric_stack(h))[0].astype(complex)
+    up = curv.up.astype(complex)
     tr = np.einsum("mmab->ab", r)
     lam = np.einsum("ab,mlab->ml", up, r)
     pairs = (np.trace(lam) ** 2
@@ -533,9 +534,9 @@ def batch_curvature(alg: CoframeAlgebra, hs: np.ndarray):
     indexed [batch, i, j, k, l], by the formula :func:`chern_curvature`
     applies to one metric.
     """
-    alg.check_integrable()
+    _check_pair(alg, hs.shape[1])
     b = _structure(alg, exact=False)[1]
-    return _curvature(b, _gamma(b, hs), hs)[1]
+    return _curvature(b, chern_connection(b, hs), hs)[1]
 
 
 def batch_einstein_residual(kind: int, alg: CoframeAlgebra, hs: np.ndarray,
@@ -640,11 +641,8 @@ class RicciReport:
 
 def ricci_report(alg: CoframeAlgebra, h: HermitianMetric) -> RicciReport:
     curv = chern_curvature(alg, h)
-    einstein = {}
-    for kind in (1, 2, 3):
-        for mode in ("strong", "weak"):
-            einstein[(kind, mode)] = einstein_residual(
-                kind, alg, h, mode=mode, curv=curv)
+    einstein = {(kind, mode): einstein_residual(kind, alg, h, mode, curv)
+                for kind in (1, 2, 3) for mode in ("strong", "weak")}
     return RicciReport(ric1=ricci(1, curv, h), ric2=ricci(2, curv, h),
                        ric3=ricci(3, curv, h),
                        s_chern=scalar_chern(curv, h),

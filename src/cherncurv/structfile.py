@@ -14,6 +14,10 @@ rational parses to exact Gaussian rationals; one decimal literal anywhere
 puts the whole file in floats (:func:`~cherncurv.scalars.unify`).  The
 metric parameters r, s and ell must be real.
 
+Only the grammar is checked: integrability and the Jacobi identity are
+checked where a metric is solved
+(:func:`~cherncurv.invariant.chern_curvature`).
+
 ``print_structure(parse_structure(text))`` is the identity on canonical
 files, and parse(print(alg)) always reproduces the algebra.
 """
@@ -101,8 +105,6 @@ def format_complex(v) -> str:
 class StructureDoc:
     algebra: CoframeAlgebra
     metric_params: Optional[Dict[str, object]] = None
-    jacobi_passed: Optional[bool] = None
-    jacobi_residual: Optional[float] = None
 
 
 def _parse_metric_line(rest: str, lineno: int, col: int):
@@ -125,7 +127,7 @@ def _parse_metric_line(rest: str, lineno: int, col: int):
 
 
 def parse_structure(text: str) -> StructureDoc:
-    """Parse a structure file; Jacobi is checked and reported, not raised."""
+    """Parse a structure file, checking the grammar only."""
     n = None
     terms = []
     metric = None
@@ -168,9 +170,7 @@ def parse_structure(text: str) -> StructureDoc:
         table[key] = table[key] + v if key in table else v
     alg = CoframeAlgebra(n, *({k: v for k, v in tables[name].items() if v}
                               for name in "abc"))
-    doc = StructureDoc(alg, params if metric is not None else None)
-    doc.jacobi_passed, doc.jacobi_residual = alg.check_jacobi()
-    return doc
+    return StructureDoc(alg, params if metric is not None else None)
 
 
 def _parse_terms(body: str, i: int, n: int, terms, lineno: int, col0: int):

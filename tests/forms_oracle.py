@@ -27,9 +27,10 @@ from cherncurv.scalars import QQi, is_zero
 
 def forms_connection(alg, h):
     """theta[m][k] = gamma^m_{k l} phi^l + B^m_{k l} bar(phi)^l, with B read
-    from the structure table and gamma from ``chern_connection``."""
+    from the structure table and gamma from the solved tensor of
+    ``chern_curvature``."""
     n = alg.n
-    gamma = inv.chern_connection(alg, h).tolist()
+    gamma = inv.chern_curvature(alg, h).gamma.tolist()
     theta = [[InvariantForm(n, {(l,): gamma[m][k][l] for l in range(n)})
               for k in range(n)] for m in range(n)]
     for (i, j, k), v in alg.b.items():

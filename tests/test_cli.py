@@ -5,8 +5,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cherncurv import catalog
+from cherncurv import catalog, invariant as inv
 from cherncurv.cli import fmt_number, main, parse_params
+from cherncurv.forms import CoframeAlgebra
 from cherncurv.scalars import QQi
 
 
@@ -136,12 +137,15 @@ def test_structure_file_source(capsys, tmp_path):
     assert "-1" in out
 
 
-def test_jacobi_warning_on_bad_file(capsys, tmp_path):
+# lee, gauduchon and scan: test_refuses_non_jacobi_or_non_integrable_file
+@pytest.mark.parametrize("command", ["curvature", "einstein", "bl"])
+def test_jacobi_failing_file_one_error_line(capsys, tmp_path, command):
     path = tmp_path / "bad.struct"
     path.write_text("dim 2\nd phi1 = phi1^phi2\nd phi2 = phi1^bar1\n")
-    code, _, err = run(capsys, "curvature", str(path))
-    assert code == 2  # curvature refuses non-Jacobi structures
-    assert "warning" in err.lower()
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2 and out == ""
+    assert err == ("error: structure equations fail the Jacobi check "
+                   "(1.0)\n")
 
 
 def test_non_integrable_file_fatal(capsys, tmp_path):
@@ -341,7 +345,7 @@ def test_bl_ovando_r2r2_kahler_einstein(capsys):
     assert fields(out)["inequality_holds"] == "true"
 
 
-@pytest.mark.parametrize("command", ["lee", "gauduchon"])
+@pytest.mark.parametrize("command", ["lee", "gauduchon", "scan"])
 @pytest.mark.parametrize("text", [
     "dim 2\nd phi1 = phi1^phi2\nd phi2 = phi1^bar1\n",  # fails Jacobi
     "dim 2\nd phi1 = bar1^bar2\n",                       # not integrable
@@ -352,10 +356,55 @@ def test_refuses_non_jacobi_or_non_integrable_file(capsys, tmp_path,
     path.write_text(text)
     code, out, err = run(capsys, command, str(path))
     assert code == 2 and out == ""
-    # one error line, after the parser's Jacobi warning
-    lines = [line for line in err.splitlines()
-             if not line.startswith("warning: Jacobi identity fails")]
+    lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+# ---------------------------------------------------------------------------
+# one solve per (coframe, metric): the Jacobi check, the gamma solve and the
+# inversion of h each run once per command and per catalog point
+
+@pytest.fixture
+def solves(monkeypatch):
+    counts = {}
+    for key, owner, name in (("jacobi", CoframeAlgebra, "check_jacobi"),
+                             ("gamma", inv, "chern_connection"),
+                             ("inverse", inv, "_upper")):
+        def counted(*args, _key=key, _fn=getattr(owner, name)):
+            counts[_key] += 1
+            return _fn(*args)
+        counts[key] = 0
+        monkeypatch.setattr(owner, name, counted)
+    return counts
+
+
+@pytest.fixture(params=["entry", "file"])
+def source(request, tmp_path):
+    if request.param == "entry":
+        return "kodaira-primary"
+    path = tmp_path / "kodaira.struct"
+    path.write_text(catalog.to_structure_text("kodaira-primary"))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["curvature"], ["curvature", "--exact"], ["einstein"], ["lee"],
+    ["gauduchon"], ["bl"], ["scan", "--grid", "1:2:1"]],
+    ids=["curvature", "curvature-exact", "einstein", "lee", "gauduchon", "bl",
+         "scan"])
+def test_one_solve_per_command(capsys, solves, source, argv):
+    code, _, _ = run(capsys, argv[0], source, *argv[1:])
+    assert code in (0, 1)
+    assert solves == {"jacobi": 1, "gamma": 1, "inverse": 1}
+
+
+@pytest.mark.parametrize("flags", [[], ["--exact"]], ids=["float", "exact"])
+def test_one_solve_per_verify_point(capsys, solves, flags):
+    code, _, _ = run(capsys, "catalog", "verify", *flags)
+    assert code == 0
+    points = sum(len(catalog.get(name).points or [None])
+                 for name in catalog.list_entries())
+    assert solves == {"jacobi": points, "gamma": points, "inverse": points}
 
 
 def test_zero_scalar_curvature_is_real_up_to_rounding(capsys):

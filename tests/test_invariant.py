@@ -170,7 +170,7 @@ def test_batch_residual_relative_dimensionless():
 
 def test_torsion_flat_torus_vanishes():
     alg, h, _ = catalog.build("flat-torus", exact=True)
-    t, tau = inv.torsion(alg, h)
+    t, tau = inv.torsion(inv.chern_curvature(alg, h))
     assert not any(t.flat)
     assert not any(tau)
 
@@ -189,7 +189,7 @@ def test_torsion_is_20(name):
 def test_torsion_matches_forms_oracle_exact(name):
     for point in catalog.get(name).points:
         alg, h, _ = catalog.build(name, point, exact=True)
-        t, tau = inv.torsion(alg, h)
+        t, tau = inv.torsion(inv.chern_curvature(alg, h))
         taus, trace = forms_torsion(alg, h)
         n = alg.n
         for i, a, b in product(range(n), repeat=3):
@@ -219,13 +219,13 @@ def test_lee_gauduchon_bl_match_forms_oracle_float(name, n):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         assert residual <= 1e-12 * max(np.max(np.abs(want)), 1.0)
 
-        ok, residual = inv.is_gauduchon(alg, h)
+        curv = inv.chern_curvature(alg, h)
+        ok, residual = inv.is_gauduchon(curv, h)
         want_ok, want_residual, scale = ddbar_gauduchon(alg, h)
         assert ok == want_ok
         assert abs(residual - want_residual) <= 1e-12 * max(want_residual,
                                                             scale)
 
-        curv = inv.chern_curvature(alg, h)
         value = inv.bogomolov_lubke(curv, h)
         want = wedge_bogomolov_lubke(curv, h)
         bound = (np.max(np.abs(np.linalg.inv(h.h)))
@@ -257,9 +257,10 @@ def test_lee_form_snow():
 def test_gauduchon_degrees():
     for name, sign in (("flat-torus", 0), ("hopf", 1), ("inoue-sm", -1)):
         alg, h, _ = catalog.build(name, {"r": 1.0}, exact=False)
-        ok, residual = inv.is_gauduchon(alg, h)
+        curv = inv.chern_curvature(alg, h)
+        ok, residual = inv.is_gauduchon(curv, h)
         assert ok and residual < 1e-12
-        deg = inv.gauduchon_degree(alg, h)
+        deg = inv.gauduchon_degree(curv, h)
         if sign == 0:
             assert abs(deg) < 1e-12
         else:
@@ -275,7 +276,8 @@ def test_ill_conditioned_metric_rounding():
     exact_p = {"r": 1000, "s": Fraction(11, 5), "u": QQi(0, Fraction(1, 10))}
     for p, exact in ((float_p, False), (exact_p, True)):
         alg, h, _ = catalog.build("inoue-spm", p, exact=exact)
-        assert inv.is_gauduchon(alg, h) == (True, 0.0)
+        assert inv.is_gauduchon(inv.chern_curvature(alg, h), h) == (True,
+                                                                    0.0)
     alg, h, _ = catalog.build("inoue-spm", float_p, exact=False)
     assert inv.bogomolov_lubke(inv.chern_curvature(alg, h), h) == 0.0
     alg, h, _ = catalog.build("ovando-r2r2", float_p, exact=False)
