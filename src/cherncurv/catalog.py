@@ -14,8 +14,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional
 
+import numpy as np
+
 from .forms import CoframeAlgebra, InvariantForm
-from .scalars import QQi, I_EXACT, conj, is_exact, is_zero, times_i, unify
+from .scalars import (UNIT_ROUNDOFF, QQi, I_EXACT, conj, is_zero,
+                      negligible, times_i, unify)
 from . import invariant as inv
 
 
@@ -493,50 +496,56 @@ class VerifyReport:
 
 
 def _computed_value(quantity, alg, h, curv):
-    if quantity == "S_Ch":
-        return inv.scalar_chern(curv, h)
+    """(value, rounding bound) of one quantity; a form's bound is the
+    matrix of its coefficients' bounds."""
+    if quantity in ("S_Ch", "einstein2_lambda"):
+        s, bound = inv._double_trace(inv._S_CHERN, curv)
+        return (s, bound) if quantity == "S_Ch" else (s / alg.n,
+                                                      bound / alg.n)
     if quantity == "S3":
-        return inv.scalar_third(curv, h)
+        return inv._double_trace(inv._S_THIRD, curv)
     if quantity == "Ric1":
-        return inv.ricci(1, curv, h)
-    if quantity.startswith("Ric2_") and len(quantity) == 7:
-        a, b = int(quantity[5]) - 1, int(quantity[6]) - 1
-        return inv._ric_matrix(2, curv, h)[a][b]
-    if quantity.startswith("Ric3_") and len(quantity) == 7:
-        # published components carry indices (jbar, k); our matrix is (k, j)
-        j, k = int(quantity[5]) - 1, int(quantity[6]) - 1
-        return inv._ric_matrix(3, curv, h)[k][j]
-    if quantity == "einstein2_lambda":
-        return inv.scalar_chern(curv, h) / alg.n
+        return inv.ricci(1, curv, h), inv._ric_bound(1, curv)
+    if quantity[:5] in ("Ric2_", "Ric3_") and len(quantity) == 7:
+        # published Ric3 components carry indices (jbar, k); our matrix is
+        # (k, j)
+        kind, a, b = int(quantity[3]), int(quantity[5]) - 1, \
+            int(quantity[6]) - 1
+        idx = (a, b) if kind == 2 else (b, a)
+        return (inv._ric_matrix(kind, curv, h)[idx],
+                inv._ric_bound(kind, curv)[idx])
     if quantity == "einstein2_residual":
-        return inv.einstein_residual(2, alg, h, curv=curv)[1]
-    if quantity == "Theta_abs_1111":
-        return abs(curv.component(1, 1, 1, 1))
-    if quantity == "Theta_abs_1122":
-        return abs(curv.component(1, 1, 2, 2))
-    if quantity == "Theta_1122":
-        return curv.component(1, 1, 2, 2)
+        # max |Ric2 - (S/n) h| in the arithmetic of the solve, bounded
+        # entrywise through Ric2 and S
+        s, e_s = inv._double_trace(inv._S_CHERN, curv)
+        x = inv._ric_matrix(2, curv, h) - s / alg.n * h.array
+        bound = inv._ric_bound(2, curv) + e_s / alg.n * np.abs(
+            h.array).astype(float)
+        return float(np.max(np.abs(x))), float(np.max(bound))
+    if quantity.startswith("Theta_"):
+        idx = tuple(int(c) - 1 for c in quantity[-4:])
+        v, bound = curv.lowered[idx], curv.bound["lowered"][idx]
+        # a magnitude is a float in exact mode too, rounded once
+        return (abs(v), bound + UNIT_ROUNDOFF * abs(v)) \
+            if quantity.startswith("Theta_abs_") else (v, bound)
     if quantity == "Ric2_diag_matches_minus_omega":
-        ric2 = inv.ricci(2, curv, h)
-        return (ric2 + h.omega()).is_zero(
-            tol_scale=max(h.omega().max_abs(), 1.0))
+        return _agree(h.omega().scale(-1), inv.ricci(2, curv, h),
+                      inv._ric_bound(2, curv)), 0
     raise UnknownQuantity(quantity)
 
 
-def _agree(expected_v, computed_v, exact) -> bool:
+def _agree(expected_v, computed_v, bound) -> bool:
+    """Whether a computed value matches its closed form: the difference is
+    negligible against the computed value's rounding bound, so exact
+    values compare by equality."""
     if isinstance(computed_v, InvariantForm):
-        # exact coefficients compare by equality, floats by tolerance
-        return (computed_v - expected_v).is_zero(
-            tol_scale=max(expected_v.max_abs(), computed_v.max_abs(), 1.0))
+        n = computed_v.n
+        return all(negligible(computed_v.coeff(a, b + n)
+                              - expected_v.coeff(a, b + n), bound[a][b])
+                   for a in range(n) for b in range(n))
     if isinstance(computed_v, bool):
         return computed_v == expected_v
-    # a few rows (residuals, magnitudes) are floats in exact mode too
-    if is_exact(computed_v) and is_exact(expected_v):
-        return computed_v == expected_v
-    a, b = complex(expected_v), complex(computed_v)
-    scale = max(abs(a), abs(b), 1e-30)
-    tol = 1e-12 if exact else 1e-9
-    return abs(a - b) <= max(tol * scale, 1e-12)
+    return negligible(computed_v - expected_v, bound)
 
 
 def verify(name: str, params: Optional[dict] = None,
@@ -556,9 +565,9 @@ def verify(name: str, params: Optional[dict] = None,
         if q.only_when is not None and not q.only_when(p):
             continue
         exp_v = q.evaluate(p, exact)
-        comp_v = _computed_value(q.name, alg, h, curv)
+        comp_v, bound = _computed_value(q.name, alg, h, curv)
         if q.asserted:
-            passed = _agree(exp_v, comp_v, exact)
+            passed = _agree(exp_v, comp_v, bound)
         else:
             passed = None
         rows.append(VerifyRow(q.name, exp_v, comp_v, passed, q.asserted,

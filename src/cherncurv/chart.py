@@ -279,17 +279,18 @@ def _upper(h0):
     return np.linalg.inv(h0).T
 
 
-def _assemble_curvature(h0, dh, dhb, d2h):
-    up = _upper(h0)
+def _assemble_curvature(up, dh, dhb, d2h):
     return -d2h + np.einsum("pq,ikq,jpl->ijkl", up, dh, dhb)
 
 
 def _curvature(field: ChartMetricField, x):
-    """(Theta, h) at x from one jet of the metric field."""
+    """(Theta, h, h^{-1} as :func:`_upper`) at x from one jet of the metric
+    field, with h inverted once."""
     h0, dh, dhb, d2h = _holo_jets(field.fn, x)
     if np.min(np.linalg.eigvalsh(h0)) <= 0:
         raise ValueError("metric is not positive definite at the point")
-    return _assemble_curvature(h0, dh, dhb, d2h), h0
+    up = _upper(h0)
+    return _assemble_curvature(up, dh, dhb, d2h), h0, up
 
 
 def curvature_at(field: ChartMetricField, x):
@@ -299,8 +300,7 @@ def curvature_at(field: ChartMetricField, x):
 
 def ricci_matrices_at(field: ChartMetricField, x):
     """(Ric1, Ric2, S) from the curvature tensor at x."""
-    theta, h0 = _curvature(field, x)
-    up = _upper(h0)
+    theta, _, up = _curvature(field, x)
     ric1 = np.einsum("kl,ijkl->ij", up, theta)
     ric2 = np.einsum("ij,ijkl->kl", up, theta)
     s = float(np.real(np.einsum("ij,kl,ijkl->", up, up, theta)))
@@ -370,7 +370,7 @@ def fd_oracle(field: ChartMetricField, x, step: float = 1e-4):
     def assemble(hstep):
         f0, g, hes = jets(hstep)
         dh, dhb, d2h = (np.array(v) for v in _holo(g, hes))
-        return _assemble_curvature(f0, dh, dhb, d2h)
+        return _assemble_curvature(_upper(f0), dh, dhb, d2h)
 
     coarse = assemble(step)
     fine = assemble(step / 2)
@@ -396,20 +396,20 @@ def conformal_check(field: ChartMetricField, f: ScalarField, x):
     scaled = ChartMetricField(n, scaled_fn, field.box,
                               name=field.name + "*e^f",
                               excluded=field.excluded)
-    theta_f, h_f = _curvature(scaled, x)
-    theta, h0 = _curvature(field, x)
+    theta_f, _, up_f = _curvature(scaled, x)
+    theta, h0, up = _curvature(field, x)
     fval, _, _, d2f = _holo_jets(f.fn, x)
     ef = math.exp(float(np.real(fval)))
     rhs = ef * (theta - np.einsum("kl,ij->ijkl", h0, d2f))
     out = {"curvature": _rel(theta_f, rhs)}
 
-    ric1_f = np.einsum("kl,ijkl->ij", _upper(h_f), theta_f)
-    ric1 = np.einsum("kl,ijkl->ij", _upper(h0), theta)
+    ric1_f = np.einsum("kl,ijkl->ij", up_f, theta_f)
+    ric1 = np.einsum("kl,ijkl->ij", up, theta)
     out["ric1"] = _rel(ric1_f, ric1 - n * d2f)
 
-    ric2_f = np.einsum("ij,ijkl->kl", _upper(h_f), theta_f)
-    ric2 = np.einsum("ij,ijkl->kl", _upper(h0), theta)
-    lap = -2 * float(np.real(np.einsum("jk,jk->", _upper(h0), d2f)))
+    ric2_f = np.einsum("ij,ijkl->kl", up_f, theta_f)
+    ric2 = np.einsum("ij,ijkl->kl", up, theta)
+    lap = -2 * float(np.real(np.einsum("jk,jk->", up, d2f)))
     out["ric2"] = _rel(ric2_f, ric2 + 0.5 * lap * h0)
     return out
 
@@ -482,8 +482,8 @@ def first_ce_from_potential(potential: ScalarField, sign: int,
         if np.min(np.linalg.eigvalsh(h0)) <= 0:
             raise ValueError(
                 "potential is not strictly plurisubharmonic at a point")
-        theta, h_ce = _curvature(scaled, x)
-        ric1 = np.einsum("kl,ijkl->ij", _upper(h_ce), theta)
+        theta, _, up = _curvature(scaled, x)
+        ric1 = np.einsum("kl,ijkl->ij", up, theta)
         worst = max(worst, _rel(ric1, sign * h0))
         z = [complex(x[2 * i], x[2 * i + 1]) for i in range(n)]
         fval = float(np.real(complex(f_of(h0.tolist(), z))))

@@ -17,6 +17,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -152,10 +153,9 @@ def cmd_curvature(args) -> int:
     rep = Report()
     rep.add("entry", label)
     _add_params(rep, p)
-    scale = np.max(np.abs(curv.lowered))
     for idx in np.ndindex(curv.lowered.shape):
         v = curv.lowered[idx]
-        if not negligible(v, scale):
+        if not negligible(v, curv.bound["lowered"][idx]):
             rep.add("theta_" + "".join(str(i + 1) for i in idx), v)
     rep.add("ric1", inv.ricci(1, curv, h))
     rep.add("ric2", inv.ricci(2, curv, h))
@@ -217,6 +217,9 @@ def _parse_grid(spec: str):
     except ValueError:
         raise InputError(
             f"--grid wants start:stop:step, got {spec!r}") from None
+    if not (math.isfinite(start) and math.isfinite(stop) and step > 0):
+        raise InputError(f"--grid wants finite bounds and a positive "
+                         f"step, got {spec!r}")
     values = []
     v = start
     while v <= stop + 1e-12:

@@ -27,6 +27,16 @@ float batch of metrics alike.
 its :class:`CurvatureTensor` carries A, B, gamma and h^{-1} beside R and
 Theta, and that one solved tensor serves every contraction below.
 
+Every zero test of a float result (a printed Theta entry, a Ricci form
+entry, a trace, the Gauduchon coefficient, the Bogomolov-Lubke pairing, a
+catalog comparison) is :func:`~cherncurv.scalars.negligible` against the
+result's first-order rounding bound (Higham, *Accuracy and Stability of
+Numerical Algorithms*, 2nd ed., 3.3 and ch. 14).  :func:`chern_curvature`
+bounds each entry of h^{-1} (by |h^{-1}| |h| |h^{-1}|), gamma, R and
+Theta, and each contraction carries the bounds on by the same einsums on
+absolute values, err(AB) <= |A| err(B) + err(A) |B| + k u |A| |B|.
+Exact solves have zero bounds, and the batched scan computes none.
+
 The other invariant quantities are contractions of gamma, B, the
 antisymmetric (2,0)-table A (d phi^i = A^i_{a b} phi^a ^ phi^b / 2 + ...),
 R and up = h^{-1} (up^{a bbar}), with (n-1)-fold and (n-2)-fold powers of
@@ -56,6 +66,7 @@ Ric1 = 2 sqrt(-1) phi^1 ^ bar(phi)^1, Ric2 = (2/r^2) omega, S = 4/r^2.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -63,8 +74,8 @@ from typing import Optional
 import numpy as np
 
 from .forms import CoframeAlgebra, InvariantForm, ext_d
-from .scalars import (QQi, conj, is_zero, mat_det, mat_inv, mat_solve,
-                      negligible, times_i, unify)
+from .scalars import (UNIT_ROUNDOFF, QQi, conj, is_zero, mat_det, mat_inv,
+                      mat_solve, negligible, times_i, unify)
 
 
 class NotPositiveDefinite(ValueError):
@@ -126,7 +137,7 @@ class HermitianMetric:
         return HermitianMetric([[v * c for v in row] for row in self.h])
 
     def omega(self) -> InvariantForm:
-        return _matrix_to_form(self.h, self.n, negligible)
+        return _matrix_to_form(self.h, np.zeros((self.n, self.n)))
 
 
 @dataclass(frozen=True)
@@ -165,9 +176,9 @@ class CurvatureTensor:
     Theta^m_k = R^m_{k i jbar} phi^i ^ bar(phi)^j, and ``lowered[i, j, k, l]``
     is Theta_{i jbar k lbar} = R^m_{k i jbar} h_{m lbar}; ``a`` and ``b``
     are A and B (:func:`_structure`), ``gamma[m, k, l]`` = gamma^m_{k l}
-    and ``up[k, l]`` = h^{k lbar}, the inverse every contraction reads.
-    Entries are QQi (dtype object) for an exact metric and complex
-    otherwise.
+    and ``up[k, l]`` = h^{k lbar}, the inverse every contraction reads, of
+    the metric ``h``.  Entries are QQi (dtype object) for an exact metric
+    and complex otherwise.
     """
 
     r_upper: np.ndarray
@@ -177,6 +188,19 @@ class CurvatureTensor:
     b: np.ndarray
     gamma: np.ndarray
     up: np.ndarray
+    h: np.ndarray
+
+    @functools.cached_property
+    def bound(self):
+        """Maps "up", "gamma", "r_upper" and "lowered" to the rounding
+        bound of each entry of that array, zeros for an exact metric;
+        computed on first use."""
+        names = ("up", "gamma", "r_upper", "lowered")
+        if self.h.dtype == object:
+            return {name: np.zeros(getattr(self, name).shape)
+                    for name in names}
+        return dict(zip(names, _rounding(self.b, self.h, self.up, self.gamma,
+                                         self.r_upper)))
 
     def component(self, i, j, k, l):
         """1-based Theta_{i jbar k lbar}."""
@@ -257,6 +281,52 @@ def _curvature(b, gamma, hs):
     return r, np.einsum("Mmkij,Mml->Mijkl", r, hs)
 
 
+def _bound(spec, *pairs):
+    """First-order rounding bound of each entry of np.einsum(spec, values)
+    over (value, bound) pairs, bound None for an input value: the einsum
+    of |values| with one operand's bound in place of its magnitude, summed
+    over the operands, plus k u times the einsum of |values|, k being the
+    number of operands plus the number of terms each entry sums.  Exact
+    (object) values have none."""
+    ins, out = spec.split("->")
+    size = dict(zip(ins.replace(",", ""), (d for v, _ in pairs
+                                           for d in v.shape)))
+    if pairs[0][0].dtype == object:
+        return np.zeros([size[c] for c in out])
+    mags = [abs(v) for v, _ in pairs]
+    ku = UNIT_ROUNDOFF * (len(pairs) + math.prod(
+        d for c, d in size.items() if c not in out))
+    total = None
+    for i, (_, err) in enumerate(pairs):
+        if err is not None:
+            if total is None:  # the k u term rides in the first slot
+                err = err + ku * mags[i]
+            term = np.einsum(spec, *mags[:i], err, *mags[i + 1:])
+            total = term if total is None else total + term
+    return ku * np.einsum(spec, *mags) if total is None else total
+
+
+def _rounding(b, h, up, gamma, r):
+    """First-order rounding bounds of (up, gamma, R, Theta) of one float
+    solve: h^{-1} by |h^{-1}| |h| |h^{-1}|, gamma = -h^{-T} h conj(B)
+    through it, and R and Theta by their formulas on absolute values, each
+    product carrying err(A) |B| + k u |A| |B| (the few additions are left
+    to :data:`~cherncurv.scalars.ROUNDING`)."""
+    n, u = len(h), UNIT_ROUNDOFF
+    a_up, a_h, a_b = abs(up), abs(h), abs(b)
+    e_up = (3 + n * n) * u * np.einsum("ka,ba,bl->kl", a_up, a_h, a_up)
+    e_gamma = np.einsum("mj,ik,kjl->mil", e_up + (3 + n * n) * u * a_up,
+                        a_h, a_b)
+    # the terms of _curvature's R, gamma carrying its bound and the k u term
+    g = e_gamma + (2 + n) * u * abs(gamma)
+    e_r = (np.einsum("mkl,lab->mkab", g, a_b)
+           + (2 + n) * u * np.einsum("mkl,lba->mkab", a_b, a_b)
+           + np.einsum("mla,lkb->mkab", g, a_b)
+           + np.einsum("mlb,lka->mkab", a_b, g))
+    e_theta = np.einsum("mkij,ml->ijkl", e_r + (2 + n) * u * abs(r), a_h)
+    return e_up, e_gamma, e_r, e_theta
+
+
 _RICCI = {1: "Mkl,Mabkl->Mab", 2: "Mij,Mijab->Mab", 3: "Mil,Mibal->Mab"}
 
 
@@ -306,7 +376,8 @@ def chern_curvature(alg: CoframeAlgebra, h: HermitianMetric
     gamma = chern_connection(b, hs)
     r, theta = _curvature(b, gamma, hs)
     return CurvatureTensor(r_upper=r[0], lowered=theta[0], n=alg.n, a=a,
-                           b=b, gamma=gamma[0], up=h.inverse_upper())
+                           b=b, gamma=gamma[0], up=h.inverse_upper(),
+                           h=h.array)
 
 
 def _ric_matrix(kind: int, curv: CurvatureTensor, h: HermitianMetric):
@@ -315,14 +386,26 @@ def _ric_matrix(kind: int, curv: CurvatureTensor, h: HermitianMetric):
     return _ricci_stack(kind, curv.up[None], curv.lowered[None])[0]
 
 
-def _matrix_to_form(m, n, zero) -> InvariantForm:
+def _ric_bound(kind: int, curv: CurvatureTensor):
+    """The rounding bound of each entry of :func:`_ric_matrix`."""
+    return _bound(_RICCI[kind], _stacked(curv, "up"),
+                  _stacked(curv, "lowered"))[0]
+
+
+def _stacked(curv, name):
+    """(array, bound) of one attribute of ``curv``, with the batch index
+    of length 1 the stacked contractions take."""
+    return getattr(curv, name)[None], curv.bound[name][None]
+
+
+def _matrix_to_form(m, bound) -> InvariantForm:
     """The (1,1)-form sqrt(-1) m_{a bbar} phi^a ^ bar(phi)^b, without the
-    entries v for which ``zero(v, largest entry magnitude)`` holds."""
-    big = max(abs(v) for row in m for v in row)
+    entries that are negligible against their rounding bound."""
+    n = len(m)
     form = InvariantForm(n)
     form.coefficients = {(a, b + n): times_i(m[a][b])
                          for a in range(n) for b in range(n)
-                         if not zero(m[a][b], big)}
+                         if not negligible(m[a][b], bound[a][b])}
     return form
 
 
@@ -335,38 +418,36 @@ def ricci(kind: int, curv: CurvatureTensor, h: HermitianMetric):
     m = _ric_matrix(kind, curv, h)
     if kind == 3:
         return m
-    # Ricci forms do not change when h is rescaled, and a form that is 0
-    # comes out as rounding noise of any size relative to its largest
-    # entry, so the zero test keeps its absolute floor
-    return _matrix_to_form(m.tolist(), curv.n, is_zero)
+    return _matrix_to_form(m.tolist(), _ric_bound(kind, curv))
+
+
+_S_CHERN = "Mij,Mkl,Mijkl->M"
+_S_THIRD = "Mkj,Mil,Mijkl->M"
 
 
 def scalar_chern(curv: CurvatureTensor, h: HermitianMetric):
     """S = h^{i jbar} h^{k lbar} Theta_{i jbar k lbar} (real)."""
-    return _double_trace("Mij,Mkl,Mijkl->M", curv)
+    return _double_trace(_S_CHERN, curv)[0]
 
 
 def scalar_third(curv: CurvatureTensor, h: HermitianMetric):
     """The alternative double trace h^{k jbar} h^{i lbar} Theta_{i jbar k lbar}."""
-    return _double_trace("Mkj,Mil,Mijkl->M", curv)
+    return _double_trace(_S_THIRD, curv)[0]
 
 
 def _double_trace(spec, curv):
-    up, theta = curv.up[None], curv.lowered[None]
-    return _realize(np.einsum(spec, up, up, theta).item(),
-                    _trace_scale(up, theta))
+    """(real value, rounding bound) of a double trace of Theta; a float
+    value within its bound is 0."""
+    up, theta = _stacked(curv, "up"), _stacked(curv, "lowered")
+    bound = _bound(spec, up, up, theta).item()
+    x = _realize(np.einsum(spec, up[0], up[0], theta[0]).item(), bound)
+    return (0.0 if x and negligible(x, bound) else x), bound
 
 
-def _trace_scale(up, theta):
-    """max |h^-1|^2 max |Theta|, a bound on each term of a double trace."""
-    return float(np.max(np.abs(up))) ** 2 * float(np.max(np.abs(theta)))
-
-
-def _realize(x, scale):
-    """The real part of a trace whose terms are at most ``scale``; its
-    imaginary part must vanish exactly, or in floats up to rounding
-    relative to ``scale``."""
-    if not is_zero(x.imag, scale=max(abs(x), scale), tol=1e-9):
+def _realize(x, bound):
+    """The real part of a trace whose imaginary part must vanish: exactly,
+    or in floats up to its rounding bound."""
+    if not negligible(x.imag, bound):
         raise ValueError(f"expected a real scalar, got {x!r}")
     return x.real
 
@@ -422,25 +503,23 @@ def is_gauduchon(curv: CurvatureTensor, h: HermitianMetric):
     """del dbar omega^{n-1} = 0, with the magnitude of its one coefficient
     as residual (see the module docstring).
 
-    A coefficient within rounding of the terms it sums is 0: tau grows
-    with the condition of h, and so does the rounding of terms that
-    cancel.  Otherwise the test is relative to max(|omega^{n-1}|, 1), where
-    |omega^{n-1}| = (n-1)! |det h| max|up|.
+    A coefficient within its rounding bound is 0, residual included: tau
+    grows with the condition of h, and so does the rounding of terms that
+    cancel.  The positive factor (n-1)! det h does not decide it.
     """
-    n, b, up = curv.n, curv.b, curv.up
-    _, tau = torsion(curv)
+    n, b, e_gamma = curv.n, curv.b, curv.bound["gamma"]
+    t, tau = torsion(curv)
+    e_tau = _bound("kjk->j", (t, e_gamma + np.transpose(e_gamma, (0, 2, 1))))
     alpha = (np.einsum("l,k->lk", tau, np.conj(tau))
              - np.conj(np.einsum("j,jkl->lk", tau, b)))
-    volume = math.factorial(n - 1) * mat_det(h.h).real
-    ddc = volume * np.einsum("lk,lk->", up, alpha)
-    abs_up, abs_tau, abs_b = (np.abs(x).astype(float) for x in (up, tau, b))
-    terms = float(volume) * np.einsum(
-        "lk,lk->", abs_up, np.outer(abs_tau, abs_tau)
-        + np.einsum("j,jkl->lk", abs_tau, abs_b))
-    if negligible(ddc, terms):
+    e_alpha = (_bound("l,k->lk", (tau, e_tau), (tau, e_tau))
+               + _bound("j,jkl->lk", (tau, e_tau), (b, None)))
+    x = np.einsum("lk,lk->", curv.up, alpha)
+    if negligible(x, _bound("lk,lk->", (curv.up, curv.bound["up"]),
+                            (alpha, e_alpha))):
         return True, 0.0
-    scale = max(float(volume) * float(np.max(abs_up)), 1.0)
-    return bool(is_zero(ddc, scale=scale)), float(abs(ddc))
+    volume = math.factorial(n - 1) * mat_det(h.h).real
+    return False, float(abs(volume * x))
 
 
 def gauduchon_degree(curv: CurvatureTensor, h: HermitianMetric):
@@ -474,8 +553,8 @@ def einstein_residual(kind: int, alg: CoframeAlgebra, h: HermitianMetric,
         curv = chern_curvature(alg, h)
     hs, up, theta = h.array[None], curv.up[None], curv.lowered[None]
     lam, resid, _, s = _einstein_stack(kind, mode, alg.n, hs, up, theta)
-    if mode == "strong":  # refuses a non-real S, as scalar_chern does
-        _realize(s.item(), _trace_scale(up, theta))
+    if mode == "strong":  # refuses a non-real S
+        scalar_chern(curv, h)
     return float(lam[0]), float(resid[0])
 
 
@@ -518,10 +597,15 @@ def bogomolov_lubke(curv: CurvatureTensor, h: HermitianMetric):
              - n * (np.einsum("ml,lm->", lam, lam)
                     - np.einsum("ab,cd,mlad,lmcb->", up, up, r, r)))
     c = math.factorial(n - 2) / (4 * math.pi ** 2)
-    # each summand of the pairs is at most max|up|^2 max|R|^2
-    scale = c * (float(np.max(np.abs(up))) * float(np.max(np.abs(r)))) ** 2
-    value = _realize(complex(-c * pairs), scale)
-    return 0.0 if negligible(value, scale) else value
+    # the pairing is evaluated in floats, so an exact solve is rounded here
+    r, up = (r, curv.bound["r_upper"]), (up, curv.bound["up"])
+    tr, lam = (tr, _bound("mmab->ab", r)), (lam, _bound("ab,mlab->ml", up, r))
+    bound = c * (_bound("ll,mm->", lam, lam)
+                 + _bound("ab,cd,ad,cb->", up, up, tr, tr)
+                 + n * (_bound("ml,lm->", lam, lam)
+                        + _bound("ab,cd,mlad,lmcb->", up, up, r, r)))
+    value = _realize(complex(-c * pairs), bound)
+    return 0.0 if negligible(value, bound) else value
 
 
 # ---------------------------------------------------------------------------

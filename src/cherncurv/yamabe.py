@@ -89,6 +89,8 @@ class YamabeProblem:
             raise ValueError("S must be finite")
         if self.n < 1:
             raise ValueError("complex dimension must be positive")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
 
 
 @dataclass

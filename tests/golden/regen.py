@@ -10,8 +10,11 @@ Exact-arithmetic cases store their stdout byte for byte:
 
 Float cases store a first line ``exit <code>`` followed by the stdout:
 
-* ``lee``, ``gauduchon`` and ``bl <entry> --params ...`` at every registry
-  point of every catalog entry (``<command>-<entry>-<index>.txt``).
+* ``curvature``, ``einstein``, ``lee``, ``gauduchon`` and
+  ``bl <entry> --params ...`` at every registry point of every catalog
+  entry (``<command>-<entry>-<index>.txt``, named
+  ``curvature-float-<entry>-<index>.txt`` for ``curvature``, whose exact
+  outputs hold the plain name).
 
 Run from the repository root, against the package under test::
 
@@ -53,12 +56,13 @@ def cases():
     return out
 
 
-FLOAT_COMMANDS = ("lee", "gauduchon", "bl")
+FLOAT_COMMANDS = ("curvature", "einstein", "lee", "gauduchon", "bl")
 
 
 def float_cases():
     """(case name, argv) for every float golden output, in a fixed order."""
-    return [(f"{command}-{entry}-{idx}",
+    return [(f"{'curvature-float' if command == 'curvature' else command}"
+              f"-{entry}-{idx}",
              [command, entry, "--params", _params_arg(point)])
             for command in FLOAT_COMMANDS
             for entry in catalog.list_entries()

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cherncurv import catalog, invariant as inv
+from cherncurv import catalog, chart, invariant as inv
 from cherncurv.chart import (ChartMetricField, HyperDual, ScalarField,
                              chern_laplacian_at, conformal_check,
                              curvature_at, fd_oracle, first_ce_from_potential,
@@ -116,6 +116,22 @@ def test_one_jet_per_field_per_point(call, evals):
     field = ChartMetricField(base.n, counted(base.fn), base.box)
     call(field, sample_points(base, 1, seed=6)[0])
     assert field.fn.calls == evals
+
+
+@pytest.mark.parametrize("call, inversions", [
+    (ricci_matrices_at, 1),
+    (lambda field, x: conformal_check(field, FACTORS["mixed"], x), 2),
+    (lambda field, x: first_ce_from_potential(fs_potential(), 1, [x, x]),
+     2),
+], ids=["ricci_matrices_at", "conformal_check", "first_ce_from_potential"])
+def test_one_inversion_per_chart_solve(monkeypatch, call, inversions):
+    # each curvature solve inverts its h once, and the Ricci traces reuse
+    # that inverse: one per point, and one per metric field in
+    # conformal_check
+    monkeypatch.setattr(chart, "_upper", counted(chart._upper))
+    call(METRICS["random-poly"], sample_points(METRICS["random-poly"], 1,
+                                               seed=6)[0])
+    assert chart._upper.calls == inversions
 
 
 # ---------------------------------------------------------------------------

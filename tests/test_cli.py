@@ -9,6 +9,7 @@ from cherncurv import catalog, invariant as inv
 from cherncurv.cli import fmt_number, main, parse_params
 from cherncurv.forms import CoframeAlgebra
 from cherncurv.scalars import QQi
+from cherncurv.structfile import parse_complex
 
 
 def run(capsys, *argv):
@@ -94,6 +95,15 @@ def test_scan_reports(capsys):
     assert "true" in out
 
 
+@pytest.mark.parametrize("grid", ["1:2:0", "1:2:-0.5", "1:inf:1",
+                                  "-inf:2:1", "1:2:nan"])
+def test_scan_refuses_unbounded_grid(capsys, grid):
+    code, out, err = run(capsys, "scan", "hopf", f"--grid={grid}")
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_yamabe_zero(capsys):
     code, out, _ = run(capsys, "yamabe", "--generator", "zero", "--N", "16")
     assert code == 0
@@ -105,6 +115,16 @@ def test_yamabe_constant_default(capsys):
                        "--N", "16")
     assert code == 0
     assert err == ""
+
+
+@pytest.mark.parametrize("max_iter", ["0", "-3"])
+def test_yamabe_refuses_max_iter_below_one(capsys, tmp_path, max_iter):
+    path = tmp_path / "p.txt"
+    path.write_text(f"S = constant\nvalue = -1\nN = 8\nmax_iter = "
+                    f"{max_iter}\n")
+    code, out, err = run(capsys, "yamabe", "--problem", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: max_iter must be at least 1\n"
 
 
 def test_yamabe_positive_file(capsys, tmp_path):
@@ -326,7 +346,8 @@ def test_tiny_metric_scale(capsys):
     code, out, _ = run(capsys, "curvature", "hopf", "--params", "r=1e-8")
     assert code == 0
     assert fields(out)["s_chern"] == "4e+16"
-    # printed entries are judged against the largest one, not against 1
+    # printed entries are judged against their own rounding bounds, not
+    # against 1
     assert fields(out)["theta_1111"] == "5e-17"
     assert fields(out)["theta_1122"] == "5e-17"
     code, out, _ = run(capsys, "curvature", "hopf", "--exact",
@@ -413,6 +434,44 @@ def test_zero_scalar_curvature_is_real_up_to_rounding(capsys):
         "r=0.5,s=3.0,u=0.6061470133953551-0.33875424153513073i")
     assert code == 0 and err == ""
     assert "s_chern" in out
+
+
+# ---------------------------------------------------------------------------
+# zero tests against rounding bounds at an anisotropic metric, h11 / h22 ~
+# 2e5, where the exact run at the same rational point is the reference
+
+ANISOTROPIC = ("r=1e3,s=2.2,u=0.1i", "r=1000,s=11/5,u=1/10i")
+
+
+def test_verify_inoue_spm_anisotropic(capsys):
+    code, out, _ = run(capsys, "catalog", "verify", "inoue-spm",
+                       "--params", ANISOTROPIC[0])
+    assert code == 0
+    assert fields(out)["inoue-spm.0.Ric1"] == "pass"
+
+
+def test_curvature_hopf_anisotropic_keeps_small_entries(capsys):
+    # the Theta entries of 5e-9 to 2.4e-7 lie far above their rounding
+    # bounds, so every entry the exact run prints is printed
+    _, out, _ = run(capsys, "curvature", "hopf", "--params", ANISOTROPIC[0])
+    got = {k: complex(v.replace("i", "j")) for k, v in fields(out).items()
+           if k.startswith("theta_")}
+    _, out, _ = run(capsys, "curvature", "hopf", "--exact", "--params",
+                    ANISOTROPIC[1])
+    want = {k: complex(parse_complex(v)) for k, v in fields(out).items()
+            if k.startswith("theta_")}
+    assert len(want) == 16 and got.keys() == want.keys()
+    scale = max(abs(v) for v in want.values())
+    for key in want:
+        assert abs(got[key] - want[key]) <= 1e-9 * scale, key
+
+
+def test_curvature_kodaira_primary_anisotropic_zero_traces(capsys):
+    code, out, _ = run(capsys, "curvature", "kodaira-primary", "--params",
+                       ANISOTROPIC[0])
+    assert code == 0
+    assert fields(out)["s_chern"] == "0"
+    assert fields(out)["ric1"] == "0"
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from cherncurv import catalog
 from cherncurv import invariant as inv
 from cherncurv.forms import CoframeAlgebra, InvariantForm, ext_d
-from cherncurv.scalars import I_EXACT, QQi, conj
+from cherncurv.scalars import ROUNDING, I_EXACT, QQi, conj
 from cherncurv.invariant import (DegenerateMetric, HermitianMetric,
                                  NotPositiveDefinite, SurfaceMetricParams)
 from forms_oracle import (ddbar_gauduchon, forms_curvature, forms_torsion,
@@ -283,6 +283,26 @@ def test_ill_conditioned_metric_rounding():
     alg, h, _ = catalog.build("ovando-r2r2", float_p, exact=False)
     value = inv.bogomolov_lubke(inv.chern_curvature(alg, h), h)
     assert value == pytest.approx(-1.0467064469113673e-08, rel=1e-9)
+
+
+@pytest.mark.parametrize("name", ENTRIES)
+def test_rounding_bounds_hold(name):
+    # every float entry of h^-1, gamma, R and Theta is within ROUNDING times
+    # its rounding bound of the exact value, at the registry points and at
+    # the anisotropic point above
+    extra = {"r": 1000, "s": Fraction(11, 5), "u": QQi(0, Fraction(1, 10))}
+    if name == "snow-s5":
+        extra["ell"] = 2
+    for point in catalog.get(name).points + [extra]:
+        alg, h, _ = catalog.build(name, point, exact=False)
+        curv = inv.chern_curvature(alg, h)
+        alg, h, _ = catalog.build(name, point, exact=True)
+        exact = inv.chern_curvature(alg, h)
+        for key, bound in curv.bound.items():
+            err = np.abs(getattr(curv, key)
+                         - getattr(exact, key).astype(complex))
+            assert np.all(err <= ROUNDING * bound), (point, key)
+        assert not any(np.any(bound) for bound in exact.bound.values())
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cherncurv.scalars import (QQi, I_EXACT, conj, is_exact, is_zero,
-                               mat_det, mat_inv, mat_mul, mat_solve, unify)
+from cherncurv.scalars import (ROUNDING, QQi, I_EXACT, conj, is_exact,
+                               is_zero, mat_det, mat_inv, mat_mul, mat_solve,
+                               negligible, unify)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=9)
 qqis = st.builds(QQi, rationals, rationals)
@@ -74,6 +75,16 @@ def test_is_exact_and_zero():
     assert is_zero(1e-16)
     assert is_zero(1e-9, scale=1e6)
     assert not is_zero(1e-3, scale=1.0)
+
+
+def test_negligible_against_rounding_bound():
+    # exact values are zero only when they are; floats within ROUNDING
+    # times their bound, and an input value (bound 0) only when it is 0
+    assert negligible(QQi(), 1.0)
+    assert not negligible(QQi(0, Fraction(1, 10 ** 30)), 1.0)
+    assert negligible(0.0, 0.0) and not negligible(1e-300, 0.0)
+    assert negligible(ROUNDING * 1e-16, 1e-16)
+    assert not negligible(1.01 * ROUNDING * 1e-16j, 1e-16)
 
 
 @given(st.lists(st.lists(st.complex_numbers(max_magnitude=3,
