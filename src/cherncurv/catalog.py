@@ -107,33 +107,48 @@ def _snow_structure(p):
 
 
 # ---------------------------------------------------------------------------
-# sign certificates from the non-existence proofs; each returns a float
-# that must be strictly negative at every admissible point
+# sign certificates from the non-existence proofs: each takes r, s, u and
+# lambda as scalars or as equal-length arrays and returns, elementwise, a
+# float that must be strictly negative at every admissible point.  Powers
+# and moduli go through libm (inv.libm_pow, inv.libm_abs) and complex
+# products are spelled out in real arithmetic, so a point's value has the
+# same bits alone and inside a scan's arrays.
+
+_pow, _abs = inv.libm_pow, inv.libm_abs
+
 
 def _cert_inoue_sm(r, s, u, lam):
-    d = r * r * s * s - abs(u) ** 2
-    return 8 * lam * r ** 2 * d ** 2 - r ** 4 * (
-        4 * r ** 2 * s ** 2 + 5 * abs(u) ** 2)
+    uu = _pow(_abs(u), 2)
+    d = r * r * s * s - uu
+    return 8 * lam * _pow(r, 2) * _pow(d, 2) - _pow(r, 4) * (
+        4 * _pow(r, 2) * _pow(s, 2) + 5 * uu)
 
 
 def _cert_inoue_spm(r, s, u, lam):
-    d = r * r * s * s - abs(u) ** 2
-    return 2 * lam * r ** 2 * d ** 2 - r ** 4 * (
-        r ** 4 + r ** 2 * s ** 2 + abs(u) ** 2 + 2 * (u * u).real)
+    uu = _pow(_abs(u), 2)
+    d = r * r * s * s - uu
+    re_u2 = np.real(u) * np.real(u) - np.imag(u) * np.imag(u)
+    return 2 * lam * _pow(r, 2) * _pow(d, 2) - _pow(r, 4) * (
+        _pow(r, 4) + _pow(r, 2) * _pow(s, 2) + uu + 2 * re_u2)
 
 
 def _cert_kodaira_primary(r, s, u, lam):
-    d = r * r * s * s - abs(u) ** 2
-    if abs(u) > 1e-12:
-        return -abs(u * (2 * lam * d ** 2 - s ** 6))
-    return -(r ** 2 * s ** 6)
+    d = r * r * s * s - _pow(_abs(u), 2)
+    # |u x| for the real x = 2 lambda d^2 - s^6
+    x = 2 * lam * _pow(d, 2) - _pow(s, 6)
+    return np.where(_abs(u) > 1e-12,
+                    -np.hypot(np.real(u) * x, np.imag(u) * x),
+                    -(_pow(r, 2) * _pow(s, 6)))
 
 
 def _cert_kodaira_secondary(r, s, u, lam):
-    if abs(u) > 1e-12:
-        d = r * r * s * s - abs(u) ** 2
-        return -abs(-u * s ** 2 * (1j * d + (r ** 4 + s ** 4)))
-    return -(s ** 2 / (4 * r ** 2))
+    d = r * r * s * s - _pow(_abs(u), 2)
+    # |(-u s^2) (f + i d)| with f = r^4 + s^4, the product in real parts
+    a, b = -np.real(u) * _pow(s, 2), -np.imag(u) * _pow(s, 2)
+    f = _pow(r, 4) + _pow(s, 4)
+    return np.where(_abs(u) > 1e-12,
+                    -np.hypot(a * f - b * d, a * d + b * f),
+                    -(_pow(s, 2) / (4 * _pow(r, 2))))
 
 
 def _lemma_inoue_spm(p) -> bool:

@@ -140,6 +140,30 @@ class HermitianMetric:
         return _matrix_to_form(self.h, np.zeros((self.n, self.n)))
 
 
+# Elementwise x ** k and |z| by libm pow and hypot, the functions Python's
+# float ``**`` and ``abs(complex)`` call.  numpy's ``**``, ``abs`` and
+# complex ``*`` on arrays take SIMD paths that round differently, so a
+# formula written with these two and real + - * / gives the same bits for
+# a point whether it is evaluated alone, on Python scalars, or in an array.
+
+def libm_pow(x, k):
+    """x ** k elementwise, by libm pow."""
+    return np.float_power(x, k)
+
+
+def libm_abs(z):
+    """|z| elementwise, by libm hypot."""
+    return np.hypot(np.real(z), np.imag(z))
+
+
+def surface_admissible(r, s, u):
+    """Elementwise r^2 > 0, s^2 > 0 and r^2 s^2 - |u|^2 > 0: whether
+    (r, s, u), real parts of r and s taken, gives a positive-definite
+    surface metric.  Scalars give a numpy bool, arrays a boolean mask."""
+    r2, s2 = libm_pow(np.real(r), 2), libm_pow(np.real(s), 2)
+    return (r2 > 0) & (s2 > 0) & (r2 * s2 - libm_pow(libm_abs(u), 2) > 0)
+
+
 @dataclass(frozen=True)
 class SurfaceMetricParams:
     """(r, s, u) parameterisation of invariant surface metrics.
@@ -153,10 +177,8 @@ class SurfaceMetricParams:
     u: object = 0
 
     def admissible(self) -> bool:
-        r2 = complex(self.r).real ** 2
-        s2 = complex(self.s).real ** 2
-        uu = abs(complex(self.u)) ** 2
-        return r2 > 0 and s2 > 0 and r2 * s2 - uu > 0
+        return bool(surface_admissible(complex(self.r), complex(self.s),
+                                       complex(self.u)))
 
     def metric(self, exact: Optional[bool] = None) -> HermitianMetric:
         """The metric, exact when r, s and u are rational unless ``exact``
@@ -338,16 +360,18 @@ def _ricci_stack(kind, up, theta):
     return np.einsum(_RICCI[kind], up, theta)
 
 
-def _einstein_stack(kind, mode, n, hs, up, theta):
-    """(lambda*, residual, relative residual, S) per metric, in floats.
+def _einstein_stack(kind, mode, n, hs, up, theta, s=None):
+    """(lambda*, residual, relative residual, S) per metric, in floats;
+    S is computed here unless given.
 
     The relative residual divides by max(|Ric|, |lambda| |h|): a
     dimensionless distance from the Einstein condition that is comparable
     across metric scales.
     """
     ric = _ricci_stack(kind, up, theta).astype(complex, copy=False)
-    s = np.einsum("Mij,Mkl,Mijkl->M", up, up, theta).astype(complex,
-                                                           copy=False)
+    if s is None:
+        s = np.einsum(_S_CHERN, up, up, theta)
+    s = np.asarray(s).astype(complex, copy=False)
     hs = hs.astype(complex, copy=False)
     if mode == "strong":
         lam = s.real / n
@@ -551,10 +575,11 @@ def einstein_residual(kind: int, alg: CoframeAlgebra, h: HermitianMetric,
     """
     if curv is None:
         curv = chern_curvature(alg, h)
-    hs, up, theta = h.array[None], curv.up[None], curv.lowered[None]
-    lam, resid, _, s = _einstein_stack(kind, mode, alg.n, hs, up, theta)
-    if mode == "strong":  # refuses a non-real S
-        scalar_chern(curv, h)
+    # the strong lambda* divides S by n after the rounding rule of
+    # scalar_chern, which also refuses a non-real S
+    s = [scalar_chern(curv, h)] if mode == "strong" else None
+    lam, resid, _, _ = _einstein_stack(kind, mode, alg.n, h.array[None],
+                                       curv.up[None], curv.lowered[None], s)
     return float(lam[0]), float(resid[0])
 
 
@@ -653,59 +678,70 @@ class ScanReport:
 
 
 def default_surface_grid(r_values=None, s_values=None, radii=9, phases=8):
-    """(r, s, u) triples with r, s in 0.25..3 and u on a polar grid strictly
-    inside the admissibility cone |u| < 0.95 r s."""
+    """The (r, s, u) grid as an (M, 3) complex array of rows: r, s in
+    0.25..3 and, for each (r, s) pair in that order, u = 0 and then u on a
+    polar grid strictly inside the admissibility cone |u| < 0.95 r s,
+    radius 0.95 r s a / (radii + 1) for a = 1..radii, each at the phases
+    2 pi p / phases."""
     if r_values is None:
         r_values = [0.25 * k for k in range(1, 13)]
     if s_values is None:
         s_values = [0.25 * k for k in range(1, 13)]
-    pts = []
-    for r in r_values:
-        for s in s_values:
-            pts.append((r, s, 0j))
-            for a in range(1, radii + 1):
-                rho = 0.95 * r * s * a / (radii + 1)
-                for p in range(phases):
-                    ang = 2 * math.pi * p / phases
-                    pts.append((r, s, rho * complex(math.cos(ang),
-                                                    math.sin(ang))))
-    return pts
+    r, s = (v.ravel() for v in np.meshgrid(r_values, s_values,
+                                           indexing="ij"))
+    rho = (0.95 * r[:, None] * s[:, None] * np.arange(1, radii + 1)
+           / (radii + 1))
+    angles = [2 * math.pi * p / phases for p in range(phases)]
+    phase = np.array([complex(math.cos(a), math.sin(a)) for a in angles])
+    u = np.zeros((len(r), 1 + radii * phases), complex)
+    u[:, 1:] = (rho[:, :, None] * phase).reshape(len(r), -1)
+    per = u.shape[1]
+    return np.stack([np.repeat(r, per), np.repeat(s, per), u.ravel()],
+                    axis=1)
 
 
 def scan(alg: CoframeAlgebra, kind: int, grid=None, mode: str = "strong",
          certificate=None, entry_name=None) -> ScanReport:
-    """Einstein residual over a (r, s, u) grid, with optional per-point sign
-    certificate callable(r, s, u, lam) -> float that must stay negative.
+    """Einstein residual over an (r, s, u) grid: an (M, 3) array of rows,
+    or anything ``np.asarray`` makes one of, such as a list of triples;
+    :func:`default_surface_grid` when None.  Rows that are not
+    :func:`surface_admissible` are dropped.
+
+    ``certificate``, optional, is a sign certificate
+    callable(r, s, u, lam) -> values that must all be negative; it is
+    called once, on the arrays of the admissible rows and their lambda*.
 
     The minimised quantity is the relative residual (see
     :func:`batch_einstein_residual`), which puts points with very
     different metric scales on a common footing; the absolute residual at
     the minimiser is reported alongside."""
-    if grid is None:
-        grid = default_surface_grid()
-    grid = [(r, s, complex(u)) for (r, s, u) in grid
-            if SurfaceMetricParams(r, s, u).admissible()]
-    if not grid:
+    grid = np.asarray(default_surface_grid() if grid is None else grid,
+                      dtype=complex)
+    if grid.ndim != 2 or grid.shape[1] != 3:
+        raise ValueError(f"grid must be (r, s, u) rows, shape M x 3, "
+                         f"got shape {grid.shape}")
+    grid = grid[surface_admissible(grid[:, 0], grid[:, 1], grid[:, 2])]
+    if not len(grid):
         raise ValueError("no admissible grid points")
+    r, s, u = grid[:, 0].real, grid[:, 1].real, grid[:, 2]
     hs = np.empty((len(grid), 2, 2), dtype=complex)
-    for idx, (r, s, u) in enumerate(grid):
-        hs[idx, 0, 0] = r * r / 2
-        hs[idx, 1, 1] = s * s / 2
-        hs[idx, 0, 1] = -1j * u / 2
-        hs[idx, 1, 0] = 1j * u.conjugate() / 2
+    hs[:, 0, 0] = r * r / 2
+    hs[:, 1, 1] = s * s / 2
+    hs[:, 0, 1] = -1j * u / 2
+    hs[:, 1, 0] = 1j * u.conjugate() / 2
     lam, resid_abs, resid, _ = batch_einstein_residual(kind, alg, hs,
                                                        mode=mode)
     order = np.lexsort((np.arange(len(grid)), resid))
     best = int(order[0])
     cert_ok, cert_worst = None, None
     if certificate is not None:
-        vals = np.array([certificate(r, s, u, lam[i])
-                         for i, (r, s, u) in enumerate(grid)])
+        vals = certificate(r, s, u, lam)
         cert_ok = bool(np.all(vals < 0))
         cert_worst = float(np.max(vals))
     return ScanReport(entry=entry_name, kind=kind, count=len(grid),
                       min_residual=float(resid[best]),
-                      argmin=grid[best],
+                      argmin=(float(r[best]), float(s[best]),
+                              complex(u[best])),
                       certificate_ok=cert_ok, certificate_worst=cert_worst,
                       min_residual_abs=float(resid_abs[best]))
 

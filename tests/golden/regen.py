@@ -14,7 +14,11 @@ Float cases store a first line ``exit <code>`` followed by the stdout:
   ``bl <entry> --params ...`` at every registry point of every catalog
   entry (``<command>-<entry>-<index>.txt``, named
   ``curvature-float-<entry>-<index>.txt`` for ``curvature``, whose exact
-  outputs hold the plain name).
+  outputs hold the plain name);
+* ``scan <entry> --kind <k> --mode <mode> --grid <SCAN_GRID>`` for every
+  entry, kind 1 to 3 and both modes (``scan-<entry>-<k>-<mode>.txt``),
+  and the default-grid ``scan <entry> --kind 2`` of every non-existence
+  entry (``scan-default-<entry>.txt``).
 
 Run from the repository root, against the package under test::
 
@@ -57,16 +61,26 @@ def cases():
 
 
 FLOAT_COMMANDS = ("curvature", "einstein", "lee", "gauduchon", "bl")
+# three values per axis, exact in binary: 3 * 3 * 73 = 657 grid points
+SCAN_GRID = "0.375:1.625:0.625"
 
 
 def float_cases():
     """(case name, argv) for every float golden output, in a fixed order."""
-    return [(f"{'curvature-float' if command == 'curvature' else command}"
-              f"-{entry}-{idx}",
-             [command, entry, "--params", _params_arg(point)])
-            for command in FLOAT_COMMANDS
+    out = [(f"{'curvature-float' if command == 'curvature' else command}"
+            f"-{entry}-{idx}",
+            [command, entry, "--params", _params_arg(point)])
+           for command in FLOAT_COMMANDS
+           for entry in catalog.list_entries()
+           for idx, point in enumerate(catalog.get(entry).points)]
+    out += [(f"scan-{entry}-{kind}-{mode}",
+             ["scan", entry, "--kind", str(kind), "--mode", mode,
+              "--grid", SCAN_GRID])
             for entry in catalog.list_entries()
-            for idx, point in enumerate(catalog.get(entry).points)]
+            for kind in (1, 2, 3) for mode in ("strong", "weak")]
+    out += [(f"scan-default-{entry}", ["scan", entry, "--kind", "2"])
+            for entry in catalog.NONEXISTENCE_ENTRIES]
+    return out
 
 
 def run(argv):

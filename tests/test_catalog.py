@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cherncurv import catalog, invariant as inv, structfile
@@ -98,6 +99,57 @@ def test_certificates_negative_at_points(name):
         assert residual > 1e-6
         val = entry.certificate(p["r"], p["s"], p["u"], lam)
         assert val < 0
+
+
+# The certificates point by point in Python float arithmetic, as the
+# non-existence proofs state them.
+def _python_inoue_sm(r, s, u, lam):
+    d = r * r * s * s - abs(u) ** 2
+    return 8 * lam * r ** 2 * d ** 2 - r ** 4 * (
+        4 * r ** 2 * s ** 2 + 5 * abs(u) ** 2)
+
+
+def _python_inoue_spm(r, s, u, lam):
+    d = r * r * s * s - abs(u) ** 2
+    return 2 * lam * r ** 2 * d ** 2 - r ** 4 * (
+        r ** 4 + r ** 2 * s ** 2 + abs(u) ** 2 + 2 * (u * u).real)
+
+
+def _python_kodaira_primary(r, s, u, lam):
+    d = r * r * s * s - abs(u) ** 2
+    if abs(u) > 1e-12:
+        return -abs(u * (2 * lam * d ** 2 - s ** 6))
+    return -(r ** 2 * s ** 6)
+
+
+def _python_kodaira_secondary(r, s, u, lam):
+    if abs(u) > 1e-12:
+        d = r * r * s * s - abs(u) ** 2
+        return -abs(-u * s ** 2 * (1j * d + (r ** 4 + s ** 4)))
+    return -(s ** 2 / (4 * r ** 2))
+
+
+PYTHON_CERTIFICATES = {"inoue-sm": _python_inoue_sm,
+                       "inoue-spm": _python_inoue_spm,
+                       "kodaira-primary": _python_kodaira_primary,
+                       "kodaira-secondary": _python_kodaira_secondary}
+
+
+@pytest.mark.parametrize("name", catalog.NONEXISTENCE_ENTRIES)
+def test_certificate_arrays_match_points_bit_for_bit(name):
+    grid = inv.default_surface_grid([0.25, 0.7, 1.5, 3.0, 11.0],
+                                    [0.3, 1.0, 2.75, 1e-2], radii=4,
+                                    phases=7)
+    grid = np.concatenate([grid, [[1.0, 2.0, 1e-13], [1.0, 2.0, 2e-12j]]])
+    r, s, u = grid[:, 0].real, grid[:, 1].real, grid[:, 2]
+    assert np.count_nonzero(u == 0) == 20
+    lam = np.random.default_rng(5).normal(scale=3.0, size=len(u))
+    cert = catalog.get(name).certificate
+    rows = list(zip(r.tolist(), s.tolist(), u.tolist(), list(lam)))
+    got = np.asarray(cert(r, s, u, lam), dtype=float)
+    points = np.array([float(cert(*row)) for row in rows])
+    python = np.array([PYTHON_CERTIFICATES[name](*row) for row in rows])
+    assert got.tobytes() == points.tobytes() == python.tobytes()
 
 
 def test_inoue_spm_lemma():

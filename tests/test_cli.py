@@ -474,6 +474,18 @@ def test_curvature_kodaira_primary_anisotropic_zero_traces(capsys):
     assert fields(out)["ric1"] == "0"
 
 
+@pytest.mark.parametrize("kind, einstein", [("1", 0), ("2", 1)])
+def test_einstein_kodaira_primary_anisotropic_zero_lambda(capsys, kind,
+                                                          einstein):
+    # S is 0 within its rounding bound (curvature prints s_chern 0), so the
+    # strong lambda* = S / n is 0 too, as the exact run gives
+    for params in ANISOTROPIC:
+        code, out, _ = run(capsys, "einstein", "kodaira-primary", "--params",
+                           params, "--kind", kind)
+        assert code == einstein
+        assert fields(out)["lambda"] == "0"
+
+
 # ---------------------------------------------------------------------------
 # fuzz: structure files of rational and decimal literals never escape the
 # exit-code contract

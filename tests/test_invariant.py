@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -339,6 +340,18 @@ def test_admissibility():
     assert not SurfaceMetricParams(0, 1, 0).admissible()
 
 
+def test_admissibility_mask_matches_params():
+    rows = [(1, 1, 0.5), (1, 1, 1.0), (0, 1, 0), (1, -2, 0), (2, 3, 6j),
+            (2, 3, 6 - 1e-12), (0.3, 0.7, 0.2099 * np.exp(0.4j)),
+            (1e-3, 1e4, 10 * (1 - 2 ** -52) * 1j), (1, 1, 0)]
+    grid = np.array(rows, dtype=complex)
+    mask = inv.surface_admissible(grid[:, 0], grid[:, 1], grid[:, 2])
+    assert mask.tolist() == [SurfaceMetricParams(*row).admissible()
+                             for row in rows]
+    assert mask.tolist() == [True, False, False, True, False, True, True,
+                             True, True]
+
+
 def test_bad_kind_and_mode():
     alg, h, _ = catalog.build("hopf", exact=True)
     curv = inv.chern_curvature(alg, h)
@@ -392,6 +405,73 @@ def test_scan_rejects_empty_grid():
     alg, _, _ = catalog.build("hopf", {"r": 1.0}, exact=False)
     with pytest.raises(ValueError):
         inv.scan(alg, 2, grid=[(1.0, 1.0, 5.0)])  # inadmissible point
+
+
+@pytest.mark.parametrize("grid", [[(1.0, 1.0)], [1.0, 1.0, 0.5], [],
+                                  np.ones((4, 3, 1)), np.ones((2, 4))])
+def test_scan_rejects_grid_not_m_by_3(grid):
+    alg, _, _ = catalog.build("hopf", {"r": 1.0}, exact=False)
+    with pytest.raises(ValueError, match="M x 3"):
+        inv.scan(alg, 2, grid=grid)
+
+
+def _nested_loop_grid(r_values=None, s_values=None, radii=9, phases=8):
+    """The surface grid built point by point, as (r, s, u) tuples."""
+    if r_values is None:
+        r_values = [0.25 * k for k in range(1, 13)]
+    if s_values is None:
+        s_values = [0.25 * k for k in range(1, 13)]
+    pts = []
+    for r in r_values:
+        for s in s_values:
+            pts.append((r, s, 0j))
+            for a in range(1, radii + 1):
+                rho = 0.95 * r * s * a / (radii + 1)
+                for p in range(phases):
+                    ang = 2 * math.pi * p / phases
+                    pts.append((r, s, rho * complex(math.cos(ang),
+                                                    math.sin(ang))))
+    return pts
+
+
+@pytest.mark.parametrize("kwargs", [
+    {}, {"radii": 2, "phases": 4},
+    {"r_values": [0.375, 1.0, 1.625], "s_values": [0.1, 7.3]},
+    {"r_values": [1.5], "s_values": [0.5, 2.0], "radii": 0, "phases": 3}])
+def test_default_surface_grid_matches_nested_loops(kwargs):
+    grid = inv.default_surface_grid(**kwargs)
+    want = np.array(_nested_loop_grid(**kwargs), dtype=complex)
+    assert grid.dtype == complex and grid.shape == want.shape
+    assert grid.tobytes() == want.tobytes()  # bit for bit, signed zeros too
+
+
+def test_scan_list_and_array_grids_agree():
+    alg, _, _ = catalog.build("inoue-sm", exact=False)
+    cert = catalog.get("inoue-sm").certificate
+    triples = _nested_loop_grid([0.5, 1.25], [0.75, 2.0], radii=3, phases=5)
+    triples.append((1.0, 1.0, 2.0))  # inadmissible, dropped by both
+    for mode in ("strong", "weak"):
+        from_list = inv.scan(alg, 2, grid=triples, mode=mode,
+                             certificate=cert)
+        from_array = inv.scan(alg, 2, grid=np.array(triples), mode=mode,
+                              certificate=cert)
+        assert from_list == from_array
+        assert from_list.count == len(triples) - 1
+        r, s, u = from_list.argmin
+        assert (type(r), type(s), type(u)) == (float, float, complex)
+
+
+def test_scan_calls_certificate_once():
+    alg, _, _ = catalog.build("kodaira-primary", exact=False)
+    calls = []
+
+    def counted(r, s, u, lam):
+        calls.append(len(lam))
+        return catalog.get("kodaira-primary").certificate(r, s, u, lam)
+
+    report = inv.scan(alg, 2, grid=inv.default_surface_grid(
+        [0.5, 1.0], [0.5, 1.0], radii=2, phases=4), certificate=counted)
+    assert calls == [report.count] and report.certificate_ok
 
 
 def test_ricci_report_consistent():
