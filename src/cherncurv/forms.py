@@ -140,10 +140,10 @@ class CoframeAlgebra:
                 dd = ext_d(self, self.d_basis(idx, barred))
                 for v in dd.coefficients.values():
                     residual = max(residual, abs(v))
+        if self.exact:
+            return residual == 0, residual
         scale = self._coefficient_scale()
-        passed = residual <= max(1e-12 * max(scale, 1.0), 1e-14) \
-            if not self.exact else residual == 0
-        return passed, residual
+        return residual <= max(1e-12 * max(scale, 1.0), 1e-14), residual
 
     def _coefficient_scale(self):
         vals = [abs(v) for t in (self.a, self.b, self.c) for v in t.values()]
@@ -176,7 +176,9 @@ class InvariantForm:
 
     # -- helpers --------------------------------------------------------
     def _prune(self):
-        scale = self.max_abs()
+        # the float scale only where some coefficient is a float
+        vals = self.coefficients.values()
+        scale = None if all(map(is_exact, vals)) else self.max_abs()
         dead = [k for k, v in self.coefficients.items()
                 if is_zero(v, scale=scale)]
         for k in dead:

@@ -110,19 +110,20 @@ class HermitianMetric:
 
     def _validate(self):
         n = self.n
-        scale = max(abs(self.h[i][j]) for i in range(n) for j in range(n))
+        # exact tests need no scale; floats are judged against the largest
+        # entry
+        scale = None if self.exact else max(abs(v) for row in self.h
+                                            for v in row)
         for i in range(n):
             for j in range(n):
                 if not is_zero(self.h[i][j] - conj(self.h[j][i]), scale=scale):
                     raise ValueError("metric matrix is not Hermitian")
-        det = mat_det(self.h)
-        if not self.exact and abs(det) < 1e-10 * scale ** n:
+        if not self.exact and abs(mat_det(self.h)) < 1e-10 * scale ** n:
             raise DegenerateMetric("metric is numerically degenerate")
         # positive definiteness via leading principal minors
         for k in range(1, n + 1):
             minor = mat_det([row[:k] for row in self.h[:k]])
-            val = complex(minor)
-            if val.real <= 0:
+            if minor.real <= 0:
                 raise NotPositiveDefinite(
                     f"leading principal minor {k} is not positive")
 
@@ -705,7 +706,8 @@ def scan(alg: CoframeAlgebra, kind: int, grid=None, mode: str = "strong",
     """Einstein residual over an (r, s, u) grid: an (M, 3) array of rows,
     or anything ``np.asarray`` makes one of, such as a list of triples;
     :func:`default_surface_grid` when None.  Rows that are not
-    :func:`surface_admissible` are dropped.
+    :func:`surface_admissible` are dropped, and so are rows whose metric
+    is numerically degenerate, as :class:`HermitianMetric` refuses it.
 
     ``certificate``, optional, is a sign certificate
     callable(r, s, u, lam) -> values that must all be negative; it is
@@ -721,14 +723,21 @@ def scan(alg: CoframeAlgebra, kind: int, grid=None, mode: str = "strong",
         raise ValueError(f"grid must be (r, s, u) rows, shape M x 3, "
                          f"got shape {grid.shape}")
     grid = grid[surface_admissible(grid[:, 0], grid[:, 1], grid[:, 2])]
-    if not len(grid):
-        raise ValueError("no admissible grid points")
     r, s, u = grid[:, 0].real, grid[:, 1].real, grid[:, 2]
     hs = np.empty((len(grid), 2, 2), dtype=complex)
     hs[:, 0, 0] = r * r / 2
     hs[:, 1, 1] = s * s / 2
     hs[:, 0, 1] = -1j * u / 2
     hs[:, 1, 0] = 1j * u.conjugate() / 2
+    # HermitianMetric's DegenerateMetric rule, det h < 1e-10 scale^2: a row
+    # on the cone |u| = r s can pass the mask with a singular h in floats
+    det = hs[:, 0, 0] * hs[:, 1, 1] - hs[:, 0, 1] * hs[:, 1, 0]
+    keep = np.abs(det) >= 1e-10 * np.max(np.abs(hs), axis=(1, 2)) ** 2
+    if not keep.all():
+        grid, hs = grid[keep], hs[keep]
+        r, s, u = r[keep], s[keep], u[keep]
+    if not len(grid):
+        raise ValueError("no admissible grid points")
     lam, resid_abs, resid, _ = batch_einstein_residual(kind, alg, hs,
                                                        mode=mode)
     order = np.lexsort((np.arange(len(grid)), resid))

@@ -4,7 +4,10 @@ Two interchangeable coefficient fields are supported:
 
 * plain python ``complex`` (fast, default), and
 * :class:`QQi`, exact Gaussian rationals, used when structure constants and
-  metric parameters are rational so that verification can be exact.
+  metric parameters are rational so that verification can be exact.  A QQi
+  is a Gaussian integer over one positive denominator, kept in lowest
+  terms, so its arithmetic is int arithmetic and one gcd; Fractions appear
+  only where a caller reads its real and imaginary parts.
 
 The two are never mixed inside a single computation.  :func:`unify` is the
 one place where the arithmetic of an input is decided: every entry point
@@ -22,6 +25,7 @@ and input validation.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from numbers import Rational
 
@@ -44,35 +48,52 @@ REAL_KEYS = ("r", "s", "ell")
 
 
 class QQi:
-    """Gaussian rational a + b*sqrt(-1) with exact Fraction parts."""
+    """Gaussian rational (a + b*sqrt(-1)) / d on Python ints.
 
-    __slots__ = ("re", "im")
+    The stored form is canonical: d > 0 and gcd(a, b, d) = 1, so equality
+    and hashing compare the triple (a, b, d), and arithmetic is integer
+    arithmetic followed by one gcd.  ``QQi(re, im)`` takes any two
+    rationals (or a QQi and a rational to add to its imaginary part);
+    ``re``, ``im``, ``real`` and ``imag`` read the parts as Fractions.
+    """
+
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
         if isinstance(re, QQi):
             re, im = re.re, re.im + Fraction(im)
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        (p, q), (r, s) = _ratio(re), _ratio(im)
+        # two parts in lowest terms over the lcm of their denominators
+        # are canonical already
+        d = math.lcm(q, s)
+        self.a, self.b, self.d = p * (d // q), r * (d // s), d
 
     # -- arithmetic -----------------------------------------------------
     def _coerce(self, other):
         if isinstance(other, QQi):
             return other
+        if type(other) is int:
+            return _qqi(other, 0, 1)
+        if type(other) is Fraction:
+            return _qqi(other.numerator, 0, other.denominator)
         if isinstance(other, Rational):
             return QQi(other)
         return NotImplemented
 
     # Zero operands short-circuit: sparse structure constants make most
-    # terms of a dense contraction zero, and Fraction arithmetic is costly.
+    # terms of a dense contraction zero.
     def __add__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is QQi else self._coerce(other)
         if o is NotImplemented:
             return o
-        if not (o.re or o.im):
+        if not (o.a or o.b):
             return self
-        if not (self.re or self.im):
+        if not (self.a or self.b):
             return o
-        return QQi(self.re + o.re, self.im + o.im)
+        if self.d == o.d:
+            return _reduced(self.a + o.a, self.b + o.b, self.d)
+        return _reduced(self.a * o.d + o.a * self.d,
+                        self.b * o.d + o.b * self.d, self.d * o.d)
 
     __radd__ = __add__
 
@@ -80,24 +101,24 @@ class QQi:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return QQi(self.re - o.re, self.im - o.im)
+        return self + -o
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return QQi(o.re - self.re, o.im - self.im)
+        return o + -self
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is QQi else self._coerce(other)
         if o is NotImplemented:
             return o
-        if not (self.re or self.im):
+        if not (self.a or self.b):
             return self
-        if not (o.re or o.im):
+        if not (o.a or o.b):
             return o
-        return QQi(self.re * o.re - self.im * o.im,
-                   self.re * o.im + self.im * o.re)
+        return _reduced(self.a * o.a - self.b * o.b,
+                        self.a * o.b + self.b * o.a, self.d * o.d)
 
     __rmul__ = __mul__
 
@@ -105,11 +126,12 @@ class QQi:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        d = o.re * o.re + o.im * o.im
-        if d == 0:
+        # x / y = x conj(y) / |y|^2, with |y|^2 = (a^2 + b^2) / d^2
+        norm = o.a * o.a + o.b * o.b
+        if norm == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return QQi((self.re * o.re + self.im * o.im) / d,
-                   (self.im * o.re - self.re * o.im) / d)
+        return _reduced((self.a * o.a + self.b * o.b) * o.d,
+                        (self.b * o.a - self.a * o.b) * o.d, self.d * norm)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -118,37 +140,63 @@ class QQi:
         return o / self
 
     def __neg__(self):
-        return QQi(-self.re, -self.im)
+        return _qqi(-self.a, -self.b, self.d)
 
-    # the parts under python's complex-number names, so that code written
-    # against ``.real``/``.imag`` serves both backends
-    real = property(lambda self: self.re)
-    imag = property(lambda self: self.im)
+    # the parts as Fractions, also under python's complex-number names, so
+    # that code written against ``.real``/``.imag`` serves both backends
+    re = real = property(lambda self: Fraction(self.a, self.d))
+    im = imag = property(lambda self: Fraction(self.b, self.d))
 
     def conjugate(self):
-        return QQi(self.re, -self.im)
+        return _qqi(self.a, -self.b, self.d)
 
     # -- predicates and conversions -------------------------------------
     def __eq__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return (self.a, self.b, self.d) == (o.a, o.b, o.d)
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self.a, self.b, self.d))
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return bool(self.a or self.b)
 
     def __complex__(self):
-        return complex(self.re) + 1j * complex(self.im)
+        # int / int rounds correctly, as float(Fraction) does, and raises
+        # OverflowError past the float range
+        return complex(self.a / self.d, self.b / self.d)
 
     def __abs__(self):
         return abs(complex(self))
 
     def __repr__(self):
         return f"QQi({self.re}, {self.im})"
+
+
+def _ratio(x):
+    """(numerator, denominator) of a rational in lowest terms."""
+    if type(x) is not int and type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator, x.denominator
+
+
+def _qqi(a, b, d):
+    """The QQi (a + b i) / d of a canonical triple, unchecked."""
+    x = object.__new__(QQi)
+    x.a, x.b, x.d = a, b, d
+    return x
+
+
+def _reduced(a, b, d):
+    """The QQi (a + b i) / d for ints a, b and d > 0, made canonical."""
+    g = math.gcd(a, b, d)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    x = object.__new__(QQi)
+    x.a, x.b, x.d = a, b, d
+    return x
 
 
 I_EXACT = QQi(0, 1)
@@ -238,10 +286,15 @@ def mat_solve(a, rhs):
     """
     n = len(a)
     m = len(rhs[0])
+    exact = all(is_exact(v) for row in a for v in row)
     aug = [[a[i][j] for j in range(n)] + [rhs[i][j] for j in range(m)]
            for i in range(n)]
     for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(aug[r][col]))
+        rows = range(col, n)
+        # any nonzero pivot gives the exact solution; floats take the
+        # largest (partial pivoting)
+        piv = (next((r for r in rows if aug[r][col]), col) if exact
+               else max(rows, key=lambda r: abs(aug[r][col])))
         if is_zero(aug[piv][col]):
             raise ZeroDivisionError("singular matrix in generic solve")
         if piv != col:

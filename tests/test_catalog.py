@@ -171,6 +171,16 @@ def test_scan_entry_quick(name):
     assert report.certificate_worst < 0
 
 
+def test_scan_drops_degenerate_boundary_row():
+    # |u| = r s up to rounding: r^2 s^2 - |u|^2 rounds positive, so the row
+    # passes the admissibility mask, but its h is singular in floats
+    edge = (4.2078405135370796, 4.72617142078429,
+            -19.649257210196208 + 3.065695474006352j)
+    report = catalog.scan_entry("hopf", 2, grid=[edge, (1, 1, 0.5)])
+    assert report.count == 1
+    assert report.argmin == (1.0, 1.0, 0.5 + 0j)
+
+
 # ---------------------------------------------------------------------------
 # structure-file round trip
 

@@ -1,5 +1,6 @@
 import contextlib
 import io
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -24,7 +25,6 @@ def run(capsys, *argv):
 def test_parse_params():
     p = parse_params("r=2,s=1/2,u=1/2+1i")
     assert p["r"] == QQi(2)
-    from fractions import Fraction
     assert p["u"] == QQi(Fraction(1, 2), 1)
     with pytest.raises(Exception):
         parse_params("q=2")
@@ -426,6 +426,29 @@ def test_one_solve_per_verify_point(capsys, solves, flags):
     points = sum(len(catalog.get(name).points or [None])
                  for name in catalog.list_entries())
     assert solves == {"jacobi": points, "gamma": points, "inverse": points}
+
+
+# Fraction constructions of an exact run: QQi computes on int numerators
+# over one denominator, so Fractions are made only where a value is read
+# or a closed form is evaluated (73,559 and 1,200 on Fraction-pair parts)
+
+@pytest.mark.parametrize("argv, most", [
+    (("catalog", "verify", "--exact"), 10_000),
+    (("curvature", "hopf", "--exact", "--params", "r=1/2"), 300)])
+def test_exact_run_makes_few_fractions(capsys, monkeypatch, argv, most):
+    calls = 0
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    code, _, err = run(capsys, *argv)
+    monkeypatch.undo()
+    assert code == 0 and err == ""
+    assert calls <= most
 
 
 def test_zero_scalar_curvature_is_real_up_to_rounding(capsys):

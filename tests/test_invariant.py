@@ -86,6 +86,22 @@ def test_hermitian_pair_symmetry(name):
         assert abs(th[i][j][k][l] - conj(th[j][i][l][k])) < 1e-12 * scale
 
 
+@pytest.mark.parametrize("name", ENTRIES)
+def test_exact_pipeline_takes_no_float_magnitude(monkeypatch, name):
+    # exact zero tests and pivots need no float scale: form pruning, the
+    # Jacobi check, metric validation and the solves take none
+    def refuse(self):
+        raise AssertionError("float magnitude of an exact value")
+
+    monkeypatch.setattr(QQi, "__abs__", refuse)
+    alg, h, _ = catalog.build(name, exact=True)
+    assert h.exact and alg.check_jacobi() == (True, 0.0)
+    curv = inv.chern_curvature(alg, h)
+    for kind in (1, 2, 3):
+        inv.ricci(kind, curv, h)
+    inv.scalar_chern(curv, h)
+
+
 def test_rescaling_covariance():
     alg, h, _ = catalog.build("inoue-sm", exact=True)
     lam, _ = inv.einstein_residual(2, alg, h)

@@ -1,12 +1,15 @@
+import math
+import operator
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cherncurv.scalars import (ROUNDING, QQi, I_EXACT, conj, is_exact,
                                is_zero, mat_det, mat_inv, mat_mul, mat_solve,
                                negligible, unify)
+from qqi_oracle import PairQQi
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=9)
 qqis = st.builds(QQi, rationals, rationals)
@@ -55,6 +58,96 @@ def test_zero_operand_short_circuit(a):
         assert isinstance(total, QQi) and isinstance(prod, QQi)
         assert (total.re, total.im) == (lr + rr, li + ri)
         assert (prod.re, prod.im) == (lr * rr - li * ri, lr * ri + li * rr)
+
+
+# -- QQi against the Fraction-pair oracle ---------------------------------
+
+# small parts, which make zeros and shared denominators common, and parts
+# with large numerators and denominators
+parts = st.one_of(
+    st.fractions(min_value=-6, max_value=6, max_denominator=6),
+    st.builds(Fraction, st.integers(-10 ** 40, 10 ** 40),
+              st.integers(1, 10 ** 30)))
+pairs = st.tuples(parts, parts)
+# int and Fraction operands, zero included
+plain = st.one_of(st.integers(-20, 20),
+                  st.fractions(min_value=-20, max_value=20,
+                               max_denominator=12))
+bounded = settings(max_examples=200, derandomize=True, deadline=None)
+OPS = (operator.add, operator.sub, operator.mul, operator.truediv)
+
+
+def _agrees(x, oracle):
+    """x is the canonical QQi of the oracle's value, with Fraction parts."""
+    assert type(x) is QQi and type(oracle) is PairQQi
+    assert x.d > 0 and math.gcd(x.a, x.b, x.d) == 1
+    for got, want in ((x.re, oracle.re), (x.im, oracle.im),
+                      (x.real, oracle.real), (x.imag, oracle.imag)):
+        assert type(got) is Fraction and got == want
+
+
+def _same_outcome(op, args, oracle_args):
+    """op gives the oracle's value, or raises ZeroDivisionError as it
+    does."""
+    try:
+        want = op(*oracle_args)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            op(*args)
+        return
+    _agrees(op(*args), want)
+
+
+@bounded
+@given(pairs, pairs)
+def test_arithmetic_matches_fraction_pairs(p, q):
+    x, y, ox, oy = QQi(*p), QQi(*q), PairQQi(*p), PairQQi(*q)
+    _agrees(x, ox)
+    for op in OPS:
+        _same_outcome(op, (x, y), (ox, oy))
+    _agrees(-x, -ox)
+    _agrees(x.conjugate(), ox.conjugate())
+    assert (x == y) == (ox == oy) and (x != y) == (ox != oy)
+    assert x == QQi(*p) and hash(x) == hash(QQi(*p))
+    assert bool(x) == bool(ox)
+
+
+@bounded
+@given(pairs, plain)
+def test_mixed_operands_match_fraction_pairs(p, k):
+    x, ox = QQi(*p), PairQQi(*p)
+    for op in OPS:
+        _same_outcome(op, (x, k), (ox, k))
+        _same_outcome(op, (k, x), (k, ox))
+    assert (x == k) == (ox == k) and (k == x) == (k == ox)
+    _agrees(QQi(k), PairQQi(k))
+    _agrees(QQi(x, k), PairQQi(ox, k))
+
+
+@bounded
+@given(pairs)
+def test_complex_is_bit_identical(p):
+    x, ox = QQi(*p), PairQQi(*p)
+    assert repr(complex(x)) == repr(complex(ox))
+    assert abs(x) == abs(ox)
+
+
+def test_division_by_zero_raises():
+    zero = QQi()
+    for num in (QQi(1, 2), QQi(), 3, 0, Fraction(1, 3)):
+        with pytest.raises(ZeroDivisionError):
+            num / zero
+    for den in (0, Fraction(0)):
+        with pytest.raises(ZeroDivisionError):
+            QQi(1, 2) / den
+
+
+def test_complex_of_huge_value_overflows():
+    for x in (QQi(10 ** 400), QQi(0, Fraction(-10 ** 500, 3))):
+        with pytest.raises(OverflowError):
+            complex(x)
+    # a huge numerator over a huge denominator is an ordinary float
+    assert complex(QQi(Fraction(10 ** 400 + 1, 2 * 10 ** 400))) == 0.5
 
 
 def test_unit_square():
