@@ -519,33 +519,26 @@ def _computed_value(quantity, alg, h, curv):
                                                       bound / alg.n)
     if quantity == "S3":
         return inv._double_trace(inv._S_THIRD, curv)
-    if quantity == "Ric1":
-        return inv.ricci(1, curv, h), inv._ric_bound(1, curv)
-    if quantity[:5] in ("Ric2_", "Ric3_") and len(quantity) == 7:
-        # published Ric3 components carry indices (jbar, k); our matrix is
-        # (k, j)
-        kind, a, b = int(quantity[3]), int(quantity[5]) - 1, \
-            int(quantity[6]) - 1
-        idx = (a, b) if kind == 2 else (b, a)
-        return (inv._ric_matrix(kind, curv, h)[idx],
-                inv._ric_bound(kind, curv)[idx])
     if quantity == "einstein2_residual":
-        # max |Ric2 - (S/n) h| in the arithmetic of the solve, bounded
-        # entrywise through Ric2 and S
-        s, e_s = inv._double_trace(inv._S_CHERN, curv)
-        x = inv._ric_matrix(2, curv, h) - s / alg.n * h.array
-        bound = inv._ric_bound(2, curv) + e_s / alg.n * np.abs(
-            h.array).astype(float)
-        return float(np.max(np.abs(x))), float(np.max(bound))
+        return inv._strong_residual(2, curv)
     if quantity.startswith("Theta_"):
         idx = tuple(int(c) - 1 for c in quantity[-4:])
         v, bound = curv.lowered[idx], curv.bound["lowered"][idx]
         # a magnitude is a float in exact mode too, rounded once
         return (abs(v), bound + UNIT_ROUNDOFF * abs(v)) \
             if quantity.startswith("Theta_abs_") else (v, bound)
-    if quantity == "Ric2_diag_matches_minus_omega":
-        return _agree(h.omega().scale(-1), inv.ricci(2, curv, h),
-                      inv._ric_bound(2, curv)), 0
+    if quantity.startswith("Ric"):
+        m, bound = inv._ricci(int(quantity[3]), curv)
+        if len(quantity) == 7:
+            # published Ric3 components carry indices (jbar, k); our matrix
+            # is (k, j)
+            a, b = int(quantity[5]) - 1, int(quantity[6]) - 1
+            idx = (a, b) if quantity[3] == "2" else (b, a)
+            return m[idx], bound[idx]
+        form = inv._matrix_to_form(m, bound)
+        if quantity == "Ric2_diag_matches_minus_omega":
+            return _agree(h.omega().scale(-1), form, bound), 0
+        return form, bound
     raise UnknownQuantity(quantity)
 
 

@@ -21,7 +21,7 @@ theta^l_k = R^m_{k i jbar} phi^i ^ bar(phi)^j has the closed form
 One einsum evaluation of this formula, and one set of contractions (the two
 Ricci forms, the third Ricci tensor, both scalar curvatures, the Einstein
 residuals), serves a single metric in exact QQi or float arithmetic and a
-float batch of metrics alike.
+float batch of metrics alike; one metric drops a spec's batch index M.
 
 :func:`chern_curvature` validates and solves a (coframe, metric) pair once;
 its :class:`CurvatureTensor` carries A, B, gamma and h^{-1} beside R and
@@ -31,11 +31,11 @@ Every zero test of a float result (a printed Theta entry, a Ricci form
 entry, a trace, the Gauduchon coefficient, the Bogomolov-Lubke pairing, a
 catalog comparison) is :func:`~cherncurv.scalars.negligible` against the
 result's first-order rounding bound (Higham, *Accuracy and Stability of
-Numerical Algorithms*, 2nd ed., 3.3 and ch. 14).  :func:`chern_curvature`
-bounds each entry of h^{-1} (by |h^{-1}| |h| |h^{-1}|), gamma, R and
-Theta, and each contraction carries the bounds on by the same einsums on
-absolute values, err(AB) <= |A| err(B) + err(A) |B| + k u |A| |B|.
-Exact solves have zero bounds, and the batched scan computes none.
+Numerical Algorithms*, 2nd ed., 3.3 and ch. 14), which :func:`_bound`
+takes from the result's own einsum on absolute values, err(AB) <=
+|A| err(B) + err(A) |B| + k u |A| |B|.  h^{-1}, gamma, R and Theta are
+bounded on first use; exact solves have zero bounds, the batched scan
+computes none, and the Einstein residuals stay in the solve's arithmetic.
 
 The other invariant quantities are contractions of gamma, B, the
 antisymmetric (2,0)-table A (d phi^i = A^i_{a b} phi^a ^ phi^b / 2 + ...),
@@ -86,6 +86,10 @@ class DegenerateMetric(ValueError):
     pass
 
 
+# a float metric is degenerate if |det h| < DEGENERACY (largest |h_ij|)^n
+DEGENERACY = 1e-10
+
+
 class HermitianMetric:
     """Constant Hermitian positive-definite matrix h_{i jbar}.
 
@@ -118,7 +122,7 @@ class HermitianMetric:
             for j in range(n):
                 if not is_zero(self.h[i][j] - conj(self.h[j][i]), scale=scale):
                     raise ValueError("metric matrix is not Hermitian")
-        if not self.exact and abs(mat_det(self.h)) < 1e-10 * scale ** n:
+        if not self.exact and abs(mat_det(self.h)) < DEGENERACY * scale ** n:
             raise DegenerateMetric("metric is numerically degenerate")
         # positive definiteness via leading principal minors
         for k in range(1, n + 1):
@@ -138,7 +142,7 @@ class HermitianMetric:
         return HermitianMetric([[v * c for v in row] for row in self.h])
 
     def omega(self) -> InvariantForm:
-        return _matrix_to_form(self.h, np.zeros((self.n, self.n)))
+        return _matrix_to_form(self.array, np.zeros((self.n, self.n)))
 
 
 # Elementwise x ** k and |z| by libm pow and hypot, the functions Python's
@@ -216,14 +220,20 @@ class CurvatureTensor:
     @functools.cached_property
     def bound(self):
         """Maps "up", "gamma", "r_upper" and "lowered" to the rounding
-        bound of each entry of that array, zeros for an exact metric;
-        computed on first use."""
-        names = ("up", "gamma", "r_upper", "lowered")
-        if self.h.dtype == object:
+        bound of each entry of that array, computed on first use: h^{-1} as
+        |h^{-1}| |h| |h^{-1}|, gamma as -h^{-1} h conj(B), R term by term."""
+        if self.h.dtype == object:  # an exact solve rounds nothing
             return {name: np.zeros(getattr(self, name).shape)
-                    for name in names}
-        return dict(zip(names, _rounding(self.b, self.h, self.up, self.gamma,
-                                         self.r_upper)))
+                    for name in ("up", "gamma", "r_upper", "lowered")}
+        h, b = (self.h, None), (self.b, None)
+        up = (self.up, _bound("ka,ba,bl->kl", (self.up, None), h,
+                              (self.up, None)))
+        gamma = (self.gamma, _bound("mj,ik,kjl->mil", up, h, b))
+        ops = {"gamma": gamma, "b": b, "conj_b": b}  # |conj(B)| = |B|
+        r = (self.r_upper, sum(_bound(spec, *(ops[x] for x in names))
+                               for _, spec, *names in _R_TERMS))
+        return {"up": up[1], "gamma": gamma[1], "r_upper": r[1],
+                "lowered": _bound(_THETA, r, h)}
 
     def component(self, i, j, k, l):
         """1-based Theta_{i jbar k lbar}."""
@@ -289,6 +299,14 @@ def _upper(hs):
     return np.transpose(inv, (0, 2, 1))
 
 
+# R^m_{k i jbar} as (sign, einsum spec, operands) terms, and Theta
+_R_TERMS = ((1, "Mmkl,lab->Mmkab", "gamma", "b"),
+            (-1, "mkl,lba->mkab", "b", "conj_b"),
+            (1, "Mmla,lkb->Mmkab", "gamma", "b"),
+            (-1, "mlb,Mlka->Mmkab", "b", "gamma"))
+_THETA = "Mmkij,Mml->Mijkl"
+
+
 def _curvature(b, gamma, hs):
     """(R, Theta) of the connection theta = gamma phi + B bar(phi).
 
@@ -297,20 +315,24 @@ def _curvature(b, gamma, hs):
     (2,0)- and (0,2)-parts vanish identically for an integrable coframe
     with the Jacobi identity.  Theta[M, i, j, k, l] is the lowered tensor.
     """
-    r = (np.einsum("Mmkl,lab->Mmkab", gamma, b)
-         - np.einsum("mkl,lba->mkab", b, np.conj(b))[None]
-         + np.einsum("Mmla,lkb->Mmkab", gamma, b)
-         - np.einsum("mlb,Mlka->Mmkab", b, gamma))
-    return r, np.einsum("Mmkij,Mml->Mijkl", r, hs)
+    ops = {"gamma": gamma, "b": b, "conj_b": np.conj(b)}
+    (_, spec, *names), *rest = _R_TERMS
+    r = np.einsum(spec, *(ops[x] for x in names))
+    for sign, spec, *names in rest:
+        # in place, so that no term outlives its addition
+        (np.add if sign > 0 else np.subtract)(
+            r, np.einsum(spec, *(ops[x] for x in names)), out=r)
+    return r, np.einsum(_THETA, r, hs)
 
 
 def _bound(spec, *pairs):
     """First-order rounding bound of each entry of np.einsum(spec, values)
-    over (value, bound) pairs, bound None for an input value: the einsum
-    of |values| with one operand's bound in place of its magnitude, summed
-    over the operands, plus k u times the einsum of |values|, k being the
-    number of operands plus the number of terms each entry sums.  Exact
-    (object) values have none."""
+    over (value, bound) pairs of one metric (M dropped from ``spec``), bound
+    None for an input: the einsum of |values| with one operand's bound in
+    place of its magnitude, summed over the operands, plus k u times the
+    einsum of |values|, k the operand count plus the terms each entry sums.
+    Exact (object) values have none."""
+    spec = spec.replace("M", "")
     ins, out = spec.split("->")
     size = dict(zip(ins.replace(",", ""), (d for v, _ in pairs
                                            for d in v.shape)))
@@ -329,62 +351,38 @@ def _bound(spec, *pairs):
     return ku * np.einsum(spec, *mags) if total is None else total
 
 
-def _rounding(b, h, up, gamma, r):
-    """First-order rounding bounds of (up, gamma, R, Theta) of one float
-    solve: h^{-1} by |h^{-1}| |h| |h^{-1}|, gamma = -h^{-T} h conj(B)
-    through it, and R and Theta by their formulas on absolute values, each
-    product carrying err(A) |B| + k u |A| |B| (the few additions are left
-    to :data:`~cherncurv.scalars.ROUNDING`)."""
-    n, u = len(h), UNIT_ROUNDOFF
-    a_up, a_h, a_b = abs(up), abs(h), abs(b)
-    e_up = (3 + n * n) * u * np.einsum("ka,ba,bl->kl", a_up, a_h, a_up)
-    e_gamma = np.einsum("mj,ik,kjl->mil", e_up + (3 + n * n) * u * a_up,
-                        a_h, a_b)
-    # the terms of _curvature's R, gamma carrying its bound and the k u term
-    g = e_gamma + (2 + n) * u * abs(gamma)
-    e_r = (np.einsum("mkl,lab->mkab", g, a_b)
-           + (2 + n) * u * np.einsum("mkl,lba->mkab", a_b, a_b)
-           + np.einsum("mla,lkb->mkab", g, a_b)
-           + np.einsum("mlb,lka->mkab", a_b, g))
-    e_theta = np.einsum("mkij,ml->ijkl", e_r + (2 + n) * u * abs(r), a_h)
-    return e_up, e_gamma, e_r, e_theta
+def _contract(spec, *pairs):
+    """(np.einsum(spec, values) as an array, its :func:`_bound`)."""
+    value = np.einsum(spec.replace("M", ""), *(v for v, _ in pairs))
+    return np.asarray(value), _bound(spec, *pairs)
 
 
 _RICCI = {1: "Mkl,Mabkl->Mab", 2: "Mij,Mijab->Mab", 3: "Mil,Mibal->Mab"}
 
 
-def _ricci_stack(kind, up, theta):
-    """Ric^(kind) coefficient matrices [M, a, b]; kind 3 has indices
-    (k, jbar)."""
+def _ricci_spec(kind):
+    """The einsum of Ric^(kind) [M, a, b] over (up, Theta); kind 3 has
+    indices (k, jbar)."""
     if kind not in _RICCI:
         raise ValueError("kind must be 1, 2 or 3")
-    return np.einsum(_RICCI[kind], up, theta)
+    return _RICCI[kind]
 
 
-def _einstein_stack(kind, mode, n, hs, up, theta, s=None):
-    """(lambda*, residual, relative residual, S) per metric, in floats;
-    S is computed here unless given.
-
-    The relative residual divides by max(|Ric|, |lambda| |h|): a
-    dimensionless distance from the Einstein condition that is comparable
-    across metric scales.
-    """
-    ric = _ricci_stack(kind, up, theta).astype(complex, copy=False)
-    if s is None:
-        s = np.einsum(_S_CHERN, up, up, theta)
-    s = np.asarray(s).astype(complex, copy=False)
-    hs = hs.astype(complex, copy=False)
+def _einstein_stack(mode, hs, ric, s):
+    """(lambda*, max |Ric - lambda* h|) per metric in the arithmetic of the
+    solve: strong S / n for the real ``s``, weak Re <h, Ric> / <h, h>."""
     if mode == "strong":
-        lam = s.real / n
+        lam = s / hs.shape[1]
     elif mode == "weak":
-        lam = (np.real(np.einsum("Mab,Mab->M", hs.conj(), ric))
-               / np.sum(np.abs(hs) ** 2, axis=(1, 2)))
+        num = np.einsum("Mab,Mab->M", hs.conj(), ric)
+        if hs.dtype == object:  # numpy's real returns object arrays as is
+            den = np.sum(hs * hs.conj(), axis=(1, 2))
+            lam = np.array([a.real / b.real for a, b in zip(num, den)])
+        else:  # floats take |h|^2 by hypot; scan output is pinned to it
+            lam = num.real / np.sum(np.abs(hs) ** 2, axis=(1, 2))
     else:
         raise ValueError("mode must be 'strong' or 'weak'")
-    resid = np.max(np.abs(ric - lam[:, None, None] * hs), axis=(1, 2))
-    scale = np.maximum(np.max(np.abs(ric), axis=(1, 2)),
-                       np.abs(lam) * np.max(np.abs(hs), axis=(1, 2)))
-    return lam, resid, resid / np.maximum(scale, 1e-300), s
+    return lam, np.max(np.abs(ric - lam[:, None, None] * hs), axis=(1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -408,25 +406,19 @@ def chern_curvature(alg: CoframeAlgebra, h: HermitianMetric
 def _ric_matrix(kind: int, curv: CurvatureTensor, h: HermitianMetric):
     """Coefficient matrix M with Ric = sqrt(-1) M_{a bbar} phi^a ^ bar(phi)^b
     for kinds 1 and 2; for kind 3 the tensor Ric3_{k jbar} itself."""
-    return _ricci_stack(kind, curv.up[None], curv.lowered[None])[0]
+    return np.einsum(_ricci_spec(kind), curv.up[None], curv.lowered[None])[0]
 
 
-def _ric_bound(kind: int, curv: CurvatureTensor):
-    """The rounding bound of each entry of :func:`_ric_matrix`."""
-    return _bound(_RICCI[kind], _stacked(curv, "up"),
-                  _stacked(curv, "lowered"))[0]
-
-
-def _stacked(curv, name):
-    """(array, bound) of one attribute of ``curv``, with the batch index
-    of length 1 the stacked contractions take."""
-    return getattr(curv, name)[None], curv.bound[name][None]
+def _ricci(kind: int, curv: CurvatureTensor):
+    """(:func:`_ric_matrix`, the rounding bound of each entry)."""
+    return _contract(_ricci_spec(kind), (curv.up, curv.bound["up"]),
+                     (curv.lowered, curv.bound["lowered"]))
 
 
 def _matrix_to_form(m, bound) -> InvariantForm:
-    """The (1,1)-form sqrt(-1) m_{a bbar} phi^a ^ bar(phi)^b, without the
-    entries that are negligible against their rounding bound."""
-    n = len(m)
+    """The (1,1)-form sqrt(-1) m_{a bbar} phi^a ^ bar(phi)^b of an array,
+    without the entries negligible against their rounding bound."""
+    n, m = len(m), m.tolist()
     form = InvariantForm(n)
     form.coefficients = {(a, b + n): times_i(m[a][b])
                          for a in range(n) for b in range(n)
@@ -440,10 +432,9 @@ def ricci(kind: int, curv: CurvatureTensor, h: HermitianMetric):
     Kinds 1 and 2 return real (1,1)-forms; kind 3 returns the coefficient
     matrix of the Ricci tensor with indices (k, jbar).
     """
-    m = _ric_matrix(kind, curv, h)
     if kind == 3:
-        return m
-    return _matrix_to_form(m.tolist(), _ric_bound(kind, curv))
+        return _ric_matrix(kind, curv, h)
+    return _matrix_to_form(*_ricci(kind, curv))
 
 
 _S_CHERN = "Mij,Mkl,Mijkl->M"
@@ -463,9 +454,10 @@ def scalar_third(curv: CurvatureTensor, h: HermitianMetric):
 def _double_trace(spec, curv):
     """(real value, rounding bound) of a double trace of Theta; a float
     value within its bound is 0."""
-    up, theta = _stacked(curv, "up"), _stacked(curv, "lowered")
-    bound = _bound(spec, up, up, theta).item()
-    x = _realize(np.einsum(spec, up[0], up[0], theta[0]).item(), bound)
+    up = (curv.up, curv.bound["up"])
+    x, bound = (v.item() for v in _contract(
+        spec, up, up, (curv.lowered, curv.bound["lowered"])))
+    x = _realize(x, bound)
     return (0.0 if x and negligible(x, bound) else x), bound
 
 
@@ -480,6 +472,9 @@ def _realize(x, bound):
 # ---------------------------------------------------------------------------
 # torsion, Lee form, Gauduchon
 
+_TAU = "kjk->j"
+
+
 def torsion(curv: CurvatureTensor):
     """(T, tau) of the solved Chern connection, in its arithmetic.
 
@@ -489,7 +484,7 @@ def torsion(curv: CurvatureTensor):
     tau[j] = T^k_{j k} is its trace.
     """
     t = curv.a + np.transpose(curv.gamma, (0, 2, 1)) - curv.gamma
-    return t, np.einsum("kjk->j", t)
+    return t, np.einsum(_TAU, t)
 
 
 def lee_form(alg: CoframeAlgebra, h: HermitianMetric):
@@ -532,19 +527,17 @@ def is_gauduchon(curv: CurvatureTensor, h: HermitianMetric):
     grows with the condition of h, and so does the rounding of terms that
     cancel.  The positive factor (n-1)! det h does not decide it.
     """
-    n, b, e_gamma = curv.n, curv.b, curv.bound["gamma"]
+    e_gamma = curv.bound["gamma"]
     t, tau = torsion(curv)
-    e_tau = _bound("kjk->j", (t, e_gamma + np.transpose(e_gamma, (0, 2, 1))))
-    alpha = (np.einsum("l,k->lk", tau, np.conj(tau))
-             - np.conj(np.einsum("j,jkl->lk", tau, b)))
-    e_alpha = (_bound("l,k->lk", (tau, e_tau), (tau, e_tau))
-               + _bound("j,jkl->lk", (tau, e_tau), (b, None)))
-    x = np.einsum("lk,lk->", curv.up, alpha)
-    if negligible(x, _bound("lk,lk->", (curv.up, curv.bound["up"]),
-                            (alpha, e_alpha))):
+    tau = (tau, _bound(_TAU, (t, e_gamma + np.transpose(e_gamma, (0, 2, 1)))))
+    outer, e_outer = _contract("l,k->lk", tau, (np.conj(tau[0]), tau[1]))
+    tb, e_tb = _contract("j,jkl->lk", tau, (curv.b, None))
+    x, bound = _contract("lk,lk->", (curv.up, curv.bound["up"]),
+                         (outer - np.conj(tb), e_outer + e_tb))
+    if negligible(x.item(), bound):
         return True, 0.0
-    volume = math.factorial(n - 1) * mat_det(h.h).real
-    return False, float(abs(volume * x))
+    volume = math.factorial(curv.n - 1) * mat_det(h.h).real
+    return False, float(abs(volume * x.item()))
 
 
 def gauduchon_degree(curv: CurvatureTensor, h: HermitianMetric):
@@ -578,10 +571,22 @@ def einstein_residual(kind: int, alg: CoframeAlgebra, h: HermitianMetric,
         curv = chern_curvature(alg, h)
     # the strong lambda* divides S by n after the rounding rule of
     # scalar_chern, which also refuses a non-real S
-    s = [scalar_chern(curv, h)] if mode == "strong" else None
-    lam, resid, _, _ = _einstein_stack(kind, mode, alg.n, h.array[None],
-                                       curv.up[None], curv.lowered[None], s)
+    s = np.array([scalar_chern(curv, h)]) if mode == "strong" else None
+    lam, resid = _einstein_stack(mode, h.array[None],
+                                 _ric_matrix(kind, curv, h)[None], s)
     return float(lam[0]), float(resid[0])
+
+
+def _strong_residual(kind: int, curv: CurvatureTensor):
+    """(residual, rounding bound) of :func:`einstein_residual` in strong
+    mode, the bound the largest over the entries of Ric - (S/n) h."""
+    ric, e_ric = _ricci(kind, curv)
+    s, e_s = _double_trace(_S_CHERN, curv)
+    resid = _einstein_stack("strong", curv.h[None], ric[None],
+                            np.array([s]))[1][0]
+    e_lam_h = _bound("ab,->ab", (curv.h, None),
+                     (np.asarray(s / curv.n), e_s / curv.n))
+    return float(resid), float(np.max(e_ric + e_lam_h))
 
 
 # ---------------------------------------------------------------------------
@@ -614,23 +619,19 @@ def bogomolov_lubke(curv: CurvatureTensor, h: HermitianMetric):
     n = curv.n
     if n < 2:
         raise ValueError("Bogomolov-Lubke pairing needs n >= 2")
-    r = curv.r_upper.astype(complex)
-    up = curv.up.astype(complex)
-    tr = np.einsum("mmab->ab", r)
-    lam = np.einsum("ab,mlab->ml", up, r)
-    pairs = (np.trace(lam) ** 2
-             - np.einsum("ab,cd,ad,cb->", up, up, tr, tr)
-             - n * (np.einsum("ml,lm->", lam, lam)
-                    - np.einsum("ab,cd,mlad,lmcb->", up, up, r, r)))
-    c = math.factorial(n - 2) / (4 * math.pi ** 2)
     # the pairing is evaluated in floats, so an exact solve is rounded here
-    r, up = (r, curv.bound["r_upper"]), (up, curv.bound["up"])
-    tr, lam = (tr, _bound("mmab->ab", r)), (lam, _bound("ab,mlab->ml", up, r))
-    bound = c * (_bound("ll,mm->", lam, lam)
-                 + _bound("ab,cd,ad,cb->", up, up, tr, tr)
-                 + n * (_bound("ml,lm->", lam, lam)
-                        + _bound("ab,cd,mlad,lmcb->", up, up, r, r)))
-    value = _realize(complex(-c * pairs), bound)
+    r = (curv.r_upper.astype(complex), curv.bound["r_upper"])
+    up = (curv.up.astype(complex), curv.bound["up"])
+    lam = _contract("ab,mlab->ml", up, r)
+    # (L tr R)^2, <tr R, tr R>, L R^m_l L R^l_m and <R^m_l, R^l_m>
+    (a, e_a), (b, e_b), (c, e_c), (d, e_d) = (
+        _contract("ll,mm->", lam, lam),
+        _contract("ab,cd,mmad,llcb->", up, up, r, r),
+        _contract("ml,lm->", lam, lam),
+        _contract("ab,cd,mlad,lmcb->", up, up, r, r))
+    k = math.factorial(n - 2) / (4 * math.pi ** 2)
+    bound = k * (e_a + e_b + n * (e_c + e_d))
+    value = _realize(complex(-k * (a - b - n * (c - d))), bound)
     return 0.0 if negligible(value, bound) else value
 
 
@@ -658,9 +659,13 @@ def batch_einstein_residual(kind: int, alg: CoframeAlgebra, hs: np.ndarray,
     point, a dimensionless distance from the Einstein condition that is
     comparable across metric scales.
     """
-    lam, resid, rel, s = _einstein_stack(kind, mode, alg.n, hs, _upper(hs),
-                                         batch_curvature(alg, hs))
-    return lam, resid, rel, s.real
+    up, theta = _upper(hs), batch_curvature(alg, hs)
+    ric = np.einsum(_ricci_spec(kind), up, theta)
+    s = np.einsum(_S_CHERN, up, up, theta).real
+    lam, resid = _einstein_stack(mode, hs, ric, s)
+    scale = np.maximum(np.max(np.abs(ric), axis=(1, 2)),
+                       np.abs(lam) * np.max(np.abs(hs), axis=(1, 2)))
+    return lam, resid, resid / np.maximum(scale, 1e-300), s
 
 
 # ---------------------------------------------------------------------------
@@ -729,10 +734,10 @@ def scan(alg: CoframeAlgebra, kind: int, grid=None, mode: str = "strong",
     hs[:, 1, 1] = s * s / 2
     hs[:, 0, 1] = -1j * u / 2
     hs[:, 1, 0] = 1j * u.conjugate() / 2
-    # HermitianMetric's DegenerateMetric rule, det h < 1e-10 scale^2: a row
-    # on the cone |u| = r s can pass the mask with a singular h in floats
+    # HermitianMetric's DegenerateMetric rule: a row on the cone |u| = r s
+    # can pass the mask with a singular h in floats
     det = hs[:, 0, 0] * hs[:, 1, 1] - hs[:, 0, 1] * hs[:, 1, 0]
-    keep = np.abs(det) >= 1e-10 * np.max(np.abs(hs), axis=(1, 2)) ** 2
+    keep = np.abs(det) >= DEGENERACY * np.max(np.abs(hs), axis=(1, 2)) ** 2
     if not keep.all():
         grid, hs = grid[keep], hs[keep]
         r, s, u = r[keep], s[keep], u[keep]

@@ -3,6 +3,7 @@ import io
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -507,6 +508,72 @@ def test_einstein_kodaira_primary_anisotropic_zero_lambda(capsys, kind,
                            params, "--kind", kind)
         assert code == einstein
         assert fields(out)["lambda"] == "0"
+
+
+# ---------------------------------------------------------------------------
+# the Einstein residual in the arithmetic of the solve: exact input gives
+# exactly 0 for an Einstein metric, as catalog verify --exact finds
+
+@pytest.mark.parametrize("params, mode", [
+    ("r=1/3,s=7/5,u=1/7-2/9i", "strong"),
+    ("r=1/3,s=7/5,u=1/7-2/9i", "weak"),
+    ("r=3,s=2,u=1+1/2i", "weak")])
+def test_exact_einstein_residual_is_zero(capsys, params, mode):
+    code, out, err = run(capsys, "einstein", "ovando-r4", "--exact",
+                         "--params", params, "--kind", "2", "--mode", mode)
+    assert code == 0 and err == ""
+    assert fields(out)["residual"] == "0"
+    code, out, _ = run(capsys, "catalog", "verify", "ovando-r4", "--exact",
+                       "--params", params)
+    assert fields(out)["ovando-r4.0.einstein2_residual"] == "pass"
+
+
+def count_calls(monkeypatch, owner, name):
+    """A list that records each call of owner.name while patched."""
+    calls, real = [], getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+# float magnitudes of exact values: only the residual's n^2 entries of an
+# Einstein row, and the two of a Theta_abs row, which is a magnitude
+@pytest.mark.parametrize("argv, most", [
+    (("catalog", "verify", "--exact"), 16 * 4 + 20),
+    (("einstein", "ovando-r4", "--exact", "--params",
+      "r=1/3,s=7/5,u=1/7-2/9i"), 4),
+    (("einstein", "hopf", "--exact", "--mode", "weak", "--kind", "3"), 4)])
+def test_exact_run_takes_few_magnitudes(capsys, monkeypatch, argv, most):
+    calls = count_calls(monkeypatch, QQi, "__abs__")
+    code, _, err = run(capsys, *argv)
+    monkeypatch.undo()
+    assert code in (0, 1) and err == ""
+    assert len(calls) <= most
+
+
+# einsum calls per command: the rounding bounds reuse the solve's specs
+# and add none
+@pytest.mark.parametrize("argv, most", [
+    ("curvature hopf --params r=1.5", 27),
+    ("curvature hopf --exact --params r=1/2", 10),
+    ("einstein ovando-r4 --params r=2,s=1.5,u=0.25", 18),
+    ("einstein ovando-r4 --params r=2,s=1.5,u=0.25 --mode weak", 9),
+    ("lee inoue-sm --params r=1.2,s=0.9,u=0.1", 7),
+    ("gauduchon inoue-sm --params r=1.2,s=0.9,u=0.1", 37),
+    ("bl ovando-r2r2 --params r=1,s=1,u=0", 33),
+    ("catalog verify ovando-r4 --params r=2,s=3/2,u=1/4", 33),
+    ("catalog verify ovando-r4 --params r=2,s=3/2,u=1/4 --exact", 11),
+    ("scan inoue-sm --grid 0.5:1.5:0.5", 8)])
+def test_einsum_budget(capsys, monkeypatch, argv, most):
+    calls = count_calls(monkeypatch, np, "einsum")
+    code, _, err = run(capsys, *argv.split())
+    monkeypatch.undo()
+    assert code == 0 and err == ""
+    assert len(calls) <= most
 
 
 # ---------------------------------------------------------------------------

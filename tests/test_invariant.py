@@ -13,6 +13,7 @@ from cherncurv.invariant import (DegenerateMetric, HermitianMetric,
                                  NotPositiveDefinite, SurfaceMetricParams)
 from forms_oracle import (ddbar_gauduchon, forms_curvature, forms_torsion,
                           lstsq_lee_form, wedge_bogomolov_lubke)
+from rounding_oracle import rounding_bounds
 
 ENTRIES = catalog.list_entries()
 
@@ -320,6 +321,27 @@ def test_rounding_bounds_hold(name):
                          - getattr(exact, key).astype(complex))
             assert np.all(err <= ROUNDING * bound), (point, key)
         assert not any(np.any(bound) for bound in exact.bound.values())
+
+
+@pytest.mark.parametrize("name", ENTRIES)
+def test_bounds_match_hand_expanded_oracle(name):
+    # the bounds by _bound over the solve's specs equal the hand expansion
+    # bit for bit, at the registry points and at seeded metrics with r and
+    # s from 1e-2 to 1e3 and |u| up to 0.98 r s
+    rng = np.random.default_rng(17)
+    points = list(catalog.get(name).points)
+    for _ in range(8):
+        r, s = 10 ** rng.uniform(-2, 3, size=2)
+        u = rng.uniform(0, 0.98) * r * s * np.exp(2j * np.pi * rng.random())
+        points.append({"r": float(r), "s": float(s), "u": complex(u)})
+    for point in points:
+        alg, h, _ = catalog.build(name, point, exact=False)
+        curv = inv.chern_curvature(alg, h)
+        want = rounding_bounds(curv.b, curv.h, curv.up, curv.gamma,
+                               curv.r_upper)
+        assert curv.bound.keys() == want.keys()
+        for key, bound in want.items():
+            assert np.array_equal(curv.bound[key], bound), (point, key)
 
 
 # ---------------------------------------------------------------------------
