@@ -334,7 +334,7 @@ def cmd_gauduchon(args) -> int:
     rep.add("gauduchon", ok)
     rep.add("residual", residual)
     if ok:
-        rep.add("degree", inv.gauduchon_degree(curv, h))
+        rep.add("degree", inv._degree(curv, h))
     _emit(rep, args)
     return 0 if ok else 1
 

@@ -549,6 +549,11 @@ def gauduchon_degree(curv: CurvatureTensor, h: HermitianMetric):
     ok, res = is_gauduchon(curv, h)
     if not ok:
         raise ValueError(f"metric is not Gauduchon (residual {res})")
+    return _degree(curv, h)
+
+
+def _degree(curv: CurvatureTensor, h: HermitianMetric):
+    """:func:`gauduchon_degree` for a caller that has checked h."""
     det = complex(mat_det(h.h)).real
     s = float(scalar_chern(curv, h))
     # S(c*h) = S(h)/c with c = det^{-1/n} normalising det to 1

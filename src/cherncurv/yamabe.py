@@ -9,18 +9,20 @@ the flat reference (the Chern Laplacian has no torsion drift there) and lam
 is pinned by the integral constraint mean(S/n) = lam * mean(exp(-f)).
 
 Fields are real numpy arrays of shape (N, N) sampled at x_i = i/N.  The
-Laplacian is spectral, so band-limited data is differentiated exactly.
+Laplacian is spectral on real FFTs, so band-limited data is differentiated
+exactly.
 
 The solvable branch is mean(S) <= 0.  A vanishing mean reduces the problem
-to a linear Poisson equation with lam = 0; a negative mean is handled by a
-damped quasi-Newton iteration.  The positive branch is an open problem and
+to a linear Poisson equation with lam = 0; a negative mean is handled by an
+inexact Newton iteration whose steps are exact-Jacobian linear solves by
+spectrally preconditioned GMRES.  The positive branch is an open problem and
 is refused, not approximated.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -39,14 +41,19 @@ class SolverDiverged(RuntimeError):
 
 
 class PeriodicGrid:
-    """Unit-square torus sampled on N x N points with a spectral Laplacian."""
+    """Unit-square torus sampled on N x N points with a spectral Laplacian.
+
+    Fields are real: multipliers act on the ``rfft2`` half spectrum, and
+    ``irfft2`` gets ``s=(N, N)``, without which odd N loses a column.
+    """
 
     def __init__(self, N: int):
         if N < 4:
             raise ValueError("grid resolution must be at least 4")
         self.N = N
         k = 2.0 * math.pi * np.fft.fftfreq(N, d=1.0 / N)
-        self._mult = -(k[:, None] ** 2 + k[None, :] ** 2)
+        kr = 2.0 * math.pi * np.fft.rfftfreq(N, d=1.0 / N)
+        self._mult = -(k[:, None] ** 2 + kr[None, :] ** 2)
 
     def coords(self):
         x = np.arange(self.N) / self.N
@@ -56,21 +63,21 @@ class PeriodicGrid:
         x, y = self.coords()
         return np.asarray(fn(x, y), dtype=float) + np.zeros((self.N, self.N))
 
+    def _filter(self, f: np.ndarray, mult: np.ndarray) -> np.ndarray:
+        """The field whose half spectrum is mult times that of f."""
+        return np.fft.irfft2(mult * np.fft.rfft2(f), s=(self.N, self.N))
+
     def laplacian(self, f: np.ndarray) -> np.ndarray:
         f = np.asarray(f, dtype=float)
         if f.shape != (self.N, self.N):
             raise ValueError("field shape does not match the grid")
-        return np.real(np.fft.ifft2(self._mult * np.fft.fft2(f)))
+        return self._filter(f, self._mult)
 
     def poisson(self, rhs: np.ndarray) -> np.ndarray:
         """Mean-zero solution of lap u = rhs (rhs must have zero mean)."""
-        rhs = np.asarray(rhs, dtype=float)
-        hat = np.fft.fft2(rhs)
-        mult = self._mult.copy()
-        mult[0, 0] = 1.0
-        hat = hat / mult
-        hat[0, 0] = 0.0
-        return np.real(np.fft.ifft2(hat))
+        inv = np.divide(1.0, self._mult, out=np.zeros_like(self._mult),
+                        where=self._mult != 0)
+        return self._filter(np.asarray(rhs, dtype=float), inv)
 
 
 @dataclass
@@ -100,6 +107,8 @@ class YamabeResult:
     residual: float
     iterations: int
     converged: bool
+    residuals: list          # max|F| per Newton iterate, the last included
+    linear_iterations: list  # GMRES matvecs per Newton step
 
 
 def gauduchon_degree_grid(S: np.ndarray) -> float:
@@ -123,12 +132,74 @@ def conformal_scalar_law(S: np.ndarray, f: np.ndarray, n: int,
     return np.exp(f) * (S + n * grid.laplacian(f))
 
 
-def _residual(grid, f, S, n, lam):
-    return grid.laplacian(f) + S / n - lam * np.exp(-f)
+def _residual(grid, f, S, n, gamma):
+    """(F, lam, w) at f: F = lap f + S/n - lam w with w = exp(-f) and lam
+    refreshed from the constraint mean(S/n) = lam mean(w)."""
+    w = np.exp(-f)
+    lam = (gamma / n) / float(np.mean(w))
+    return grid.laplacian(f) + S / n - lam * w, lam, w
 
 
-# step length of the quasi-Newton iteration, whose Jacobian is approximate
-DAMPING = 0.5
+def _jacobian(lam, w):
+    """(z, lap z) -> J z, the derivative of F at the iterate of (lam, w).
+
+    The mean term is the derivative of the refreshed lam; it keeps J z
+    mean-free and puts the constants, along which F does not move, in the
+    kernel of J.
+    """
+    lw, mean_w = lam * w, float(np.mean(w))
+    return lambda z, lap_z: lap_z + lw * (z - float(np.mean(w * z)) / mean_w)
+
+
+def _gmres(op, b, rtol, m):
+    """(x, matvecs): GMRES (Saad & Schultz 1986) for op(x) = b from x = 0,
+    stopped once |b - op(x)| <= rtol |b| or after m matvecs.
+
+    The least-squares problem is kept triangular by Givens rotations; the
+    last sine times the previous residual is the new residual.  An exact
+    breakdown (op maps the Krylov space into itself) leaves a new vector of
+    norm 0, hence residual 0, and the loop ends before that norm would be
+    divided by.
+    """
+    beta = np.linalg.norm(b)
+    V = [b / beta]
+    R = np.zeros((m, m))                   # the rotated Hessenberg matrix
+    cs, sn = np.zeros(m), np.zeros(m)
+    g = np.zeros(m + 1)
+    g[0] = beta
+    for j in range(m):
+        if j:
+            V.append(w / h)
+        w = op(V[j])
+        for i, v in enumerate(V):          # modified Gram-Schmidt
+            R[i, j] = np.vdot(v, w)
+            w = w - R[i, j] * v
+        h = np.linalg.norm(w)
+        for i in range(j):
+            R[i, j], R[i + 1, j] = (cs[i] * R[i, j] + sn[i] * R[i + 1, j],
+                                    cs[i] * R[i + 1, j] - sn[i] * R[i, j])
+        rho = np.hypot(R[j, j], h)
+        cs[j], sn[j] = R[j, j] / rho, h / rho
+        R[j, j] = rho
+        g[j + 1], g[j] = -sn[j] * g[j], cs[j] * g[j]
+        if abs(g[j + 1]) <= rtol * beta:
+            break
+    k = j + 1
+    y = np.zeros(k)
+    for i in reversed(range(k)):           # back substitution, R triangular
+        y[i] = (g[i] - R[i, i + 1:k] @ y[i + 1:]) / R[i, i]
+    x = sum(c * v for c, v in zip(y, V))
+    if not np.all(np.isfinite(x)):
+        raise SolverDiverged("Krylov solve produced non-finite values")
+    return x, k
+
+
+# forcing term of the inexact Newton steps: each step's linear solve leaves
+# this share of |F|, and the quadratic convergence does the rest
+GMRES_RTOL = 1e-3
+# Krylov basis cap; each Newton step starts a new cycle, which is the
+# restart.  One N = 256 field is 0.5 MB.
+KRYLOV_DIM = 20
 
 
 def solve_chya(p: YamabeProblem, f0: Optional[np.ndarray] = None
@@ -137,10 +208,13 @@ def solve_chya(p: YamabeProblem, f0: Optional[np.ndarray] = None
 
     The solution family f + c, lam * exp(c) is pinned by mean(f) = 0.  For
     mean(S) = 0 the equation degenerates to the Poisson problem
-    lap f = -S/n with lam = 0 and is solved directly.  Otherwise a damped
-    quasi-Newton iteration runs with lam refreshed from the integral
-    constraint each step; the Jacobian is approximated by
-    lap + lam * mean(exp(-f)), which a Fourier transform inverts exactly.
+    lap f = -S/n with lam = 0 and is solved directly.  Otherwise an inexact
+    Newton iteration runs on F(f) = lap f + S/n - lam exp(-f), lam
+    refreshed from the integral constraint (Knoll & Keyes, J. Comput. Phys.
+    193, 2004).  Each step solves J delta = -F with the exact Jacobian by
+    GMRES, right-preconditioned with the spectral inverse of lap + mu,
+    mu = mean(S)/n, so that a matvec costs one forward and one inverse real
+    FFT.  It stops when max|F| <= tol.
     """
     grid, S, n = p.grid, p.S, p.n
     gamma = float(np.mean(S))
@@ -152,26 +226,38 @@ def solve_chya(p: YamabeProblem, f0: Optional[np.ndarray] = None
 
     if abs(gamma) <= 1e-12 * scale:
         f = grid.poisson(-(S - gamma) / n)
-        res = float(np.max(np.abs(_residual(grid, f, S, n, 0.0))))
-        return YamabeResult(f, 0.0, res, 0, res <= max(p.tol, 1e-12 * scale))
+        res = float(np.max(np.abs(_residual(grid, f, S, n, 0.0)[0])))
+        return YamabeResult(f, 0.0, res, 0, res <= max(p.tol, 1e-12 * scale),
+                            [res], [])
 
+    # mu < 0, so lap + mu is invertible; with z = (lap + mu)^-1 v,
+    # lap z = v - mu z, and J z needs no further transform
+    mu = gamma / n
+    inv = 1.0 / (grid._mult + mu)
     f = np.zeros((grid.N, grid.N)) if f0 is None \
         else np.asarray(f0, dtype=float).copy()
     f -= np.mean(f)
-    for it in range(p.max_iter):
-        w = np.exp(-f)
-        lam = (gamma / n) / float(np.mean(w))
-        F = grid.laplacian(f) + S / n - lam * w
-        res = float(np.max(np.abs(F)))
-        if res <= p.tol:
-            return YamabeResult(f, lam, res, it, True)
-        mu = lam * float(np.mean(w))
-        hat = np.fft.fft2(-F) / (grid._mult + mu)
-        delta = np.real(np.fft.ifft2(hat))
-        f = f + DAMPING * delta
-        f -= np.mean(f)
-        if not np.all(np.isfinite(f)):
-            raise SolverDiverged("iteration produced non-finite values")
+    residuals, linear = [], []
+    # an overflow turns up as a non-finite iterate, reported below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for it in range(p.max_iter):
+            F, lam, w = _residual(grid, f, S, n, gamma)
+            res = float(np.max(np.abs(F)))
+            residuals.append(res)
+            if res <= p.tol:
+                return YamabeResult(f, lam, res, it, True, residuals, linear)
+            jac = _jacobian(lam, w)
+
+            def op(v):
+                z = grid._filter(v, inv)
+                return jac(z, v - mu * z)
+
+            y, matvecs = _gmres(op, -F, GMRES_RTOL, KRYLOV_DIM)
+            linear.append(matvecs)
+            f = f + grid._filter(y, inv)
+            f -= np.mean(f)
+            if not np.all(np.isfinite(f)):
+                raise SolverDiverged("iteration produced non-finite values")
     raise SolverDiverged(
         f"no convergence within {p.max_iter} iterations "
         f"(last residual {res:.3e})")

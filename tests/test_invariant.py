@@ -283,6 +283,10 @@ def test_gauduchon_degrees():
             assert abs(deg) < 1e-12
         else:
             assert deg * sign > 0
+    # the library call checks h itself; the CLI checks it once beforehand
+    alg, h, _ = catalog.build("snow-s5", {"r": 1.0}, exact=False)
+    with pytest.raises(ValueError, match="not Gauduchon"):
+        inv.gauduchon_degree(inv.chern_curvature(alg, h), h)
 
 
 def test_ill_conditioned_metric_rounding():
