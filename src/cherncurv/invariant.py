@@ -688,6 +688,10 @@ class ScanReport:
     min_residual_abs: float = 0.0
 
 
+# grid rows per block of a scan, whose temporaries take ~0.8 KB a row
+SCAN_BLOCK = 16384
+
+
 def default_surface_grid(r_values=None, s_values=None, radii=9, phases=8):
     """The (r, s, u) grid as an (M, 3) complex array of rows: r, s in
     0.25..3 and, for each (r, s) pair in that order, u = 0 and then u on a
@@ -700,15 +704,49 @@ def default_surface_grid(r_values=None, s_values=None, radii=9, phases=8):
         s_values = [0.25 * k for k in range(1, 13)]
     r, s = (v.ravel() for v in np.meshgrid(r_values, s_values,
                                            indexing="ij"))
-    rho = (0.95 * r[:, None] * s[:, None] * np.arange(1, radii + 1)
-           / (radii + 1))
     angles = [2 * math.pi * p / phases for p in range(phases)]
     phase = np.array([complex(math.cos(a), math.sin(a)) for a in angles])
     u = np.zeros((len(r), 1 + radii * phases), complex)
-    u[:, 1:] = (rho[:, :, None] * phase).reshape(len(r), -1)
+    # r s overflows for huge r and s; :func:`scan` drops those rows
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho = (0.95 * r[:, None] * s[:, None] * np.arange(1, radii + 1)
+               / (radii + 1))
+        u[:, 1:] = (rho[:, :, None] * phase).reshape(len(r), -1)
     per = u.shape[1]
     return np.stack([np.repeat(r, per), np.repeat(s, per), u.ravel()],
                     axis=1)
+
+
+def _surface_blocks(grid):
+    """Per block of :data:`SCAN_BLOCK` grid rows, the (r, s, u, h stack)
+    of the rows :func:`scan` keeps; blocks that keep none are skipped.
+
+    r^2, s^2 and |u|^2 overflow for huge rows by design: such a row fails
+    the mask, or its h has a non-finite entry and is dropped with the
+    numerically degenerate rows, as :class:`HermitianMetric` refuses both.
+    """
+    for lo in range(0, len(grid), SCAN_BLOCK):
+        block = grid[lo:lo + SCAN_BLOCK]
+        with np.errstate(over="ignore", invalid="ignore"):
+            block = block[surface_admissible(block[:, 0], block[:, 1],
+                                             block[:, 2])]
+            r, s, u = block[:, 0].real, block[:, 1].real, block[:, 2]
+            hs = np.empty((len(block), 2, 2), dtype=complex)
+            hs[:, 0, 0] = r * r / 2
+            hs[:, 1, 1] = s * s / 2
+            hs[:, 0, 1] = -1j * u / 2
+            hs[:, 1, 0] = 1j * u.conjugate() / 2
+        # HermitianMetric's DegenerateMetric rule: a row on the cone
+        # |u| = r s can pass the mask with a singular h in floats
+        keep = np.isfinite(hs).all(axis=(1, 2))
+        h = hs[keep]
+        det = h[:, 0, 0] * h[:, 1, 1] - h[:, 0, 1] * h[:, 1, 0]
+        keep[keep] = (np.abs(det) >= DEGENERACY
+                      * np.max(np.abs(h), axis=(1, 2)) ** 2)
+        if not keep.all():
+            r, s, u, hs = r[keep], s[keep], u[keep], hs[keep]
+        if len(hs):
+            yield r, s, u, hs
 
 
 def scan(alg: CoframeAlgebra, kind: int, grid=None, mode: str = "strong",
@@ -717,47 +755,51 @@ def scan(alg: CoframeAlgebra, kind: int, grid=None, mode: str = "strong",
     or anything ``np.asarray`` makes one of, such as a list of triples;
     :func:`default_surface_grid` when None.  Rows that are not
     :func:`surface_admissible` are dropped, and so are rows whose metric
-    is numerically degenerate, as :class:`HermitianMetric` refuses it.
+    is numerically degenerate or not finite, as :class:`HermitianMetric`
+    refuses it.
 
     ``certificate``, optional, is a sign certificate
     callable(r, s, u, lam) -> values that must all be negative; it is
-    called once, on the arrays of the admissible rows and their lambda*.
+    called once per block of kept rows, on the arrays of those rows and
+    their lambda*.
 
     The minimised quantity is the relative residual (see
     :func:`batch_einstein_residual`), which puts points with very
     different metric scales on a common footing; the absolute residual at
-    the minimiser is reported alongside."""
+    the minimiser is reported alongside.  Ties go to the earliest row, and
+    NaN residuals sort last.
+
+    The rows run in blocks of :data:`SCAN_BLOCK` and only per-block
+    reductions are kept, so memory is O(block), not O(grid).  Every
+    per-row quantity is elementwise in its row, so the report does not
+    depend on the block size."""
     grid = np.asarray(default_surface_grid() if grid is None else grid,
                       dtype=complex)
     if grid.ndim != 2 or grid.shape[1] != 3:
         raise ValueError(f"grid must be (r, s, u) rows, shape M x 3, "
                          f"got shape {grid.shape}")
-    grid = grid[surface_admissible(grid[:, 0], grid[:, 1], grid[:, 2])]
-    r, s, u = grid[:, 0].real, grid[:, 1].real, grid[:, 2]
-    hs = np.empty((len(grid), 2, 2), dtype=complex)
-    hs[:, 0, 0] = r * r / 2
-    hs[:, 1, 1] = s * s / 2
-    hs[:, 0, 1] = -1j * u / 2
-    hs[:, 1, 0] = 1j * u.conjugate() / 2
-    # HermitianMetric's DegenerateMetric rule: a row on the cone |u| = r s
-    # can pass the mask with a singular h in floats
-    det = hs[:, 0, 0] * hs[:, 1, 1] - hs[:, 0, 1] * hs[:, 1, 0]
-    keep = np.abs(det) >= DEGENERACY * np.max(np.abs(hs), axis=(1, 2)) ** 2
-    if not keep.all():
-        grid, hs = grid[keep], hs[keep]
-        r, s, u = r[keep], s[keep], u[keep]
-    if not len(grid):
+    # per block: its count, its winner (global row index, relative
+    # residual, r, s, u, absolute residual) and its certificate verdict
+    count, winners, certs = 0, [], []
+    for r, s, u, hs in _surface_blocks(grid):
+        lam, resid_abs, resid, _ = batch_einstein_residual(kind, alg, hs,
+                                                           mode=mode)
+        b = int(np.lexsort((np.arange(len(hs)), resid))[0])
+        winners.append((count + b, resid[b], r[b], s[b], u[b], resid_abs[b]))
+        count += len(hs)
+        if certificate is not None:
+            vals = certificate(r, s, u, lam)
+            certs.append((bool(np.all(vals < 0)), np.max(vals)))
+    if not count:
         raise ValueError("no admissible grid points")
-    lam, resid_abs, resid, _ = batch_einstein_residual(kind, alg, hs,
-                                                       mode=mode)
-    order = np.lexsort((np.arange(len(grid)), resid))
-    best = int(order[0])
+    index, resid, r, s, u, resid_abs = (np.array(c) for c in zip(*winners))
+    best = int(np.lexsort((index, resid))[0])
     cert_ok, cert_worst = None, None
-    if certificate is not None:
-        vals = certificate(r, s, u, lam)
-        cert_ok = bool(np.all(vals < 0))
-        cert_worst = float(np.max(vals))
-    return ScanReport(entry=entry_name, kind=kind, count=len(grid),
+    if certs:
+        oks, maxima = zip(*certs)
+        # np.max, not max: a NaN maximum propagates
+        cert_ok, cert_worst = all(oks), float(np.max(maxima))
+    return ScanReport(entry=entry_name, kind=kind, count=count,
                       min_residual=float(resid[best]),
                       argmin=(float(r[best]), float(s[best]),
                               complex(u[best])),

@@ -106,6 +106,15 @@ def test_scan_refuses_unbounded_grid(capsys, grid):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+def test_scan_overflowing_grid_is_one_line(capsys):
+    # r^2 overflows: every h has an infinite entry, and no row is kept
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "scan", "hopf",
+                             "--grid", "1e159:1e160:1e159")
+    assert (code, out, err) == (2, "", "error: no admissible grid points\n")
+
+
 def test_yamabe_zero(capsys):
     code, out, _ = run(capsys, "yamabe", "--generator", "zero", "--N", "16")
     assert code == 0

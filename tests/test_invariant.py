@@ -1,4 +1,7 @@
+import dataclasses
 import math
+import tracemalloc
+import warnings
 from fractions import Fraction
 from itertools import product
 
@@ -514,6 +517,166 @@ def test_scan_calls_certificate_once():
     report = inv.scan(alg, 2, grid=inv.default_surface_grid(
         [0.5, 1.0], [0.5, 1.0], radii=2, phases=4), certificate=counted)
     assert calls == [report.count] and report.certificate_ok
+
+
+def test_scan_drops_overflowing_rows():
+    # r^2 overflows, so h has infinite entries, yet the row passes the mask
+    alg, _, _ = catalog.build("hopf", {"r": 1.0}, exact=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = inv.scan(alg, 2, grid=[(1e160, 1e160, 0), (1, 1, 0.5)])
+    assert report == inv.scan(alg, 2, grid=[(1, 1, 0.5)])
+    assert report.count == 1
+
+
+# ---------------------------------------------------------------------------
+# the block-wise scan against the whole-grid scan
+
+B = inv.SCAN_BLOCK
+EDGE = (4.2078405135370796, 4.72617142078429,
+        -19.649257210196208 + 3.065695474006352j)  # degenerate in floats
+
+
+def _whole_grid_scan(alg, kind, grid, mode="strong", certificate=None):
+    """The scan on all rows at once: one batched residual, lexsort for the
+    argmin, all and np.max for the certificate."""
+    grid = np.asarray(grid, dtype=complex)
+    grid = grid[inv.surface_admissible(grid[:, 0], grid[:, 1], grid[:, 2])]
+    r, s, u = grid[:, 0].real, grid[:, 1].real, grid[:, 2]
+    hs = np.empty((len(grid), 2, 2), dtype=complex)
+    hs[:, 0, 0] = r * r / 2
+    hs[:, 1, 1] = s * s / 2
+    hs[:, 0, 1] = -1j * u / 2
+    hs[:, 1, 0] = 1j * u.conjugate() / 2
+    det = hs[:, 0, 0] * hs[:, 1, 1] - hs[:, 0, 1] * hs[:, 1, 0]
+    keep = (np.abs(det) >= inv.DEGENERACY
+            * np.max(np.abs(hs), axis=(1, 2)) ** 2)
+    hs, r, s, u = hs[keep], r[keep], s[keep], u[keep]
+    lam, resid_abs, resid, _ = inv.batch_einstein_residual(kind, alg, hs,
+                                                           mode=mode)
+    best = int(np.lexsort((np.arange(len(hs)), resid))[0])
+    cert_ok, cert_worst = None, None
+    if certificate is not None:
+        vals = certificate(r, s, u, lam)
+        cert_ok, cert_worst = bool(np.all(vals < 0)), float(np.max(vals))
+    return inv.ScanReport(entry=None, kind=kind, count=len(hs),
+                          min_residual=float(resid[best]),
+                          argmin=(float(r[best]), float(s[best]),
+                                  complex(u[best])),
+                          certificate_ok=cert_ok,
+                          certificate_worst=cert_worst,
+                          min_residual_abs=float(resid_abs[best]))
+
+
+def _random_grid(seed, m):
+    """m admissible rows: r, s in 0.25..3 and |u| < 0.95 r s."""
+    rng = np.random.default_rng(seed)
+    r, s = rng.uniform(0.25, 3, (2, m))
+    u = (0.95 * r * s * rng.uniform(0, 1, m)
+         * np.exp(2j * np.pi * rng.uniform(0, 1, m)))
+    return np.stack([r, s, u], axis=1)
+
+
+def _assert_same_report(got, want):
+    for field in dataclasses.fields(inv.ScanReport):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert a == b or (a != a and b != b), field.name  # NaN is NaN
+
+
+def _check_blocks(grid, kind=2, mode="strong", entry="inoue-sm",
+                  certificate=True):
+    alg, _, _ = catalog.build(entry, exact=False)
+    cert = catalog.get(entry).certificate if certificate else None
+    got = inv.scan(alg, kind, grid=grid, mode=mode, certificate=cert)
+    _assert_same_report(got, _whole_grid_scan(alg, kind, grid, mode, cert))
+    return got
+
+
+@pytest.mark.parametrize("rows", [1, B - 1, B, B + 1, 2 * B + 3])
+def test_block_scan_matches_whole_grid(rows):
+    assert _check_blocks(_random_grid(rows, rows)).count == rows
+
+
+@pytest.mark.parametrize("kind, mode", [(1, "weak"), (3, "strong")])
+def test_block_scan_matches_whole_grid_modes(kind, mode):
+    _check_blocks(_random_grid(1, 2 * B + 3), kind, mode, "hopf", False)
+
+
+def test_block_scan_skips_inadmissible_block():
+    grid = np.concatenate([_random_grid(2, B), _random_grid(3, B + 100)])
+    grid[:B, 0] = 0  # r = 0: the whole first block is dropped
+    assert _check_blocks(grid).count == B + 100
+
+
+def test_block_scan_drops_degenerate_row_in_second_block():
+    grid = np.insert(_random_grid(4, 2 * B), B + 7, EDGE, axis=0)
+    assert _check_blocks(grid).count == 2 * B
+
+
+def test_block_scan_winner_copied_later():
+    grid = _random_grid(5, B + 10)
+    alg, _, _ = catalog.build("inoue-sm", exact=False)
+    r, s, u = _whole_grid_scan(alg, 2, grid).argmin
+    # the later rows repeat earlier ones, so none beats the copy
+    grid = np.concatenate([grid, grid[-B:], [(r, s, u)]])
+    assert _check_blocks(grid).argmin == (r, s, u)
+
+
+@pytest.mark.parametrize("resid_of", [
+    lambda r, s: np.zeros_like(r),               # every row ties
+    lambda r, s: np.floor(s),                    # ties in every block
+    lambda r, s: np.where(r < 2.9, np.nan, s),   # NaN rows sort last
+    lambda r, s: np.full_like(r, np.nan)])
+def test_block_scan_tie_rule(monkeypatch, resid_of):
+    # ties between different rows, so the earliest row is seen to win
+    def fake(kind, alg, hs, mode="strong"):
+        r, s = np.sqrt(2 * hs[:, 0, 0].real), np.sqrt(2 * hs[:, 1, 1].real)
+        zero = np.zeros(len(hs))
+        return zero, zero, resid_of(r, s), zero
+
+    monkeypatch.setattr(inv, "batch_einstein_residual", fake)
+    _check_blocks(_random_grid(7, 2 * B + 3), certificate=False)
+
+
+def test_block_scan_tie_across_blocks(monkeypatch):
+    # the tied rows sit at local index 10 of block 1 and 0 of block 2
+    def fake(kind, alg, hs, mode="strong"):
+        zero = np.zeros(len(hs))
+        return zero, zero, (hs[:, 1, 1].real > 0.1) * 1.0, zero
+
+    monkeypatch.setattr(inv, "batch_einstein_residual", fake)
+    grid = _random_grid(9, 2 * B)
+    grid[:, 1] = np.maximum(grid[:, 1].real, 1.0)
+    grid[[10, B]] = [(1.5, 0.25, 0), (2.5, 0.25, 0)]
+    assert _check_blocks(grid, certificate=False).argmin == (1.5, 0.25, 0)
+
+
+def test_block_scan_certificate_nan_in_later_block():
+    grid = _random_grid(8, 2 * B + 3)
+    marker = grid[B + 5, 0].real
+    alg, _, _ = catalog.build("hopf", {"r": 1.0}, exact=False)
+
+    def cert(r, s, u, lam):  # -1, but NaN on one row of the second block
+        return np.where(r == marker, np.nan, -1.0)
+
+    got = inv.scan(alg, 2, grid=grid, certificate=cert)
+    _assert_same_report(got, _whole_grid_scan(alg, 2, grid, "strong", cert))
+    assert got.certificate_ok is False and math.isnan(got.certificate_worst)
+
+
+def test_scan_memory_is_bounded_by_the_block():
+    # the K=30 grid, 65,700 rows; all rows at once peak at ~55 MB
+    values = [0.25 + 0.1 * k for k in range(30)]
+    grid = inv.default_surface_grid(r_values=values, s_values=values)
+    alg, _, _ = catalog.build("inoue-sm", exact=False)
+    cert = catalog.get("inoue-sm").certificate
+    tracemalloc.start()
+    try:
+        inv.scan(alg, 2, grid=grid, certificate=cert)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24e6
 
 
 def test_ricci_report_consistent():
