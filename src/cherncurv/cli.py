@@ -211,6 +211,13 @@ def cmd_scan(args) -> int:
     return 0
 
 
+# the most (r, s, u) rows ``scan --grid`` builds; the default surface grid
+# has GRID_PAIR_ROWS rows per (r, s) pair, so K values per axis give
+# GRID_PAIR_ROWS K^2 rows
+GRID_MAX_ROWS = 10 ** 7
+GRID_PAIR_ROWS = len(inv.default_surface_grid([1.0], [1.0]))
+
+
 def _parse_grid(spec: str):
     try:
         start, stop, step = (float(x) for x in spec.split(":"))
@@ -220,13 +227,18 @@ def _parse_grid(spec: str):
     if not (math.isfinite(start) and math.isfinite(stop) and step > 0):
         raise InputError(f"--grid wants finite bounds and a positive "
                          f"step, got {spec!r}")
-    values = []
-    v = start
-    while v <= stop + 1e-12:
-        values.append(v)
-        v += step
-    if not values:
+    # the steps are counted before any value is made; a slack of 1e-9
+    # steps keeps a last value that rounding puts just past stop
+    steps = (stop - start) / step + 1e-9
+    if steps < 0:
         raise InputError("empty grid")
+    most = math.isqrt(GRID_MAX_ROWS // GRID_PAIR_ROWS)
+    if not steps < most:
+        raise InputError(f"--grid {spec!r} has more than {most} values per "
+                         f"axis, more than {GRID_MAX_ROWS} grid rows")
+    values = [start]
+    for _ in range(math.floor(steps)):
+        values.append(values[-1] + step)
     return inv.default_surface_grid(r_values=values, s_values=values)
 
 

@@ -21,7 +21,7 @@ theta^l_k = R^m_{k i jbar} phi^i ^ bar(phi)^j has the closed form
 One einsum evaluation of this formula, and one set of contractions (the two
 Ricci forms, the third Ricci tensor, both scalar curvatures, the Einstein
 residuals), serves a single metric in exact QQi or float arithmetic and a
-float batch of metrics alike; one metric drops a spec's batch index M.
+float batch of metrics alike; one metric is the batch of size M = 1.
 
 :func:`chern_curvature` validates and solves a (coframe, metric) pair once;
 its :class:`CurvatureTensor` carries A, B, gamma and h^{-1} beside R and
@@ -243,9 +243,26 @@ class CurvatureTensor:
 # ---------------------------------------------------------------------------
 # the curvature formula, over stacks of M metrics
 #
-# Arrays carry a leading batch index M.  Their dtype is the arithmetic:
-# complex for floats, object (QQi entries) for exact input.  Only the
-# gamma solve and the inverse metric depend on it.
+# Arrays carry a trailing batch index M, so that each einsum's inner loop
+# runs over the metrics; one metric is the stack x[..., None].  Their dtype
+# is the arithmetic: complex for floats, object (QQi entries) for exact
+# input.  Only the gamma solve and the inverse metric depend on it; they,
+# like the public batch functions, take the leading-M view np.linalg wants.
+
+def _leading(x):
+    """The view of a trailing-M array x[..., M] as x[M, ...]."""
+    return np.moveaxis(x, -1, 0)
+
+
+def _trailing(x):
+    """x[..., M] of a leading-M array x[M, ...]: a view when M is already
+    the innermost index in memory, as in :func:`_leading` of a trailing-M
+    array, or M = 1, else a C-contiguous copy."""
+    x = np.moveaxis(x, 0, -1)
+    if x.shape[-1] == 1 or x.strides[-1] == x.itemsize:
+        return x
+    return np.ascontiguousarray(x)
+
 
 def _check_pair(alg: CoframeAlgebra, n: int):
     """Refuse a coframe that is not integrable or fails the Jacobi check,
@@ -278,8 +295,8 @@ def chern_connection(b, hs):
     each metric in ``hs``: B removes the (1,1)-part of the torsion, and
     gamma solves gamma^m_{i l} h_{m jbar} = - h_{i kbar} conj(B^k_{j l})."""
     count, n = hs.shape[0], hs.shape[1]
-    rhs = -np.einsum("Mik,kjl->Mjil", hs, np.conj(b)).reshape(count, n,
-                                                                 n * n)
+    rhs = -np.einsum("ikM,kjl->jilM", _trailing(hs), np.conj(b))
+    rhs = _leading(rhs).reshape(count, n, n * n)
     ht = np.transpose(hs, (0, 2, 1))
     if hs.dtype == object:
         sol = np.array([mat_solve(a.tolist(), r.tolist())
@@ -300,28 +317,34 @@ def _upper(hs):
 
 
 # R^m_{k i jbar} as (sign, einsum spec, operands) terms, and Theta
-_R_TERMS = ((1, "Mmkl,lab->Mmkab", "gamma", "b"),
+_R_TERMS = ((1, "mklM,lab->mkabM", "gamma", "b"),
             (-1, "mkl,lba->mkab", "b", "conj_b"),
-            (1, "Mmla,lkb->Mmkab", "gamma", "b"),
-            (-1, "mlb,Mlka->Mmkab", "b", "gamma"))
-_THETA = "Mmkij,Mml->Mijkl"
+            (1, "mlaM,lkb->mkabM", "gamma", "b"),
+            (-1, "mlb,lkaM->mkabM", "b", "gamma"))
+_THETA = "mkijM,mlM->ijklM"
 
 
 def _curvature(b, gamma, hs):
     """(R, Theta) of the connection theta = gamma phi + B bar(phi).
 
-    R[M, m, k, i, j] = R^m_{k i jbar} is the (1,1)-part of
+    R[m, k, i, j, M] = R^m_{k i jbar} is the (1,1)-part of
     d theta^m_k + theta^m_l ^ theta^l_k for constant coefficients; the
     (2,0)- and (0,2)-parts vanish identically for an integrable coframe
-    with the Jacobi identity.  Theta[M, i, j, k, l] is the lowered tensor.
+    with the Jacobi identity.  Theta[i, j, k, l, M] is the lowered tensor,
+    laid out in memory as einsum leaves it, (k, i, j, l, M); the
+    contractions read it in that order.  gamma[m, k, l, M] and hs[i, j, M]
+    have M innermost in memory.
     """
     ops = {"gamma": gamma, "b": b, "conj_b": np.conj(b)}
     (_, spec, *names), *rest = _R_TERMS
     r = np.einsum(spec, *(ops[x] for x in names))
     for sign, spec, *names in rest:
-        # in place, so that no term outlives its addition
+        # in place, and each term freed before the next is made; a term
+        # without M is the same for every metric
+        term = np.einsum(spec, *(ops[x] for x in names))
         (np.add if sign > 0 else np.subtract)(
-            r, np.einsum(spec, *(ops[x] for x in names)), out=r)
+            r, term if "M" in spec else term[..., None], out=r)
+        del term
     return r, np.einsum(_THETA, r, hs)
 
 
@@ -357,32 +380,46 @@ def _contract(spec, *pairs):
     return np.asarray(value), _bound(spec, *pairs)
 
 
-_RICCI = {1: "Mkl,Mabkl->Mab", 2: "Mij,Mijab->Mab", 3: "Mil,Mibal->Mab"}
+_RICCI = {1: "klM,abklM->abM", 2: "ijM,ijabM->abM", 3: "ilM,ibalM->abM"}
 
 
 def _ricci_spec(kind):
-    """The einsum of Ric^(kind) [M, a, b] over (up, Theta); kind 3 has
+    """The einsum of Ric^(kind) [a, b, M] over (up, Theta); kind 3 has
     indices (k, jbar)."""
     if kind not in _RICCI:
         raise ValueError("kind must be 1, 2 or 3")
     return _RICCI[kind]
 
 
+def _ricci_stack(kind, up, theta):
+    """Ric^(kind) [a, b, M] of trailing-M (up, Theta).  Kinds 1 and 3
+    contract Theta's last index l; each l-sum is formed first and the sums
+    are then added over the outer index, the order in which one metric's
+    einsum adds them, so a metric gets the same bits alone or in a stack."""
+    spec = _ricci_spec(kind)
+    if kind == 2:
+        return np.einsum(spec, up, theta)
+    outer = spec[0]
+    return np.einsum(spec.replace("->ab", "->ab" + outer), up,
+                     theta).sum(axis=2)
+
+
 def _einstein_stack(mode, hs, ric, s):
-    """(lambda*, max |Ric - lambda* h|) per metric in the arithmetic of the
-    solve: strong S / n for the real ``s``, weak Re <h, Ric> / <h, h>."""
+    """(lambda*, max |Ric - lambda* h|) per metric of trailing-M (h, Ric)
+    in the arithmetic of the solve: strong S / n for the real ``s``, weak
+    Re <h, Ric> / <h, h>."""
     if mode == "strong":
-        lam = s / hs.shape[1]
+        lam = s / hs.shape[0]
     elif mode == "weak":
-        num = np.einsum("Mab,Mab->M", hs.conj(), ric)
+        num = np.einsum("abM,abM->M", hs.conj(), ric)
         if hs.dtype == object:  # numpy's real returns object arrays as is
-            den = np.sum(hs * hs.conj(), axis=(1, 2))
+            den = np.sum(hs * hs.conj(), axis=(0, 1))
             lam = np.array([a.real / b.real for a, b in zip(num, den)])
         else:  # floats take |h|^2 by hypot; scan output is pinned to it
-            lam = num.real / np.sum(np.abs(hs) ** 2, axis=(1, 2))
+            lam = num.real / np.sum(np.abs(hs) ** 2, axis=(0, 1))
     else:
         raise ValueError("mode must be 'strong' or 'weak'")
-    return lam, np.max(np.abs(ric - lam[:, None, None] * hs), axis=(1, 2))
+    return lam, np.max(np.abs(ric - lam * hs), axis=(0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -395,18 +432,19 @@ def chern_curvature(alg: CoframeAlgebra, h: HermitianMetric
     integrable or fails the Jacobi check."""
     _check_pair(alg, h.n)
     a, b = _structure(alg, h.exact)
-    hs = h.array[None]
-    gamma = chern_connection(b, hs)
+    hs = h.array[..., None]
+    gamma = _trailing(chern_connection(b, _leading(hs)))
     r, theta = _curvature(b, gamma, hs)
-    return CurvatureTensor(r_upper=r[0], lowered=theta[0], n=alg.n, a=a,
-                           b=b, gamma=gamma[0], up=h.inverse_upper(),
-                           h=h.array)
+    return CurvatureTensor(r_upper=r[..., 0], lowered=theta[..., 0],
+                           n=alg.n, a=a, b=b, gamma=gamma[..., 0],
+                           up=h.inverse_upper(), h=h.array)
 
 
 def _ric_matrix(kind: int, curv: CurvatureTensor, h: HermitianMetric):
     """Coefficient matrix M with Ric = sqrt(-1) M_{a bbar} phi^a ^ bar(phi)^b
     for kinds 1 and 2; for kind 3 the tensor Ric3_{k jbar} itself."""
-    return np.einsum(_ricci_spec(kind), curv.up[None], curv.lowered[None])[0]
+    return _ricci_stack(kind, curv.up[..., None], curv.lowered[..., None])[
+        ..., 0]
 
 
 def _ricci(kind: int, curv: CurvatureTensor):
@@ -437,8 +475,8 @@ def ricci(kind: int, curv: CurvatureTensor, h: HermitianMetric):
     return _matrix_to_form(*_ricci(kind, curv))
 
 
-_S_CHERN = "Mij,Mkl,Mijkl->M"
-_S_THIRD = "Mkj,Mil,Mijkl->M"
+_S_CHERN = "ijM,klM,ijklM->M"
+_S_THIRD = "kjM,ilM,ijklM->M"
 
 
 def scalar_chern(curv: CurvatureTensor, h: HermitianMetric):
@@ -577,8 +615,8 @@ def einstein_residual(kind: int, alg: CoframeAlgebra, h: HermitianMetric,
     # the strong lambda* divides S by n after the rounding rule of
     # scalar_chern, which also refuses a non-real S
     s = np.array([scalar_chern(curv, h)]) if mode == "strong" else None
-    lam, resid = _einstein_stack(mode, h.array[None],
-                                 _ric_matrix(kind, curv, h)[None], s)
+    lam, resid = _einstein_stack(mode, h.array[..., None],
+                                 _ric_matrix(kind, curv, h)[..., None], s)
     return float(lam[0]), float(resid[0])
 
 
@@ -587,7 +625,7 @@ def _strong_residual(kind: int, curv: CurvatureTensor):
     mode, the bound the largest over the entries of Ric - (S/n) h."""
     ric, e_ric = _ricci(kind, curv)
     s, e_s = _double_trace(_S_CHERN, curv)
-    resid = _einstein_stack("strong", curv.h[None], ric[None],
+    resid = _einstein_stack("strong", curv.h[..., None], ric[..., None],
                             np.array([s]))[1][0]
     e_lam_h = _bound("ab,->ab", (curv.h, None),
                      (np.asarray(s / curv.n), e_s / curv.n))
@@ -648,11 +686,12 @@ def batch_curvature(alg: CoframeAlgebra, hs: np.ndarray):
 
     ``hs`` has shape (M, n, n).  Returns Theta of shape (M, n, n, n, n)
     indexed [batch, i, j, k, l], by the formula :func:`chern_curvature`
-    applies to one metric.
+    applies to one metric: the leading-M view of a trailing-M array.
     """
     _check_pair(alg, hs.shape[1])
     b = _structure(alg, exact=False)[1]
-    return _curvature(b, chern_connection(b, hs), hs)[1]
+    gamma = _trailing(chern_connection(b, hs))
+    return _leading(_curvature(b, gamma, _trailing(hs))[1])
 
 
 def batch_einstein_residual(kind: int, alg: CoframeAlgebra, hs: np.ndarray,
@@ -664,12 +703,13 @@ def batch_einstein_residual(kind: int, alg: CoframeAlgebra, hs: np.ndarray,
     point, a dimensionless distance from the Einstein condition that is
     comparable across metric scales.
     """
-    up, theta = _upper(hs), batch_curvature(alg, hs)
-    ric = np.einsum(_ricci_spec(kind), up, theta)
+    theta = _trailing(batch_curvature(alg, hs))
+    up, hs = _trailing(_upper(hs)), _trailing(hs)
+    ric = _ricci_stack(kind, up, theta)
     s = np.einsum(_S_CHERN, up, up, theta).real
     lam, resid = _einstein_stack(mode, hs, ric, s)
-    scale = np.maximum(np.max(np.abs(ric), axis=(1, 2)),
-                       np.abs(lam) * np.max(np.abs(hs), axis=(1, 2)))
+    scale = np.maximum(np.max(np.abs(ric), axis=(0, 1)),
+                       np.abs(lam) * np.max(np.abs(hs), axis=(0, 1)))
     return lam, resid, resid / np.maximum(scale, 1e-300), s
 
 
@@ -688,7 +728,8 @@ class ScanReport:
     min_residual_abs: float = 0.0
 
 
-# grid rows per block of a scan, whose temporaries take ~0.8 KB a row
+# grid rows per block of a scan; a block's temporaries peak at 12.7 MB,
+# ~780 B a row (tracemalloc, inoue-sm kind 2 strong with its certificate)
 SCAN_BLOCK = 16384
 
 
@@ -719,11 +760,13 @@ def default_surface_grid(r_values=None, s_values=None, radii=9, phases=8):
 
 def _surface_blocks(grid):
     """Per block of :data:`SCAN_BLOCK` grid rows, the (r, s, u, h stack)
-    of the rows :func:`scan` keeps; blocks that keep none are skipped.
+    of the rows :func:`scan` keeps, h the leading-M view of a trailing-M
+    array; blocks that keep none are skipped.
 
-    r^2, s^2 and |u|^2 overflow for huge rows by design: such a row fails
-    the mask, or its h has a non-finite entry and is dropped with the
-    numerically degenerate rows, as :class:`HermitianMetric` refuses both.
+    r^2, s^2, |u|^2, det h and max |h|^2 overflow for huge rows by design:
+    such a row fails the mask, or its det h or max |h|^2 is not finite and
+    it is dropped with the numerically degenerate rows, as
+    :class:`HermitianMetric` refuses both.
     """
     for lo in range(0, len(grid), SCAN_BLOCK):
         block = grid[lo:lo + SCAN_BLOCK]
@@ -731,22 +774,21 @@ def _surface_blocks(grid):
             block = block[surface_admissible(block[:, 0], block[:, 1],
                                              block[:, 2])]
             r, s, u = block[:, 0].real, block[:, 1].real, block[:, 2]
-            hs = np.empty((len(block), 2, 2), dtype=complex)
-            hs[:, 0, 0] = r * r / 2
-            hs[:, 1, 1] = s * s / 2
-            hs[:, 0, 1] = -1j * u / 2
-            hs[:, 1, 0] = 1j * u.conjugate() / 2
+            hs = np.empty((2, 2, len(block)), dtype=complex)
+            hs[0, 0] = r * r / 2
+            hs[1, 1] = s * s / 2
+            hs[0, 1] = -1j * u / 2
+            hs[1, 0] = 1j * u.conjugate() / 2
+            det = hs[0, 0] * hs[1, 1] - hs[0, 1] * hs[1, 0]
+            scale = np.max(np.abs(hs), axis=(0, 1)) ** 2
         # HermitianMetric's DegenerateMetric rule: a row on the cone
         # |u| = r s can pass the mask with a singular h in floats
-        keep = np.isfinite(hs).all(axis=(1, 2))
-        h = hs[keep]
-        det = h[:, 0, 0] * h[:, 1, 1] - h[:, 0, 1] * h[:, 1, 0]
-        keep[keep] = (np.abs(det) >= DEGENERACY
-                      * np.max(np.abs(h), axis=(1, 2)) ** 2)
+        keep = (np.isfinite(det) & np.isfinite(scale)
+                & (np.abs(det) >= DEGENERACY * scale))
         if not keep.all():
-            r, s, u, hs = r[keep], s[keep], u[keep], hs[keep]
-        if len(hs):
-            yield r, s, u, hs
+            r, s, u, hs = r[keep], s[keep], u[keep], hs[..., keep]
+        if len(r):
+            yield r, s, u, _leading(hs)
 
 
 def scan(alg: CoframeAlgebra, kind: int, grid=None, mode: str = "strong",

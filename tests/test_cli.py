@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cherncurv import catalog, invariant as inv
+from cherncurv import catalog, cli, invariant as inv
 from cherncurv.cli import fmt_number, main, parse_params
 from cherncurv.forms import CoframeAlgebra
 from cherncurv.scalars import QQi
@@ -113,6 +113,48 @@ def test_scan_overflowing_grid_is_one_line(capsys):
         code, out, err = run(capsys, "scan", "hopf",
                              "--grid", "1e159:1e160:1e159")
     assert (code, out, err) == (2, "", "error: no admissible grid points\n")
+
+
+@pytest.mark.parametrize("grid", ["1e100:1e101:1e100", "1e150:1e151:1e150"])
+def test_scan_det_overflowing_grid_is_one_line(capsys, grid):
+    # h is finite, but det h overflows on every row
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "scan", "hopf", "--grid", grid)
+    assert (code, out, err) == (2, "", "error: no admissible grid points\n")
+
+
+def test_scan_tiny_grid_is_counted_by_its_step(capsys):
+    # ten values; an absolute slack of 1e-12 would run on to 1e-12
+    code, out, err = run(capsys, "scan", "hopf",
+                         "--grid", "1e-160:1e-159:1e-160")
+    assert (code, out, err) == (2, "", "error: no admissible grid points\n")
+
+
+@pytest.mark.parametrize("grid", ["1:371:1", "0:1:1e-300",
+                                  "-1e308:1e308:1e-300"])
+def test_scan_refuses_grid_beyond_row_cap(capsys, grid):
+    code, out, err = run(capsys, "scan", "hopf", f"--grid={grid}")
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and "10000000 grid rows" in lines[0]
+
+
+def test_grid_values(monkeypatch):
+    monkeypatch.setattr(inv, "default_surface_grid",
+                        lambda r_values, s_values: r_values)
+    # the invariant-scan workload's grids: whole 64ths, K values per axis
+    for K, most in {6: 24, 8: 20, 12: 12, 42: 5}.items():
+        for a in range(6, 33):
+            for c in range(2, most + 1):
+                spec = f"{a / 64!r}:{(a + (K - 1) * c) / 64!r}:{c / 64!r}"
+                assert cli._parse_grid(spec) == [(a + k * c) / 64
+                                                 for k in range(K)]
+    # the scan goldens' grid, and an accumulated sum that rounds past stop
+    assert cli._parse_grid("0.375:1.625:0.625") == [0.375, 1.0, 1.625]
+    assert cli._parse_grid("0.1:0.3:0.1") == [0.1, 0.2, 0.1 + 0.1 + 0.1]
+    assert cli._parse_grid("1e76:1e77:1e76")[-1] > 1e77
+    assert len(cli._parse_grid("1:370:1")) == 370
 
 
 def test_yamabe_zero(capsys):

@@ -187,6 +187,119 @@ def test_batch_residual_relative_dimensionless():
 
 
 # ---------------------------------------------------------------------------
+# the trailing batch index against the leading one, bit for bit
+#
+# The batched arrays carry the metric index M last, so that each einsum's
+# inner loop runs over the metrics.  The oracle is the same pipeline with M
+# first; equal bytes mean that every sum adds its terms in the same order.
+
+_LEADING_R_TERMS = ((1, "Mmkl,lab->Mmkab", "gamma", "b"),
+                    (-1, "mkl,lba->mkab", "b", "conj_b"),
+                    (1, "Mmla,lkb->Mmkab", "gamma", "b"),
+                    (-1, "mlb,Mlka->Mmkab", "b", "gamma"))
+_LEADING_RICCI = {1: "Mkl,Mabkl->Mab", 2: "Mij,Mijab->Mab",
+                  3: "Mil,Mibal->Mab"}
+
+
+def _leading_axis_pipeline(alg, hs):
+    """(Theta, {kind: Ric}, S, {(kind, mode): the four arrays of
+    batch_einstein_residual}) of an (M, n, n) stack, computed with M first
+    in every array."""
+    b = inv._structure(alg, exact=False)[1]
+    m, n = hs.shape[:2]
+    rhs = -np.einsum("Mik,kjl->Mjil", hs, np.conj(b)).reshape(m, n, n * n)
+    gamma = np.linalg.solve(np.transpose(hs, (0, 2, 1)),
+                            rhs).reshape(m, n, n, n)
+    ops = {"gamma": gamma, "b": b, "conj_b": np.conj(b)}
+    (_, spec, *names), *rest = _LEADING_R_TERMS
+    r = np.einsum(spec, *(ops[x] for x in names))
+    for sign, spec, *names in rest:
+        (np.add if sign > 0 else np.subtract)(
+            r, np.einsum(spec, *(ops[x] for x in names)), out=r)
+    theta = np.einsum("Mmkij,Mml->Mijkl", r, hs)
+    up = np.transpose(np.linalg.inv(hs), (0, 2, 1))
+    s = np.einsum("Mij,Mkl,Mijkl->M", up, up, theta).real
+    ric, residuals = {}, {}
+    for kind, spec in _LEADING_RICCI.items():
+        ric[kind] = np.einsum(spec, up, theta)
+        for mode in ("strong", "weak"):
+            if mode == "strong":
+                lam = s / n
+            else:
+                lam = (np.einsum("Mab,Mab->M", hs.conj(), ric[kind]).real
+                       / np.sum(np.abs(hs) ** 2, axis=(1, 2)))
+            resid = np.max(np.abs(ric[kind] - lam[:, None, None] * hs),
+                           axis=(1, 2))
+            scale = np.maximum(np.max(np.abs(ric[kind]), axis=(1, 2)),
+                               np.abs(lam) * np.max(np.abs(hs), axis=(1, 2)))
+            residuals[kind, mode] = (lam, resid,
+                                     resid / np.maximum(scale, 1e-300), s)
+    return theta, ric, s, residuals
+
+
+def _log_uniform_stack(seed, m):
+    """m surface metrics, (M, 2, 2): r and s log-uniform in 1e-2..1e3,
+    |u| < 0.95 r s at a uniform phase, and u = 0 on every fifth."""
+    rng = np.random.default_rng(seed)
+    r, s = 10 ** rng.uniform(-2, 3, (2, m))
+    u = (0.95 * r * s * rng.uniform(0, 1, m)
+         * np.exp(2j * np.pi * rng.uniform(0, 1, m)))
+    u[::5] = 0
+    hs = np.empty((m, 2, 2), dtype=complex)
+    hs[:, 0, 0] = r * r / 2
+    hs[:, 1, 1] = s * s / 2
+    hs[:, 0, 1] = -1j * u / 2
+    hs[:, 1, 0] = 1j * u.conjugate() / 2
+    return hs
+
+
+def _same_bits(got, want):
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", ENTRIES)
+def test_trailing_batch_axis_is_bit_identical(name):
+    alg, _, _ = catalog.build(name, exact=False)
+    hs = _log_uniform_stack(ENTRIES.index(name), 3000)
+    theta, ric, s, residuals = _leading_axis_pipeline(alg, hs)
+    batch_theta = inv.batch_curvature(alg, hs)
+    _same_bits(batch_theta, theta)
+    up, th = inv._trailing(inv._upper(hs)), inv._trailing(batch_theta)
+    _same_bits(np.einsum(inv._S_CHERN, up, up, th).real, s)
+    for kind in (1, 2, 3):
+        _same_bits(inv._leading(inv._ricci_stack(kind, up, th)), ric[kind])
+        for mode in ("strong", "weak"):
+            got = inv.batch_einstein_residual(kind, alg, hs, mode)
+            for g, w in zip(got, residuals[kind, mode]):
+                _same_bits(g, w)
+
+
+@pytest.mark.parametrize("name", ENTRIES)
+def test_one_metric_is_the_batch_of_one(name):
+    # a stack of one metric, and the single-metric path, against the oracle
+    alg, _, _ = catalog.build(name, exact=False)
+    hs = _log_uniform_stack(100 + ENTRIES.index(name), 30)
+    for idx in range(len(hs)):
+        theta, ric, _, residuals = _leading_axis_pipeline(alg, hs[idx:idx + 1])
+        for (kind, mode), want in residuals.items():
+            got = inv.batch_einstein_residual(kind, alg, hs[idx:idx + 1], mode)
+            for g, w in zip(got, want):
+                _same_bits(g, w)
+        try:
+            h = HermitianMetric(hs[idx])
+        except DegenerateMetric:
+            continue
+        curv = inv.chern_curvature(alg, h)
+        _same_bits(curv.lowered, theta[0])
+        for kind in (1, 2, 3):
+            _same_bits(inv._ric_matrix(kind, curv, h), ric[kind][0])
+            # weak lambda* has no rounding rule, so it is the stack's
+            lam, resid = inv.einstein_residual(kind, alg, h, "weak", curv)
+            want = residuals[kind, "weak"]
+            assert (lam, resid) == (want[0][0], want[1][0])
+
+
+# ---------------------------------------------------------------------------
 # torsion, Lee form, Gauduchon
 
 def test_torsion_flat_torus_vanishes():
@@ -529,6 +642,19 @@ def test_scan_drops_overflowing_rows():
     assert report.count == 1
 
 
+@pytest.mark.parametrize("big", [1e100, 1e150])
+def test_scan_drops_rows_whose_det_overflows(big):
+    # h is finite, but det h and max |h|^2 overflow
+    alg, _, _ = catalog.build("hopf", {"r": 1.0}, exact=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = inv.scan(alg, 2, grid=[(big, big, 0), (1, 1, 0.5)])
+        with pytest.raises(ValueError, match="no admissible grid points"):
+            inv.scan(alg, 2, grid=[(big, big, 0), (big, 2 * big, big)])
+    assert report == inv.scan(alg, 2, grid=[(1, 1, 0.5)])
+    assert report.count == 1
+
+
 # ---------------------------------------------------------------------------
 # the block-wise scan against the whole-grid scan
 
@@ -677,6 +803,23 @@ def test_scan_memory_is_bounded_by_the_block():
     finally:
         tracemalloc.stop()
     assert peak <= 24e6
+
+
+def test_scan_memory_of_the_largest_workload_grid():
+    # K=42 in 64ths as the invariant-scan workload draws it: 128,772 rows
+    # in 8 blocks; stacks with the metric index first peaked at 15.5 MB
+    values = [(12 + 5 * k) / 64 for k in range(42)]
+    grid = inv.default_surface_grid(r_values=values, s_values=values)
+    assert len(grid) == 128_772
+    alg, _, _ = catalog.build("inoue-sm", exact=False)
+    cert = catalog.get("inoue-sm").certificate
+    tracemalloc.start()
+    try:
+        inv.scan(alg, 2, grid=grid, certificate=cert)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 15.5e6
 
 
 def test_ricci_report_consistent():
