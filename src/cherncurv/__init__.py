@@ -9,7 +9,7 @@ from .invariant import (HermitianMetric, SurfaceMetricParams,
                         chern_connection, chern_curvature, ricci,
                         scalar_chern, scalar_third, torsion, lee_form,
                         is_gauduchon, gauduchon_degree, einstein_residual,
-                        chern_weil, bogomolov_lubke, scan, ricci_report)
+                        bogomolov_lubke, scan)
 from .chart import (ChartMetricField, ScalarField, curvature_at, fd_oracle,
                     ricci_matrices_at, chern_laplacian_at, conformal_check,
                     first_ce_from_potential, registered_metrics,
@@ -25,7 +25,7 @@ __all__ = [
     "HermitianMetric", "SurfaceMetricParams", "chern_connection",
     "chern_curvature", "ricci", "scalar_chern", "scalar_third", "torsion",
     "lee_form", "is_gauduchon", "gauduchon_degree", "einstein_residual",
-    "chern_weil", "bogomolov_lubke", "scan", "ricci_report",
+    "bogomolov_lubke", "scan",
     "ChartMetricField", "ScalarField", "curvature_at", "fd_oracle",
     "ricci_matrices_at", "chern_laplacian_at", "conformal_check",
     "first_ce_from_potential", "registered_metrics", "registered_factors",

@@ -511,16 +511,16 @@ class VerifyReport:
 
 
 def _computed_value(quantity, alg, h, curv):
-    """(value, rounding bound) of one quantity; a form's bound is the
-    matrix of its coefficients' bounds."""
+    """(value, rounding bound) of one quantity, read from the solved
+    tensor; a form's bound is the matrix of its coefficients' bounds."""
     if quantity in ("S_Ch", "einstein2_lambda"):
-        s, bound = inv._double_trace(inv._S_CHERN, curv)
+        s, bound = curv.s_chern
         return (s, bound) if quantity == "S_Ch" else (s / alg.n,
                                                       bound / alg.n)
     if quantity == "S3":
-        return inv._double_trace(inv._S_THIRD, curv)
+        return curv.s_third
     if quantity == "einstein2_residual":
-        return inv._strong_residual(2, curv)
+        return curv.einstein(2)[1], curv.einstein_bound(2)
     if quantity.startswith("Theta_"):
         idx = tuple(int(c) - 1 for c in quantity[-4:])
         v, bound = curv.lowered[idx], curv.bound["lowered"][idx]
@@ -528,14 +528,15 @@ def _computed_value(quantity, alg, h, curv):
         return (abs(v), bound + UNIT_ROUNDOFF * abs(v)) \
             if quantity.startswith("Theta_abs_") else (v, bound)
     if quantity.startswith("Ric"):
-        m, bound = inv._ricci(int(quantity[3]), curv)
+        kind = int(quantity[3])
+        bound = curv.ric_bound(kind)
         if len(quantity) == 7:
             # published Ric3 components carry indices (jbar, k); our matrix
             # is (k, j)
             a, b = int(quantity[5]) - 1, int(quantity[6]) - 1
-            idx = (a, b) if quantity[3] == "2" else (b, a)
-            return m[idx], bound[idx]
-        form = inv._matrix_to_form(m, bound)
+            idx = (a, b) if kind == 2 else (b, a)
+            return curv.ric(kind)[idx], bound[idx]
+        form = inv.ricci(kind, curv, h)
         if quantity == "Ric2_diag_matches_minus_omega":
             return _agree(h.omega().scale(-1), form, bound), 0
         return form, bound
@@ -581,8 +582,8 @@ def verify(name: str, params: Optional[dict] = None,
         rows.append(VerifyRow(q.name, exp_v, comp_v, passed, q.asserted,
                               q.note))
     if entry.lemma is not None:
-        rows.append(VerifyRow("sign_lemma", True, entry.lemma(p),
-                              entry.lemma(p), True,
+        holds = entry.lemma(p)
+        rows.append(VerifyRow("sign_lemma", True, holds, holds, True,
                               "inequality used by the non-existence proof"))
     return VerifyReport(entry=name, params=p, mode=mode, rows=rows)
 

@@ -302,8 +302,10 @@ def cmd_yamabe(args) -> int:
     except yamabe.SolverDiverged as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    law = yamabe.conformal_scalar_law(problem.S, result.f, problem.n,
-                                      problem.grid)
+    # exp(f) may overflow; law_constancy then reads inf
+    with np.errstate(over="ignore"):
+        law = yamabe.conformal_scalar_law(problem.S, result.f, problem.n,
+                                          problem.grid)
     rep = Report()
     rep.add("N", problem.grid.N)
     rep.add("n", problem.n)
@@ -346,7 +348,7 @@ def cmd_gauduchon(args) -> int:
     rep.add("gauduchon", ok)
     rep.add("residual", residual)
     if ok:
-        rep.add("degree", inv._degree(curv, h))
+        rep.add("degree", inv.gauduchon_degree(curv, h))
     _emit(rep, args)
     return 0 if ok else 1
 

@@ -25,7 +25,9 @@ float batch of metrics alike; one metric is the batch of size M = 1.
 
 :func:`chern_curvature` validates and solves a (coframe, metric) pair once;
 its :class:`CurvatureTensor` carries A, B, gamma and h^{-1} beside R and
-Theta, and that one solved tensor serves every contraction below.
+Theta and owns every contraction of that metric, each evaluated at most
+once, on first use and in the tensor's arithmetic; the public functions
+below are views of it.
 
 Every zero test of a float result (a printed Theta entry, a Ricci form
 entry, a trace, the Gauduchon coefficient, the Bogomolov-Lubke pairing, a
@@ -34,8 +36,9 @@ result's first-order rounding bound (Higham, *Accuracy and Stability of
 Numerical Algorithms*, 2nd ed., 3.3 and ch. 14), which :func:`_bound`
 takes from the result's own einsum on absolute values, err(AB) <=
 |A| err(B) + err(A) |B| + k u |A| |B|.  h^{-1}, gamma, R and Theta are
-bounded on first use; exact solves have zero bounds, the batched scan
-computes none, and the Einstein residuals stay in the solve's arithmetic.
+bounded on first use, each magnitude taken once; exact solves have zero
+bounds, a caller that needs no bound computes none, nor does the batched
+scan, and the Einstein residuals stay in the solve's arithmetic.
 
 The other invariant quantities are contractions of gamma, B, the
 antisymmetric (2,0)-table A (d phi^i = A^i_{a b} phi^a ^ phi^b / 2 + ...),
@@ -57,8 +60,9 @@ omega entering through det h and up alone:
   <X, Y> = up^{a bbar} up^{c dbar} X_{a dbar} Y_{c bbar}.
 
 The form-algebra evaluations of the same quantities with ``ext_d`` and
-``wedge`` are kept as test oracles in ``tests/forms_oracle.py``; the Lee
-checks still use ``ext_d`` and ``wedge`` on the computed Lee form.
+``wedge``, the Chern-Weil forms among them, are kept as test oracles in
+``tests/forms_oracle.py``; the Lee checks still use ``ext_d`` and
+``wedge`` on the computed Lee form.
 
 Sign calibration is normative against the Hopf anchors
 Ric1 = 2 sqrt(-1) phi^1 ^ bar(phi)^1, Ric2 = (2/r^2) omega, S = 4/r^2.
@@ -68,7 +72,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -110,7 +114,6 @@ class HermitianMetric:
         self.h = [[flat[i, j] for j in range(self.n)] for i in range(self.n)]
         self._validate()
         self.array = np.array(self.h, dtype=object if self.exact else complex)
-        self._up = None
 
     def _validate(self):
         n = self.n
@@ -132,11 +135,9 @@ class HermitianMetric:
                     f"leading principal minor {k} is not positive")
 
     def inverse_upper(self):
-        """h^{i jbar}, the inverse satisfying h^{i jbar} h_{k jbar} = delta,
-        computed on the first call and kept."""
-        if self._up is None:
-            self._up = _upper(self.array[None])[0]
-        return self._up
+        """h^{i jbar}, the inverse satisfying h^{i jbar} h_{k jbar} = delta;
+        the solved tensor keeps it as ``up``."""
+        return _upper(self.array[None])[0]
 
     def scaled(self, c) -> "HermitianMetric":
         return HermitianMetric([[v * c for v in row] for row in self.h])
@@ -192,52 +193,6 @@ class SurfaceMetricParams:
         r, s, u = p["r"], p["s"], p["u"]
         return HermitianMetric([[r * r / 2, -times_i(u) / 2],
                                 [times_i(conj(u)) / 2, s * s / 2]])
-
-
-@dataclass
-class CurvatureTensor:
-    """The solved Chern connection and curvature of one (coframe, metric)
-    pair, as numpy arrays.
-
-    ``r_upper[m, k, i, j]`` is R^m_{k i jbar}, with
-    Theta^m_k = R^m_{k i jbar} phi^i ^ bar(phi)^j, and ``lowered[i, j, k, l]``
-    is Theta_{i jbar k lbar} = R^m_{k i jbar} h_{m lbar}; ``a`` and ``b``
-    are A and B (:func:`_structure`), ``gamma[m, k, l]`` = gamma^m_{k l}
-    and ``up[k, l]`` = h^{k lbar}, the inverse every contraction reads, of
-    the metric ``h``.  Entries are QQi (dtype object) for an exact metric
-    and complex otherwise.
-    """
-
-    r_upper: np.ndarray
-    lowered: np.ndarray
-    n: int
-    a: np.ndarray
-    b: np.ndarray
-    gamma: np.ndarray
-    up: np.ndarray
-    h: np.ndarray
-
-    @functools.cached_property
-    def bound(self):
-        """Maps "up", "gamma", "r_upper" and "lowered" to the rounding
-        bound of each entry of that array, computed on first use: h^{-1} as
-        |h^{-1}| |h| |h^{-1}|, gamma as -h^{-1} h conj(B), R term by term."""
-        if self.h.dtype == object:  # an exact solve rounds nothing
-            return {name: np.zeros(getattr(self, name).shape)
-                    for name in ("up", "gamma", "r_upper", "lowered")}
-        h, b = (self.h, None), (self.b, None)
-        up = (self.up, _bound("ka,ba,bl->kl", (self.up, None), h,
-                              (self.up, None)))
-        gamma = (self.gamma, _bound("mj,ik,kjl->mil", up, h, b))
-        ops = {"gamma": gamma, "b": b, "conj_b": b}  # |conj(B)| = |B|
-        r = (self.r_upper, sum(_bound(spec, *(ops[x] for x in names))
-                               for _, spec, *names in _R_TERMS))
-        return {"up": up[1], "gamma": gamma[1], "r_upper": r[1],
-                "lowered": _bound(_THETA, r, h)}
-
-    def component(self, i, j, k, l):
-        """1-based Theta_{i jbar k lbar}."""
-        return self.lowered[i - 1, j - 1, k - 1, l - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -349,19 +304,17 @@ def _curvature(b, gamma, hs):
 
 
 def _bound(spec, *pairs):
-    """First-order rounding bound of each entry of np.einsum(spec, values)
-    over (value, bound) pairs of one metric (M dropped from ``spec``), bound
-    None for an input: the einsum of |values| with one operand's bound in
-    place of its magnitude, summed over the operands, plus k u times the
-    einsum of |values|, k the operand count plus the terms each entry sums.
-    Exact (object) values have none."""
+    """First-order rounding bound of each entry of a float
+    np.einsum(spec, values) over (|value|, bound) pairs of one metric (M
+    dropped from ``spec``), bound None for an input: the einsum of |values|
+    with one operand's bound in place of its magnitude, summed over the
+    operands, plus k u times the einsum of |values|, k the operand count
+    plus the terms each entry sums."""
     spec = spec.replace("M", "")
     ins, out = spec.split("->")
     size = dict(zip(ins.replace(",", ""), (d for v, _ in pairs
                                            for d in v.shape)))
-    if pairs[0][0].dtype == object:
-        return np.zeros([size[c] for c in out])
-    mags = [abs(v) for v, _ in pairs]
+    mags = [m for m, _ in pairs]
     ku = UNIT_ROUNDOFF * (len(pairs) + math.prod(
         d for c, d in size.items() if c not in out))
     total = None
@@ -375,20 +328,18 @@ def _bound(spec, *pairs):
 
 
 def _contract(spec, *pairs):
-    """(np.einsum(spec, values) as an array, its :func:`_bound`)."""
-    value = np.einsum(spec.replace("M", ""), *(v for v, _ in pairs))
-    return np.asarray(value), _bound(spec, *pairs)
+    """(np.einsum(spec, values) as an array, its :func:`_bound`) over
+    (value, bound) pairs; exact (object) values have a zero bound."""
+    value = np.asarray(np.einsum(spec.replace("M", ""),
+                                 *(v for v, _ in pairs)))
+    if pairs[0][0].dtype == object:
+        return value, np.zeros(value.shape)
+    return value, _bound(spec, *((abs(v), e) for v, e in pairs))
 
 
+# the einsum of Ric^(kind) [a, b, M] over (up, Theta); kind 3 has indices
+# (k, jbar)
 _RICCI = {1: "klM,abklM->abM", 2: "ijM,ijabM->abM", 3: "ilM,ibalM->abM"}
-
-
-def _ricci_spec(kind):
-    """The einsum of Ric^(kind) [a, b, M] over (up, Theta); kind 3 has
-    indices (k, jbar)."""
-    if kind not in _RICCI:
-        raise ValueError("kind must be 1, 2 or 3")
-    return _RICCI[kind]
 
 
 def _ricci_stack(kind, up, theta):
@@ -396,7 +347,9 @@ def _ricci_stack(kind, up, theta):
     contract Theta's last index l; each l-sum is formed first and the sums
     are then added over the outer index, the order in which one metric's
     einsum adds them, so a metric gets the same bits alone or in a stack."""
-    spec = _ricci_spec(kind)
+    if kind not in _RICCI:
+        raise ValueError("kind must be 1, 2 or 3")
+    spec = _RICCI[kind]
     if kind == 2:
         return np.einsum(spec, up, theta)
     outer = spec[0]
@@ -423,7 +376,151 @@ def _einstein_stack(mode, hs, ric, s):
 
 
 # ---------------------------------------------------------------------------
-# one metric: the solve, and the contractions that read it
+# one metric: the solve, and the tensor that owns its contractions
+
+_S_CHERN = "ijM,klM,ijklM->M"
+_S_THIRD = "kjM,ilM,ijklM->M"
+_TAU = "kjk->j"
+
+
+@dataclass
+class CurvatureTensor:
+    """The solved Chern connection and curvature of one (coframe, metric)
+    pair, as numpy arrays, and the contractions of that pair.
+
+    ``r_upper[m, k, i, j]`` is R^m_{k i jbar}, with
+    Theta^m_k = R^m_{k i jbar} phi^i ^ bar(phi)^j, and ``lowered[i, j, k, l]``
+    is Theta_{i jbar k lbar} = R^m_{k i jbar} h_{m lbar}; ``a`` and ``b``
+    are A and B (:func:`_structure`), ``gamma[m, k, l]`` = gamma^m_{k l}
+    and ``up[k, l]`` = h^{k lbar}, the inverse every contraction reads, of
+    the metric ``h``.  Entries are QQi (dtype object) for an exact metric
+    and complex otherwise.  Contractions, bounds and magnitudes are kept.
+    """
+
+    r_upper: np.ndarray
+    lowered: np.ndarray
+    n: int
+    a: np.ndarray
+    b: np.ndarray
+    gamma: np.ndarray
+    up: np.ndarray
+    h: np.ndarray
+    _kept: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
+
+    def _once(self, key, compute):
+        """compute(), evaluated on the first call with ``key`` and kept."""
+        if key not in self._kept:
+            self._kept[key] = compute()
+        return self._kept[key]
+
+    @property
+    def exact(self) -> bool:
+        return self.h.dtype == object
+
+    def _abs(self, name):
+        """|x| of the tensor's float array ``name``."""
+        return self._once(("abs", name), lambda: abs(getattr(self, name)))
+
+    @functools.cached_property
+    def bound(self):
+        """Maps "up", "gamma", "r_upper" and "lowered" to the rounding
+        bound of each entry of that array: h^{-1} as
+        |h^{-1}| |h| |h^{-1}|, gamma as -h^{-1} h conj(B), R term by term."""
+        if self.exact:  # an exact solve rounds nothing
+            return {name: np.zeros(getattr(self, name).shape)
+                    for name in ("up", "gamma", "r_upper", "lowered")}
+        mag = self._abs
+        h, b = (mag("h"), None), (mag("b"), None)
+        up = _bound("ka,ba,bl->kl", (mag("up"), None), h, (mag("up"), None))
+        gamma = _bound("mj,ik,kjl->mil", (mag("up"), up), h, b)
+        # |conj(B)| = |B|
+        ops = {"gamma": (mag("gamma"), gamma), "b": b, "conj_b": b}
+        r = sum(_bound(spec, *(ops[x] for x in names))
+                for _, spec, *names in _R_TERMS)
+        return {"up": up, "gamma": gamma, "r_upper": r,
+                "lowered": _bound(_THETA, (mag("r_upper"), r), h)}
+
+    def _bound_of(self, spec, *names):
+        """The rounding bound of np.einsum(spec) over the named arrays of
+        the tensor; zero for an exact tensor."""
+        if self.exact:
+            return np.zeros((self.n,) * len(spec.split("->")[1].strip("M")))
+        return _bound(spec, *((self._abs(x), self.bound[x]) for x in names))
+
+    def ric(self, kind: int):
+        """Coefficient matrix M with Ric = sqrt(-1) M_{a bbar} phi^a ^
+        bar(phi)^b for kinds 1 and 2; for kind 3 the tensor Ric3_{k jbar}."""
+        return self._once(("ric", kind), lambda: _ricci_stack(
+            kind, self.up[..., None], self.lowered[..., None])[..., 0])
+
+    def ric_bound(self, kind: int):
+        """The rounding bound of each entry of :meth:`ric`."""
+        return self._once(("ric_bound", kind), lambda: self._bound_of(
+            _RICCI[kind], "up", "lowered"))
+
+    def _double_trace(self, spec):
+        """(real value, rounding bound) of a double trace of Theta; a float
+        value within its bound is 0."""
+        x = np.asarray(np.einsum(spec.replace("M", ""), self.up, self.up,
+                                 self.lowered)).item()
+        bound = self._bound_of(spec, "up", "up", "lowered").item()
+        x = _realize(x, bound)
+        return (0.0 if x and negligible(x, bound) else x), bound
+
+    @functools.cached_property
+    def s_chern(self):
+        """(S, its rounding bound); see :func:`scalar_chern`."""
+        return self._double_trace(_S_CHERN)
+
+    @functools.cached_property
+    def s_third(self):
+        """(S3, its rounding bound); see :func:`scalar_third`."""
+        return self._double_trace(_S_THIRD)
+
+    def einstein(self, kind: int, mode: str = "strong"):
+        """(lambda*, residual); see :func:`einstein_residual`."""
+        def compute():
+            # the strong lambda* divides S by n after the rounding rule of
+            # s_chern, which also refuses a non-real S
+            s = np.array([self.s_chern[0]]) if mode == "strong" else None
+            lam, resid = _einstein_stack(mode, self.h[..., None],
+                                         self.ric(kind)[..., None], s)
+            return float(lam[0]), float(resid[0])
+        return self._once(("einstein", kind, mode), compute)
+
+    def einstein_bound(self, kind: int) -> float:
+        """The rounding bound of the strong residual of :meth:`einstein`,
+        the largest over the entries of Ric - (S/n) h."""
+        def compute():
+            if self.exact:
+                return 0.0
+            s, e_s = self.s_chern
+            e_lam_h = _bound("ab,->ab", (self._abs("h"), None),
+                             (np.asarray(abs(s / self.n)), e_s / self.n))
+            return float(np.max(self.ric_bound(kind) + e_lam_h))
+        return self._once(("einstein_bound", kind), compute)
+
+    @functools.cached_property
+    def gauduchon(self):
+        """(verdict, residual); see :func:`is_gauduchon`."""
+        e_gamma = self.bound["gamma"]
+        t, tau = torsion(self)
+        tau = (tau, np.zeros(self.n) if self.exact else _bound(
+            _TAU, (abs(t), e_gamma + np.transpose(e_gamma, (0, 2, 1)))))
+        outer, e_outer = _contract("l,k->lk", tau, (np.conj(tau[0]), tau[1]))
+        tb, e_tb = _contract("j,jkl->lk", tau, (self.b, None))
+        x, bound = _contract("lk,lk->", (self.up, self.bound["up"]),
+                             (outer - np.conj(tb), e_outer + e_tb))
+        if negligible(x.item(), bound):
+            return True, 0.0
+        volume = math.factorial(self.n - 1) * mat_det(self.h.tolist()).real
+        return False, float(abs(volume * x.item()))
+
+    def component(self, i, j, k, l):
+        """1-based Theta_{i jbar k lbar}."""
+        return self.lowered[i - 1, j - 1, k - 1, l - 1]
+
 
 def chern_curvature(alg: CoframeAlgebra, h: HermitianMetric
                     ) -> CurvatureTensor:
@@ -441,16 +538,8 @@ def chern_curvature(alg: CoframeAlgebra, h: HermitianMetric
 
 
 def _ric_matrix(kind: int, curv: CurvatureTensor, h: HermitianMetric):
-    """Coefficient matrix M with Ric = sqrt(-1) M_{a bbar} phi^a ^ bar(phi)^b
-    for kinds 1 and 2; for kind 3 the tensor Ric3_{k jbar} itself."""
-    return _ricci_stack(kind, curv.up[..., None], curv.lowered[..., None])[
-        ..., 0]
-
-
-def _ricci(kind: int, curv: CurvatureTensor):
-    """(:func:`_ric_matrix`, the rounding bound of each entry)."""
-    return _contract(_ricci_spec(kind), (curv.up, curv.bound["up"]),
-                     (curv.lowered, curv.bound["lowered"]))
+    """:meth:`CurvatureTensor.ric`."""
+    return curv.ric(kind)
 
 
 def _matrix_to_form(m, bound) -> InvariantForm:
@@ -471,32 +560,18 @@ def ricci(kind: int, curv: CurvatureTensor, h: HermitianMetric):
     matrix of the Ricci tensor with indices (k, jbar).
     """
     if kind == 3:
-        return _ric_matrix(kind, curv, h)
-    return _matrix_to_form(*_ricci(kind, curv))
-
-
-_S_CHERN = "ijM,klM,ijklM->M"
-_S_THIRD = "kjM,ilM,ijklM->M"
+        return curv.ric(kind)
+    return _matrix_to_form(curv.ric(kind), curv.ric_bound(kind))
 
 
 def scalar_chern(curv: CurvatureTensor, h: HermitianMetric):
     """S = h^{i jbar} h^{k lbar} Theta_{i jbar k lbar} (real)."""
-    return _double_trace(_S_CHERN, curv)[0]
+    return curv.s_chern[0]
 
 
 def scalar_third(curv: CurvatureTensor, h: HermitianMetric):
     """The alternative double trace h^{k jbar} h^{i lbar} Theta_{i jbar k lbar}."""
-    return _double_trace(_S_THIRD, curv)[0]
-
-
-def _double_trace(spec, curv):
-    """(real value, rounding bound) of a double trace of Theta; a float
-    value within its bound is 0."""
-    up = (curv.up, curv.bound["up"])
-    x, bound = (v.item() for v in _contract(
-        spec, up, up, (curv.lowered, curv.bound["lowered"])))
-    x = _realize(x, bound)
-    return (0.0 if x and negligible(x, bound) else x), bound
+    return curv.s_third[0]
 
 
 def _realize(x, bound):
@@ -507,11 +582,22 @@ def _realize(x, bound):
     return x.real
 
 
+def einstein_residual(kind: int, alg: CoframeAlgebra, h: HermitianMetric,
+                      mode: str = "strong",
+                      curv: Optional[CurvatureTensor] = None):
+    """(lambda*, residual) of Ric^(kind) - lambda * omega.
+
+    strong: lambda* = S / n.  weak: least-squares over real lambda in the
+    Frobenius inner product of coefficient matrices.  For kind 3 the tensor
+    h^{i lbar} Theta_{i jbar k lbar} is compared against lambda h_{k jbar}.
+    """
+    if curv is None:
+        curv = chern_curvature(alg, h)
+    return curv.einstein(kind, mode)
+
+
 # ---------------------------------------------------------------------------
 # torsion, Lee form, Gauduchon
-
-_TAU = "kjk->j"
-
 
 def torsion(curv: CurvatureTensor):
     """(T, tau) of the solved Chern connection, in its arithmetic.
@@ -559,23 +645,14 @@ def lee_form(alg: CoframeAlgebra, h: HermitianMetric):
 
 def is_gauduchon(curv: CurvatureTensor, h: HermitianMetric):
     """del dbar omega^{n-1} = 0, with the magnitude of its one coefficient
-    as residual (see the module docstring).
+    as residual (see the module docstring); the verdict is kept on the
+    tensor.
 
     A coefficient within its rounding bound is 0, residual included: tau
     grows with the condition of h, and so does the rounding of terms that
     cancel.  The positive factor (n-1)! det h does not decide it.
     """
-    e_gamma = curv.bound["gamma"]
-    t, tau = torsion(curv)
-    tau = (tau, _bound(_TAU, (t, e_gamma + np.transpose(e_gamma, (0, 2, 1)))))
-    outer, e_outer = _contract("l,k->lk", tau, (np.conj(tau[0]), tau[1]))
-    tb, e_tb = _contract("j,jkl->lk", tau, (curv.b, None))
-    x, bound = _contract("lk,lk->", (curv.up, curv.bound["up"]),
-                         (outer - np.conj(tb), e_outer + e_tb))
-    if negligible(x.item(), bound):
-        return True, 0.0
-    volume = math.factorial(curv.n - 1) * mat_det(h.h).real
-    return False, float(abs(volume * x.item()))
+    return curv.gauduchon
 
 
 def gauduchon_degree(curv: CurvatureTensor, h: HermitianMetric):
@@ -587,73 +664,13 @@ def gauduchon_degree(curv: CurvatureTensor, h: HermitianMetric):
     ok, res = is_gauduchon(curv, h)
     if not ok:
         raise ValueError(f"metric is not Gauduchon (residual {res})")
-    return _degree(curv, h)
-
-
-def _degree(curv: CurvatureTensor, h: HermitianMetric):
-    """:func:`gauduchon_degree` for a caller that has checked h."""
     det = complex(mat_det(h.h)).real
-    s = float(scalar_chern(curv, h))
     # S(c*h) = S(h)/c with c = det^{-1/n} normalising det to 1
-    return s * det ** (1.0 / curv.n)
+    return float(scalar_chern(curv, h)) * det ** (1.0 / curv.n)
 
 
 # ---------------------------------------------------------------------------
-# Einstein residuals
-
-def einstein_residual(kind: int, alg: CoframeAlgebra, h: HermitianMetric,
-                      mode: str = "strong",
-                      curv: Optional[CurvatureTensor] = None):
-    """(lambda*, residual) of Ric^(kind) - lambda * omega.
-
-    strong: lambda* = S / n.  weak: least-squares over real lambda in the
-    Frobenius inner product of coefficient matrices.  For kind 3 the tensor
-    h^{i lbar} Theta_{i jbar k lbar} is compared against lambda h_{k jbar}.
-    """
-    if curv is None:
-        curv = chern_curvature(alg, h)
-    # the strong lambda* divides S by n after the rounding rule of
-    # scalar_chern, which also refuses a non-real S
-    s = np.array([scalar_chern(curv, h)]) if mode == "strong" else None
-    lam, resid = _einstein_stack(mode, h.array[..., None],
-                                 _ric_matrix(kind, curv, h)[..., None], s)
-    return float(lam[0]), float(resid[0])
-
-
-def _strong_residual(kind: int, curv: CurvatureTensor):
-    """(residual, rounding bound) of :func:`einstein_residual` in strong
-    mode, the bound the largest over the entries of Ric - (S/n) h."""
-    ric, e_ric = _ricci(kind, curv)
-    s, e_s = _double_trace(_S_CHERN, curv)
-    resid = _einstein_stack("strong", curv.h[..., None], ric[..., None],
-                            np.array([s]))[1][0]
-    e_lam_h = _bound("ab,->ab", (curv.h, None),
-                     (np.asarray(s / curv.n), e_s / curv.n))
-    return float(resid), float(np.max(e_ric + e_lam_h))
-
-
-# ---------------------------------------------------------------------------
-# Chern-Weil forms and the Bogomolov-Lubke pairing
-
-def chern_weil(curv: CurvatureTensor):
-    """(c1, c2) as invariant forms: the degree-2 and degree-4 parts of
-    det(I + sqrt(-1) Theta / 2 pi)."""
-    n = curv.n
-    r = curv.r_upper.astype(complex).tolist()
-    theta_end = [[InvariantForm(n, {(i, j + n): r[m][k][i][j]
-                                    for i in range(n) for j in range(n)})
-                  for k in range(n)] for m in range(n)]
-    tr = InvariantForm(n)
-    for m in range(n):
-        tr = tr + theta_end[m][m]
-    trtr = InvariantForm(n)
-    for m in range(n):
-        for l in range(n):
-            trtr = trtr + theta_end[m][l].wedge(theta_end[l][m])
-    c1 = tr.scale(1j / (2 * math.pi))
-    c2 = (tr.wedge(tr) - trtr).scale(-1.0 / (8 * math.pi ** 2))
-    return c1, c2
-
+# the Bogomolov-Lubke pairing
 
 def bogomolov_lubke(curv: CurvatureTensor, h: HermitianMetric):
     """Coefficient of ((n-1) c1^2 - 2n c2) ^ omega^{n-2} against the volume
@@ -848,26 +865,3 @@ def scan(alg: CoframeAlgebra, kind: int, grid=None, mode: str = "strong",
                       certificate_ok=cert_ok, certificate_worst=cert_worst,
                       min_residual_abs=float(resid_abs[best]))
 
-
-# ---------------------------------------------------------------------------
-# one-stop summary
-
-@dataclass
-class RicciReport:
-    ric1: InvariantForm
-    ric2: InvariantForm
-    ric3: list
-    s_chern: object
-    s_third: object
-    einstein: dict  # (kind, mode) -> (lambda*, residual)
-
-
-def ricci_report(alg: CoframeAlgebra, h: HermitianMetric) -> RicciReport:
-    curv = chern_curvature(alg, h)
-    einstein = {(kind, mode): einstein_residual(kind, alg, h, mode, curv)
-                for kind in (1, 2, 3) for mode in ("strong", "weak")}
-    return RicciReport(ric1=ricci(1, curv, h), ric2=ricci(2, curv, h),
-                       ric3=ricci(3, curv, h),
-                       s_chern=scalar_chern(curv, h),
-                       s_third=scalar_third(curv, h),
-                       einstein=einstein)

@@ -226,7 +226,8 @@ def solve_chya(p: YamabeProblem, f0: Optional[np.ndarray] = None
 
     if abs(gamma) <= 1e-12 * scale:
         f = grid.poisson(-(S - gamma) / n)
-        res = float(np.max(np.abs(_residual(grid, f, S, n, 0.0)[0])))
+        # lam = 0, so F = lap f + S/n, with no 0 exp(-f) term to overflow
+        res = float(np.max(np.abs(grid.laplacian(f) + S / n)))
         return YamabeResult(f, 0.0, res, 0, res <= max(p.tol, 1e-12 * scale),
                             [res], [])
 

@@ -11,8 +11,8 @@ closed formulas in ``cherncurv.invariant``:
 * the Lee form, by least squares over the 1-form monomials of
   d omega^{n-1} = theta ^ omega^{n-1};
 * del dbar omega^{n-1}, for the Gauduchon test;
-* the Bogomolov-Lubke pairing, by wedging the Chern-Weil forms with
-  omega^{n-2}.
+* the Chern-Weil forms c1 and c2, and the Bogomolov-Lubke pairing, by
+  wedging them with omega^{n-2}.
 """
 
 import math
@@ -133,11 +133,31 @@ def ddbar_gauduchon(alg, h):
     return ddc.is_zero(tol_scale=scale), float(ddc.max_abs()), scale
 
 
+def chern_weil(curv):
+    """(c1, c2) as invariant forms: the degree-2 and degree-4 parts of
+    det(I + sqrt(-1) Theta / 2 pi)."""
+    n = curv.n
+    r = curv.r_upper.astype(complex).tolist()
+    theta_end = [[InvariantForm(n, {(i, j + n): r[m][k][i][j]
+                                    for i in range(n) for j in range(n)})
+                  for k in range(n)] for m in range(n)]
+    tr = InvariantForm(n)
+    for m in range(n):
+        tr = tr + theta_end[m][m]
+    trtr = InvariantForm(n)
+    for m in range(n):
+        for l in range(n):
+            trtr = trtr + theta_end[m][l].wedge(theta_end[l][m])
+    c1 = tr.scale(1j / (2 * math.pi))
+    c2 = (tr.wedge(tr) - trtr).scale(-1.0 / (8 * math.pi ** 2))
+    return c1, c2
+
+
 def wedge_bogomolov_lubke(curv, h):
     """((n-1) c1^2 - 2n c2) ^ omega^{n-2} against omega^n / n!, as a
-    complex number, from the Chern-Weil forms of ``chern_weil``."""
+    complex number, from the Chern-Weil forms of :func:`chern_weil`."""
     n = curv.n
-    c1, c2 = inv.chern_weil(curv)
+    c1, c2 = chern_weil(curv)
     wpow = _omega_power(h, n - 2)
     wpow.coefficients = {k: complex(v) for k, v in wpow.coefficients.items()}
     lhs = (c1.wedge(c1).scale(float(n - 1)) - c2.scale(2.0 * n)).wedge(wpow)

@@ -202,6 +202,22 @@ def test_yamabe_non_finite_is_one_line(capsys, tmp_path):
     assert err == "error: Krylov solve produced non-finite values\n"
 
 
+def test_yamabe_poisson_branch_of_huge_amplitude(capsys, tmp_path):
+    # |mean S| <= 1e-12 max|S| takes the direct Poisson solve; f reaches
+    # 1.3e148, so exp(-f) overflows, and the residual has no term in it
+    path = tmp_path / "p.txt"
+    path.write_text("N = 16\nS = sine-offset\noffset = -1\n"
+                    "amplitude = 1e150\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "yamabe", "--problem", str(path))
+    assert code == 0 and err == ""
+    got = fields(out)
+    assert got["iterations"] == "0" and got["converged"] == "true"
+    assert np.isfinite(float(got["residual"]))
+    assert got["law_constancy"] == "inf"
+
+
 def test_yamabe_positive_file(capsys, tmp_path):
     path = tmp_path / "pos.txt"
     path.write_text("S = constant\nN = 16\nvalue = 1.0\n")
@@ -630,7 +646,8 @@ def test_exact_run_takes_few_magnitudes(capsys, monkeypatch, argv, most):
 
 
 # einsum calls per command: the rounding bounds reuse the solve's specs
-# and add none
+# and add none, and the solved tensor evaluates each contraction once (S
+# once per verify point, not once per row that reads it)
 @pytest.mark.parametrize("argv, most", [
     ("curvature hopf --params r=1.5", 27),
     ("curvature hopf --exact --params r=1/2", 10),
@@ -639,8 +656,8 @@ def test_exact_run_takes_few_magnitudes(capsys, monkeypatch, argv, most):
     ("lee inoue-sm --params r=1.2,s=0.9,u=0.1", 7),
     ("gauduchon inoue-sm --params r=1.2,s=0.9,u=0.1", 27),
     ("bl ovando-r2r2 --params r=1,s=1,u=0", 33),
-    ("catalog verify ovando-r4 --params r=2,s=3/2,u=1/4", 33),
-    ("catalog verify ovando-r4 --params r=2,s=3/2,u=1/4 --exact", 11),
+    ("catalog verify ovando-r4 --params r=2,s=3/2,u=1/4", 24),
+    ("catalog verify ovando-r4 --params r=2,s=3/2,u=1/4 --exact", 9),
     ("scan inoue-sm --grid 0.5:1.5:0.5", 8)])
 def test_einsum_budget(capsys, monkeypatch, argv, most):
     calls = count_calls(monkeypatch, np, "einsum")
@@ -648,6 +665,41 @@ def test_einsum_budget(capsys, monkeypatch, argv, most):
     monkeypatch.undo()
     assert code == 0 and err == ""
     assert len(calls) <= most
+
+
+# a second read of a solved tensor's contraction computes nothing
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_second_read_of_a_contraction_makes_no_einsum(monkeypatch, exact):
+    p = {"r": 2, "s": Fraction(3, 2), "u": QQi(Fraction(1, 4), 1)}
+    alg, h, _ = catalog.build("inoue-sm", p, exact=exact)
+    curv = inv.chern_curvature(alg, h)
+
+    def read():
+        return ([inv.ricci(kind, curv, h) for kind in (1, 2, 3)]
+                + [curv.ric_bound(kind) for kind in (1, 2, 3)]
+                + [inv.scalar_chern(curv, h), inv.scalar_third(curv, h),
+                   curv.s_chern, curv.s_third, curv.bound,
+                   inv.is_gauduchon(curv, h)]
+                + [inv.einstein_residual(kind, alg, h, mode, curv)
+                   for kind in (1, 2, 3) for mode in ("strong", "weak")]
+                + [curv.einstein_bound(kind) for kind in (1, 2, 3)])
+
+    first = read()
+    calls = count_calls(monkeypatch, np, "einsum")
+    assert repr(read()) == repr(first)
+    assert calls == []
+
+
+def test_gauduchon_coefficient_is_evaluated_once(monkeypatch):
+    # is_gauduchon then gauduchon_degree, as the gauduchon command does
+    alg, h, _ = catalog.build("inoue-sm", {"r": 1.2, "s": 0.9, "u": 0.1},
+                              exact=False)
+    curv = inv.chern_curvature(alg, h)
+    calls = count_calls(monkeypatch, inv, "torsion")
+    assert inv.is_gauduchon(curv, h) == (True, 0.0)
+    assert inv.gauduchon_degree(curv, h) < 0
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,9 @@ from cherncurv.forms import CoframeAlgebra, InvariantForm, ext_d
 from cherncurv.scalars import ROUNDING, I_EXACT, QQi, conj
 from cherncurv.invariant import (DegenerateMetric, HermitianMetric,
                                  NotPositiveDefinite, SurfaceMetricParams)
-from forms_oracle import (ddbar_gauduchon, forms_curvature, forms_torsion,
-                          lstsq_lee_form, wedge_bogomolov_lubke)
+from forms_oracle import (chern_weil, ddbar_gauduchon, forms_curvature,
+                          forms_torsion, lstsq_lee_form,
+                          wedge_bogomolov_lubke)
 from rounding_oracle import rounding_bounds
 
 ENTRIES = catalog.list_entries()
@@ -534,7 +535,7 @@ def test_ovando_r4_einstein():
 def test_c1_closed(name):
     alg, h, _ = catalog.build(name, {"r": 1.0}, exact=False)
     curv = inv.chern_curvature(alg, h)
-    c1, _ = inv.chern_weil(curv)
+    c1, _ = chern_weil(curv)
     assert ext_d(alg, c1).is_zero(tol_scale=max(c1.max_abs(), 1.0))
 
 
@@ -824,9 +825,9 @@ def test_scan_memory_of_the_largest_workload_grid():
 
 def test_ricci_report_consistent():
     alg, h, _ = catalog.build("ovando-r4", {"r": 1.0}, exact=False)
-    rep = inv.ricci_report(alg, h)
-    assert rep.einstein[(2, "strong")][1] < 1e-13
-    assert rep.s_chern == pytest.approx(-2.0, rel=1e-12)
+    curv = inv.chern_curvature(alg, h)
+    assert inv.einstein_residual(2, alg, h, "strong", curv)[1] < 1e-13
+    assert inv.scalar_chern(curv, h) == pytest.approx(-2.0, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
