@@ -14,6 +14,9 @@ The curvature implements, verbatim,
 
     Theta_{i jbar k lbar} = - d^2 h_{k lbar} / dz^i dzbar^j
         + h^{p qbar} (d h_{k qbar} / dz^i) (d h_{p lbar} / dzbar^j) .
+
+h^{-1} and the traces of Theta come from :mod:`cherncurv.invariant`, whose
+contractions take a point as the stack of M = 1.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import invariant as inv
 from .scalars import mat_det
 
 
@@ -274,22 +278,17 @@ def _holo_jets(fn, x):
             np.array(d2))
 
 
-def _upper(h0):
-    """h^{p qbar} with h^{p qbar} h_{k qbar} = delta_pk."""
-    return np.linalg.inv(h0).T
-
-
 def _assemble_curvature(up, dh, dhb, d2h):
     return -d2h + np.einsum("pq,ikq,jpl->ijkl", up, dh, dhb)
 
 
 def _curvature(field: ChartMetricField, x):
-    """(Theta, h, h^{-1} as :func:`_upper`) at x from one jet of the metric
-    field, with h inverted once."""
+    """(Theta, h, h^{-1} as :func:`invariant._upper`) at x from one jet of
+    the metric field, with h inverted once."""
     h0, dh, dhb, d2h = _holo_jets(field.fn, x)
     if np.min(np.linalg.eigvalsh(h0)) <= 0:
         raise ValueError("metric is not positive definite at the point")
-    up = _upper(h0)
+    up = inv._upper(h0)
     return _assemble_curvature(up, dh, dhb, d2h), h0, up
 
 
@@ -299,12 +298,13 @@ def curvature_at(field: ChartMetricField, x):
 
 
 def ricci_matrices_at(field: ChartMetricField, x):
-    """(Ric1, Ric2, S) from the curvature tensor at x."""
+    """(Ric1, Ric2, S) from the curvature tensor at x, by the invariant
+    layer's contractions of the stack of one point."""
     theta, _, up = _curvature(field, x)
-    ric1 = np.einsum("kl,ijkl->ij", up, theta)
-    ric2 = np.einsum("ij,ijkl->kl", up, theta)
-    s = float(np.real(np.einsum("ij,kl,ijkl->", up, up, theta)))
-    return ric1, ric2, s
+    up, theta = up[..., None], theta[..., None]
+    return (inv._ricci_stack(1, up, theta)[..., 0],
+            inv._ricci_stack(2, up, theta)[..., 0],
+            float(inv._scalar_stack(up, theta)[0]))
 
 
 def ric1_logdet_at(field: ChartMetricField, x):
@@ -318,9 +318,8 @@ def ric1_logdet_at(field: ChartMetricField, x):
 
 def chern_laplacian_at(field: ChartMetricField, f: ScalarField, x):
     """Delta^Ch f = -2 h^{j kbar} d^2 f / dz^j dzbar^k at x."""
-    up = _upper(field.matrix(x))
-    d2f = _holo_jets(f.fn, x)[3]
-    return float(-2 * np.einsum("jk,jk->", up, d2f).real)
+    up, d2f = inv._upper(field.matrix(x)), _holo_jets(f.fn, x)[3]
+    return float(inv._laplacian_stack(up[..., None], d2f[..., None])[0])
 
 
 def fd_oracle(field: ChartMetricField, x, step: float = 1e-4):
@@ -370,7 +369,7 @@ def fd_oracle(field: ChartMetricField, x, step: float = 1e-4):
     def assemble(hstep):
         f0, g, hes = jets(hstep)
         dh, dhb, d2h = (np.array(v) for v in _holo(g, hes))
-        return _assemble_curvature(_upper(f0), dh, dhb, d2h)
+        return _assemble_curvature(inv._upper(f0), dh, dhb, d2h)
 
     coarse = assemble(step)
     fine = assemble(step / 2)
@@ -403,13 +402,12 @@ def conformal_check(field: ChartMetricField, f: ScalarField, x):
     rhs = ef * (theta - np.einsum("kl,ij->ijkl", h0, d2f))
     out = {"curvature": _rel(theta_f, rhs)}
 
-    ric1_f = np.einsum("kl,ijkl->ij", up_f, theta_f)
-    ric1 = np.einsum("kl,ijkl->ij", up, theta)
+    # the rescaled and the base metric as one stack of M = 2
+    ups, thetas = np.stack([up_f, up], -1), np.stack([theta_f, theta], -1)
+    ric1_f, ric1 = inv._leading(inv._ricci_stack(1, ups, thetas))
     out["ric1"] = _rel(ric1_f, ric1 - n * d2f)
-
-    ric2_f = np.einsum("ij,ijkl->kl", up_f, theta_f)
-    ric2 = np.einsum("ij,ijkl->kl", up, theta)
-    lap = -2 * float(np.real(np.einsum("jk,jk->", up, d2f)))
+    ric2_f, ric2 = inv._leading(inv._ricci_stack(2, ups, thetas))
+    lap = inv._laplacian_stack(up[..., None], d2f[..., None])[0]
     out["ric2"] = _rel(ric2_f, ric2 + 0.5 * lap * h0)
     return out
 
@@ -483,7 +481,7 @@ def first_ce_from_potential(potential: ScalarField, sign: int,
             raise ValueError(
                 "potential is not strictly plurisubharmonic at a point")
         theta, _, up = _curvature(scaled, x)
-        ric1 = np.einsum("kl,ijkl->ij", up, theta)
+        ric1 = inv._ricci_stack(1, up[..., None], theta[..., None])[..., 0]
         worst = max(worst, _rel(ric1, sign * h0))
         z = [complex(x[2 * i], x[2 * i + 1]) for i in range(n)]
         fval = float(np.real(complex(f_of(h0.tolist(), z))))

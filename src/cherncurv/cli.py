@@ -186,16 +186,14 @@ def cmd_scan(args) -> int:
     if args.grid:
         grid = _parse_grid(args.grid)
     if args.source in catalog.list_entries():
-        alg, _, _ = catalog.build(args.source, exact=False)
-        cert = catalog.get(args.source).certificate
-        label = args.source
+        report = catalog.scan_entry(args.source, args.kind, grid=grid,
+                                    mode=args.mode)
     else:
         alg, _, label, _ = resolve_source(args.source, args.params, False)
-        cert = None
-    report = inv.scan(alg, args.kind, grid=grid, mode=args.mode,
-                      certificate=cert, entry_name=label)
+        report = inv.scan(alg, args.kind, grid=grid, mode=args.mode,
+                          entry_name=label)
     rep = Report()
-    rep.add("entry", label)
+    rep.add("entry", report.entry)
     rep.add("kind", args.kind)
     rep.add("points", report.count)
     rep.add("min_residual", report.min_residual)

@@ -21,7 +21,9 @@ theta^l_k = R^m_{k i jbar} phi^i ^ bar(phi)^j has the closed form
 One einsum evaluation of this formula, and one set of contractions (the two
 Ricci forms, the third Ricci tensor, both scalar curvatures, the Einstein
 residuals), serves a single metric in exact QQi or float arithmetic and a
-float batch of metrics alike; one metric is the batch of size M = 1.
+float batch of metrics alike; one metric is the batch of size M = 1.  The
+chart backend (:mod:`cherncurv.chart`) takes its h^{-1}, Ricci forms, S
+and Chern-Laplacian trace from the same contractions.
 
 :func:`chern_curvature` validates and solves a (coframe, metric) pair once;
 its :class:`CurvatureTensor` carries A, B, gamma and h^{-1} beside R and
@@ -90,7 +92,8 @@ class DegenerateMetric(ValueError):
     pass
 
 
-# a float metric is degenerate if |det h| < DEGENERACY (largest |h_ij|)^n
+# a float metric is degenerate if |det h| < DEGENERACY (largest |h_ij|)^n,
+# or if either side is not finite (:func:`_nondegenerate`)
 DEGENERACY = 1e-10
 
 
@@ -121,12 +124,12 @@ class HermitianMetric:
         # entry
         scale = None if self.exact else max(abs(v) for row in self.h
                                             for v in row)
+        if not (self.exact or _nondegenerate(mat_det(self.h), scale, n)):
+            raise DegenerateMetric("metric is numerically degenerate")
         for i in range(n):
             for j in range(n):
                 if not is_zero(self.h[i][j] - conj(self.h[j][i]), scale=scale):
                     raise ValueError("metric matrix is not Hermitian")
-        if not self.exact and abs(mat_det(self.h)) < DEGENERACY * scale ** n:
-            raise DegenerateMetric("metric is numerically degenerate")
         # positive definiteness via leading principal minors
         for k in range(1, n + 1):
             minor = mat_det([row[:k] for row in self.h[:k]])
@@ -160,6 +163,15 @@ def libm_pow(x, k):
 def libm_abs(z):
     """|z| elementwise, by libm hypot."""
     return np.hypot(np.real(z), np.imag(z))
+
+
+def _nondegenerate(det, top, n):
+    """Elementwise: whether a float metric with determinant ``det`` and
+    largest |h_ij| ``top`` is not numerically degenerate, that is det h
+    and top^n are finite and |det h| >= DEGENERACY top^n."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        volume = DEGENERACY * np.asarray(top, dtype=float) ** n
+        return np.isfinite(det) & np.isfinite(volume) & (abs(det) >= volume)
 
 
 def surface_admissible(r, s, u):
@@ -262,13 +274,13 @@ def chern_connection(b, hs):
 
 
 def _upper(hs):
-    """up[M, k, l] = h^{k lbar}, the inverse with h^{k lbar} h_{m lbar} =
-    delta_km."""
+    """up[..., k, l] = h^{k lbar}, the inverse with h^{k lbar} h_{m lbar} =
+    delta_km, of a stack hs[M, ...] or of one float matrix."""
     if hs.dtype == object:
         inv = np.array([mat_inv(a.tolist()) for a in hs], dtype=object)
     else:
         inv = np.linalg.inv(hs)
-    return np.transpose(inv, (0, 2, 1))
+    return np.swapaxes(inv, -1, -2)
 
 
 # R^m_{k i jbar} as (sign, einsum spec, operands) terms, and Theta
@@ -340,6 +352,7 @@ def _contract(spec, *pairs):
 # the einsum of Ric^(kind) [a, b, M] over (up, Theta); kind 3 has indices
 # (k, jbar)
 _RICCI = {1: "klM,abklM->abM", 2: "ijM,ijabM->abM", 3: "ilM,ibalM->abM"}
+_S_CHERN = "ijM,klM,ijklM->M"
 
 
 def _ricci_stack(kind, up, theta):
@@ -355,6 +368,17 @@ def _ricci_stack(kind, up, theta):
     outer = spec[0]
     return np.einsum(spec.replace("->ab", "->ab" + outer), up,
                      theta).sum(axis=2)
+
+
+def _scalar_stack(up, theta):
+    """S [M], real part, of trailing-M (up, Theta)."""
+    return np.einsum(_S_CHERN, up, up, theta).real
+
+
+def _laplacian_stack(up, d2f):
+    """Delta^Ch f [M] = -2 Re h^{j kbar} d^2 f / dz^j dzbar^k of trailing-M
+    (up, d2f)."""
+    return -2 * np.einsum("jkM,jkM->M", up, d2f).real
 
 
 def _einstein_stack(mode, hs, ric, s):
@@ -378,7 +402,6 @@ def _einstein_stack(mode, hs, ric, s):
 # ---------------------------------------------------------------------------
 # one metric: the solve, and the tensor that owns its contractions
 
-_S_CHERN = "ijM,klM,ijklM->M"
 _S_THIRD = "kjM,ilM,ijklM->M"
 _TAU = "kjk->j"
 
@@ -723,7 +746,7 @@ def batch_einstein_residual(kind: int, alg: CoframeAlgebra, hs: np.ndarray,
     theta = _trailing(batch_curvature(alg, hs))
     up, hs = _trailing(_upper(hs)), _trailing(hs)
     ric = _ricci_stack(kind, up, theta)
-    s = np.einsum(_S_CHERN, up, up, theta).real
+    s = _scalar_stack(up, theta)
     lam, resid = _einstein_stack(mode, hs, ric, s)
     scale = np.maximum(np.max(np.abs(ric), axis=(0, 1)),
                        np.abs(lam) * np.max(np.abs(hs), axis=(0, 1)))
@@ -797,11 +820,10 @@ def _surface_blocks(grid):
             hs[0, 1] = -1j * u / 2
             hs[1, 0] = 1j * u.conjugate() / 2
             det = hs[0, 0] * hs[1, 1] - hs[0, 1] * hs[1, 0]
-            scale = np.max(np.abs(hs), axis=(0, 1)) ** 2
+            top = np.max(np.abs(hs), axis=(0, 1))
         # HermitianMetric's DegenerateMetric rule: a row on the cone
         # |u| = r s can pass the mask with a singular h in floats
-        keep = (np.isfinite(det) & np.isfinite(scale)
-                & (np.abs(det) >= DEGENERACY * scale))
+        keep = _nondegenerate(det, top, 2)
         if not keep.all():
             r, s, u, hs = r[keep], s[keep], u[keep], hs[..., keep]
         if len(r):

@@ -111,9 +111,19 @@ class YamabeResult:
     linear_iterations: list  # GMRES matvecs per Newton step
 
 
+def _mean_scale_degree(S):
+    """(mean S, max(max|S|, 1), degree): the degree is mean S, or 0 where
+    |mean S| <= 1e-12 max(max|S|, 1) puts it below the rounding of the
+    samples."""
+    S = np.asarray(S, dtype=float)
+    mean, scale = float(np.mean(S)), max(float(np.max(np.abs(S))), 1.0)
+    return mean, scale, 0.0 if abs(mean) <= 1e-12 * scale else mean
+
+
 def gauduchon_degree_grid(S: np.ndarray) -> float:
-    """Volume-normalized integral of S over the unit torus."""
-    return float(np.mean(np.asarray(S, dtype=float)))
+    """Volume-normalized integral of S over the unit torus, 0 within the
+    rounding of the samples: the degree :func:`solve_chya` branches on."""
+    return _mean_scale_degree(S)[2]
 
 
 def conformal_scalar_law(S: np.ndarray, f: np.ndarray, n: int,
@@ -207,8 +217,8 @@ def solve_chya(p: YamabeProblem, f0: Optional[np.ndarray] = None
     """Solve lap f + S/n = lam exp(-f) on the torus, mean(S) <= 0 branch.
 
     The solution family f + c, lam * exp(c) is pinned by mean(f) = 0.  For
-    mean(S) = 0 the equation degenerates to the Poisson problem
-    lap f = -S/n with lam = 0 and is solved directly.  Otherwise an inexact
+    degree 0 (see :func:`gauduchon_degree_grid`) the equation degenerates
+    to lap f = -S/n with lam = 0 and is solved directly.  Otherwise an inexact
     Newton iteration runs on F(f) = lap f + S/n - lam exp(-f), lam
     refreshed from the integral constraint (Knoll & Keyes, J. Comput. Phys.
     193, 2004).  Each step solves J delta = -F with the exact Jacobian by
@@ -217,14 +227,13 @@ def solve_chya(p: YamabeProblem, f0: Optional[np.ndarray] = None
     FFT.  It stops when max|F| <= tol.
     """
     grid, S, n = p.grid, p.S, p.n
-    gamma = float(np.mean(S))
-    scale = max(float(np.max(np.abs(S))), 1.0)
-    if gamma > 1e-12 * scale:
+    gamma, scale, degree = _mean_scale_degree(S)
+    if degree > 0:
         raise PositiveDegreeOpen(
             "mean(S) > 0: existence there is the open Chern-Yamabe "
             "conjecture, refusing to fabricate a solution")
 
-    if abs(gamma) <= 1e-12 * scale:
+    if degree == 0:
         f = grid.poisson(-(S - gamma) / n)
         # lam = 0, so F = lap f + S/n, with no 0 exp(-f) term to overflow
         res = float(np.max(np.abs(grid.laplacian(f) + S / n)))

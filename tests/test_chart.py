@@ -125,13 +125,28 @@ def test_one_jet_per_field_per_point(call, evals):
      2),
 ], ids=["ricci_matrices_at", "conformal_check", "first_ce_from_potential"])
 def test_one_inversion_per_chart_solve(monkeypatch, call, inversions):
-    # each curvature solve inverts its h once, and the Ricci traces reuse
-    # that inverse: one per point, and one per metric field in
-    # conformal_check
-    monkeypatch.setattr(chart, "_upper", counted(chart._upper))
+    # each curvature solve inverts its h once, by the invariant layer's
+    # shared inverse, and the Ricci traces reuse that inverse: one per
+    # point, and one per metric field in conformal_check
+    monkeypatch.setattr(inv, "_upper", counted(inv._upper))
     call(METRICS["random-poly"], sample_points(METRICS["random-poly"], 1,
                                                seed=6)[0])
-    assert chart._upper.calls == inversions
+    assert inv._upper.calls == inversions
+
+
+@pytest.mark.parametrize("name", ["hopf-chart", "random-poly"])
+def test_chart_ricci_is_the_invariant_contraction(name):
+    # the chart's Ric1, Ric2 and S are the invariant layer's contractions
+    # of curvature_at's Theta and the inverse of the point's h, bit for bit
+    field = METRICS[name]
+    for x in sample_points(field, 4, seed=8):
+        theta = curvature_at(field, x)
+        h0 = chart._holo_jets(field.fn, x)[0]
+        up, th = inv._upper(h0)[..., None], theta[..., None]
+        ric1, ric2, s = ricci_matrices_at(field, x)
+        assert np.array_equal(ric1, inv._ricci_stack(1, up, th)[..., 0])
+        assert np.array_equal(ric2, inv._ricci_stack(2, up, th)[..., 0])
+        assert s == inv._scalar_stack(up, th)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cherncurv import catalog, cli, invariant as inv
+from cherncurv import catalog, cli, invariant as inv, yamabe
 from cherncurv.cli import fmt_number, main, parse_params
 from cherncurv.forms import CoframeAlgebra
 from cherncurv.scalars import QQi
@@ -218,6 +218,32 @@ def test_yamabe_poisson_branch_of_huge_amplitude(capsys, tmp_path):
     assert got["law_constancy"] == "inf"
 
 
+@pytest.mark.parametrize("text", [
+    "N = 16\nS = sine-offset\noffset = -1\namplitude = 1e150\n",
+    "S = synthetic-v\n",
+], ids=["huge-amplitude", "synthetic-v"])
+def test_yamabe_prints_the_degree_it_branched_on(capsys, tmp_path, text):
+    # a mean lost in the rounding of the samples takes the Poisson branch,
+    # lambda 0, and is printed as the zero degree it was taken for
+    path = tmp_path / "p.txt"
+    path.write_text(text)
+    code, out, _ = run(capsys, "yamabe", "--problem", str(path))
+    got = fields(out)
+    assert code == 0 and got["degree"] == "0" and got["lambda"] == "0"
+
+
+@pytest.mark.parametrize("offset, amplitude", [
+    (-1, 0.3), (-0.7, 0.4), (-1e-3, 0.5), (-2.5, 1e4)])
+def test_yamabe_sine_offset_degree_is_the_mean(capsys, tmp_path, offset,
+                                               amplitude):
+    path = tmp_path / "p.txt"
+    path.write_text(f"N = 32\nS = sine-offset\noffset = {offset}\n"
+                    f"amplitude = {amplitude}\n")
+    code, out, _ = run(capsys, "yamabe", "--problem", str(path))
+    mean = float(np.mean(yamabe.load_problem(path).S))
+    assert code == 0 and fields(out)["degree"] == fmt_number(mean)
+
+
 def test_yamabe_positive_file(capsys, tmp_path):
     path = tmp_path / "pos.txt"
     path.write_text("S = constant\nN = 16\nvalue = 1.0\n")
@@ -257,6 +283,21 @@ def test_jacobi_failing_file_one_error_line(capsys, tmp_path, command):
     assert code == 2 and out == ""
     assert err == ("error: structure equations fail the Jacobi check "
                    "(1.0)\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["curvature", "hopf", "--params", "r=1e400"],
+    ["gauduchon", "inoue-sm", "--params", "r=1e300"],
+    ["einstein", "inoue-sm", "--params", "r=1,s=1,u=1e200"],
+], ids=["entry-infinite", "entry-overflows", "det-overflows"])
+def test_non_finite_metric_is_degenerate(capsys, argv):
+    # an entry, det h or the largest |h_ij|^n that is not finite is refused
+    # as scan drops such rows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: metric is numerically degenerate\n"
 
 
 def test_non_integrable_file_fatal(capsys, tmp_path):
