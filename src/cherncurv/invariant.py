@@ -768,6 +768,11 @@ class ScanReport:
     min_residual_abs: float = 0.0
 
 
+# scan reports the earliest row whose relative residual is within TIE of
+# the grid's least; rows that h -> c h maps onto each other differ by
+# rounding, at most 1e-13 apart, and TIE is the float goldens' tolerance
+TIE = 1e-9
+
 # grid rows per block of a scan; a block's temporaries peak at 12.7 MB,
 # ~780 B a row (tracemalloc, inoue-sm kind 2 strong with its certificate)
 SCAN_BLOCK = 16384
@@ -859,31 +864,36 @@ def scan(alg: CoframeAlgebra, kind: int, grid=None, mode: str = "strong",
     if grid.ndim != 2 or grid.shape[1] != 3:
         raise ValueError(f"grid must be (r, s, u) rows, shape M x 3, "
                          f"got shape {grid.shape}")
-    # per block: its count, its winner (global row index, relative
-    # residual, r, s, u, absolute residual) and its certificate verdict
-    count, winners, certs = 0, [], []
+    # rows strictly below every earlier row and within TIE of the running
+    # minimum, as (global row index, relative residual, r, s, u, absolute
+    # residual); their residuals fall, and the first survivor wins
+    count, low, kept, first, certs = 0, np.nan, [], None, []
     for r, s, u, hs in _surface_blocks(grid):
         lam, resid_abs, resid, _ = batch_einstein_residual(kind, alg, hs,
                                                            mode=mode)
-        b = int(np.lexsort((np.arange(len(hs)), resid))[0])
-        winners.append((count + b, resid[b], r[b], s[b], u[b], resid_abs[b]))
+        # before[i]: the least earlier residual, NaN while there is none
+        before = np.fmin.accumulate(np.concatenate(([low], resid[:-1])))
+        low = np.fmin(low, np.fmin.reduce(resid))
+        new = np.flatnonzero(~(resid >= before) & (resid <= low + TIE))
+        kept = [c for c in kept if c[1] <= low + TIE] + [
+            (count + b, resid[b], r[b], s[b], u[b], resid_abs[b]) for b in new]
+        if first is None:  # reported when every residual is NaN
+            first = (0, resid[0], r[0], s[0], u[0], resid_abs[0])
         count += len(hs)
         if certificate is not None:
             vals = certificate(r, s, u, lam)
             certs.append((bool(np.all(vals < 0)), np.max(vals)))
     if not count:
         raise ValueError("no admissible grid points")
-    index, resid, r, s, u, resid_abs = (np.array(c) for c in zip(*winners))
-    best = int(np.lexsort((index, resid))[0])
+    _, resid, r, s, u, resid_abs = kept[0] if kept else first
     cert_ok, cert_worst = None, None
     if certs:
         oks, maxima = zip(*certs)
         # np.max, not max: a NaN maximum propagates
         cert_ok, cert_worst = all(oks), float(np.max(maxima))
     return ScanReport(entry=entry_name, kind=kind, count=count,
-                      min_residual=float(resid[best]),
-                      argmin=(float(r[best]), float(s[best]),
-                              complex(u[best])),
+                      min_residual=float(resid),
+                      argmin=(float(r), float(s), complex(u)),
                       certificate_ok=cert_ok, certificate_worst=cert_worst,
-                      min_residual_abs=float(resid_abs[best]))
+                      min_residual_abs=float(resid_abs))
 

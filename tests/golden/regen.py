@@ -22,7 +22,10 @@ Float cases store a first line ``exit <code>`` followed by the stdout:
 
 Run from the repository root, against the package under test::
 
-    PYTHONPATH=src python tests/golden/regen.py
+    PYTHONPATH=src python tests/golden/regen.py [PREFIX ...]
+
+With prefixes, only the cases whose names start with one of them are
+rewritten, e.g. ``regen.py scan-`` for the scan outputs alone.
 
 ``tests/test_golden.py`` reruns the same cases; it compares the exact
 outputs byte for byte and the float outputs key by key, with numbers
@@ -91,14 +94,19 @@ def run(argv):
     return rc, buf.getvalue()
 
 
-def main() -> int:
+def main(prefixes=()) -> int:
+    prefixes = tuple(prefixes) or ("",)
     for name, argv in cases():
+        if not name.startswith(prefixes):
+            continue
         rc, text = run(argv)
         if rc != 0:
             print(f"{name}: exit {rc}", file=sys.stderr)
             return 1
         (GOLDEN_DIR / f"{name}.txt").write_bytes(text.encode())
     for name, argv in float_cases():
+        if not name.startswith(prefixes):
+            continue
         rc, text = run(argv)
         (GOLDEN_DIR / f"{name}.txt").write_bytes(
             f"exit {rc}\n{text}".encode())
@@ -106,4 +114,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -665,8 +665,9 @@ EDGE = (4.2078405135370796, 4.72617142078429,
 
 
 def _whole_grid_scan(alg, kind, grid, mode="strong", certificate=None):
-    """The scan on all rows at once: one batched residual, lexsort for the
-    argmin, all and np.max for the certificate."""
+    """The scan on all rows at once: one batched residual, the first row
+    within TIE of the least residual (NaN rows never, the first row when
+    all are NaN), all and np.max for the certificate."""
     grid = np.asarray(grid, dtype=complex)
     grid = grid[inv.surface_admissible(grid[:, 0], grid[:, 1], grid[:, 2])]
     r, s, u = grid[:, 0].real, grid[:, 1].real, grid[:, 2]
@@ -681,7 +682,7 @@ def _whole_grid_scan(alg, kind, grid, mode="strong", certificate=None):
     hs, r, s, u = hs[keep], r[keep], s[keep], u[keep]
     lam, resid_abs, resid, _ = inv.batch_einstein_residual(kind, alg, hs,
                                                            mode=mode)
-    best = int(np.lexsort((np.arange(len(hs)), resid))[0])
+    best = int(np.argmax(resid <= np.fmin.reduce(resid) + inv.TIE))
     cert_ok, cert_worst = None, None
     if certificate is not None:
         vals = certificate(r, s, u, lam)
@@ -752,6 +753,8 @@ def test_block_scan_winner_copied_later():
 @pytest.mark.parametrize("resid_of", [
     lambda r, s: np.zeros_like(r),               # every row ties
     lambda r, s: np.floor(s),                    # ties in every block
+    lambda r, s: 1e-10 * (3 - r),                # near-ties, all within TIE
+    lambda r, s: 2e-9 * (3 - r) / 3,             # some within TIE
     lambda r, s: np.where(r < 2.9, np.nan, s),   # NaN rows sort last
     lambda r, s: np.full_like(r, np.nan)])
 def test_block_scan_tie_rule(monkeypatch, resid_of):
