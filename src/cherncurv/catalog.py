@@ -110,45 +110,40 @@ def _snow_structure(p):
 # sign certificates from the non-existence proofs: each takes r, s, u and
 # lambda as scalars or as equal-length arrays and returns, elementwise, a
 # float that must be strictly negative at every admissible point.  Powers
-# and moduli go through libm (inv.libm_pow, inv.libm_abs) and complex
-# products are spelled out in real arithmetic, so a point's value has the
-# same bits alone and inside a scan's arrays.
-
-_pow, _abs = inv.libm_pow, inv.libm_abs
-
+# and moduli are real products (inv.abs2 for |u|^2) and sqrt, each rounded
+# correctly, so a point's value has the same bits alone and inside a
+# scan's arrays.
 
 def _cert_inoue_sm(r, s, u, lam):
-    uu = _pow(_abs(u), 2)
-    d = r * r * s * s - uu
-    return 8 * lam * _pow(r, 2) * _pow(d, 2) - _pow(r, 4) * (
-        4 * _pow(r, 2) * _pow(s, 2) + 5 * uu)
+    r2, s2, uu = r * r, s * s, inv.abs2(u)
+    d = r2 * s2 - uu
+    return 8 * lam * r2 * (d * d) - r2 * r2 * (4 * r2 * s2 + 5 * uu)
 
 
 def _cert_inoue_spm(r, s, u, lam):
-    uu = _pow(_abs(u), 2)
-    d = r * r * s * s - uu
+    r2, s2, uu = r * r, s * s, inv.abs2(u)
+    d = r2 * s2 - uu
     re_u2 = np.real(u) * np.real(u) - np.imag(u) * np.imag(u)
-    return 2 * lam * _pow(r, 2) * _pow(d, 2) - _pow(r, 4) * (
-        _pow(r, 4) + _pow(r, 2) * _pow(s, 2) + uu + 2 * re_u2)
+    return 2 * lam * r2 * (d * d) - r2 * r2 * (
+        r2 * r2 + r2 * s2 + uu + 2 * re_u2)
 
 
 def _cert_kodaira_primary(r, s, u, lam):
-    d = r * r * s * s - _pow(_abs(u), 2)
-    # |u x| for the real x = 2 lambda d^2 - s^6
-    x = 2 * lam * _pow(d, 2) - _pow(s, 6)
-    return np.where(_abs(u) > 1e-12,
-                    -np.hypot(np.real(u) * x, np.imag(u) * x),
-                    -(_pow(r, 2) * _pow(s, 6)))
+    r2, s2, uu = r * r, s * s, inv.abs2(u)
+    d = r2 * s2 - uu
+    s6 = s2 * s2 * s2
+    # -|u x| for the real x = 2 lambda d^2 - s^6
+    x = 2 * lam * (d * d) - s6
+    return np.where(uu > 1e-24, -np.sqrt(uu * (x * x)), -(r2 * s6))
 
 
 def _cert_kodaira_secondary(r, s, u, lam):
-    d = r * r * s * s - _pow(_abs(u), 2)
-    # |(-u s^2) (f + i d)| with f = r^4 + s^4, the product in real parts
-    a, b = -np.real(u) * _pow(s, 2), -np.imag(u) * _pow(s, 2)
-    f = _pow(r, 4) + _pow(s, 4)
-    return np.where(_abs(u) > 1e-12,
-                    -np.hypot(a * f - b * d, a * d + b * f),
-                    -(_pow(s, 2) / (4 * _pow(r, 2))))
+    r2, s2, uu = r * r, s * s, inv.abs2(u)
+    d = r2 * s2 - uu
+    # -|(-u s^2) (f + i d)| = -s^2 |u| |f + i d| with f = r^4 + s^4
+    f = r2 * r2 + s2 * s2
+    return np.where(uu > 1e-24, -(s2 * np.sqrt(uu * (f * f + d * d))),
+                    -(s2 / (4 * r2)))
 
 
 def _lemma_inoue_spm(p) -> bool:
@@ -588,10 +583,11 @@ def verify(name: str, params: Optional[dict] = None,
     return VerifyReport(entry=name, params=p, mode=mode, rows=rows)
 
 
-def scan_entry(name: str, kind: int = 2, grid=None,
-               mode: str = "strong") -> inv.ScanReport:
-    """Einstein-residual scan with the entry's sign certificate attached."""
-    entry, _, alg, _ = _resolve(name, None, False)
+def scan_entry(name: str, kind: int = 2, grid=None, mode: str = "strong",
+               params: Optional[dict] = None) -> inv.ScanReport:
+    """Einstein-residual scan with the entry's sign certificate attached,
+    of the algebra at the structure parameters in ``params`` (ell)."""
+    entry, _, alg, _ = _resolve(name, params, False)
     return inv.scan(alg, kind, grid=grid, mode=mode,
                     certificate=entry.certificate, entry_name=name)
 

@@ -182,12 +182,16 @@ def cmd_einstein(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    fixed = [key for key in ("r", "s", "u") if key in args.params]
+    if fixed:
+        raise InputError(f"scan takes r, s and u from its grid; --params "
+                         f"may not set {', '.join(fixed)}")
     grid = None
     if args.grid:
         grid = _parse_grid(args.grid)
     if args.source in catalog.list_entries():
         report = catalog.scan_entry(args.source, args.kind, grid=grid,
-                                    mode=args.mode)
+                                    mode=args.mode, params=args.params)
     else:
         alg, _, label, _ = resolve_source(args.source, args.params, False)
         report = inv.scan(alg, args.kind, grid=grid, mode=args.mode,

@@ -80,6 +80,7 @@ from typing import Optional
 import numpy as np
 
 from .forms import CoframeAlgebra, InvariantForm, ext_d
+# mat_solve is unused, but tests/test_tracer_targets.py resolves it here
 from .scalars import (UNIT_ROUNDOFF, QQi, conj, is_zero, mat_det, mat_inv,
                       mat_solve, negligible, times_i, unify)
 
@@ -149,20 +150,10 @@ class HermitianMetric:
         return _matrix_to_form(self.array, np.zeros((self.n, self.n)))
 
 
-# Elementwise x ** k and |z| by libm pow and hypot, the functions Python's
-# float ``**`` and ``abs(complex)`` call.  numpy's ``**``, ``abs`` and
-# complex ``*`` on arrays take SIMD paths that round differently, so a
-# formula written with these two and real + - * / gives the same bits for
-# a point whether it is evaluated alone, on Python scalars, or in an array.
-
-def libm_pow(x, k):
-    """x ** k elementwise, by libm pow."""
-    return np.float_power(x, k)
-
-
-def libm_abs(z):
-    """|z| elementwise, by libm hypot."""
-    return np.hypot(np.real(z), np.imag(z))
+def abs2(z):
+    """|z|^2 elementwise, as re^2 + im^2 in real products: the same bits
+    for a Python scalar and inside an array."""
+    return np.real(z) * np.real(z) + np.imag(z) * np.imag(z)
 
 
 def _nondegenerate(det, top, n):
@@ -178,8 +169,9 @@ def surface_admissible(r, s, u):
     """Elementwise r^2 > 0, s^2 > 0 and r^2 s^2 - |u|^2 > 0: whether
     (r, s, u), real parts of r and s taken, gives a positive-definite
     surface metric.  Scalars give a numpy bool, arrays a boolean mask."""
-    r2, s2 = libm_pow(np.real(r), 2), libm_pow(np.real(s), 2)
-    return (r2 > 0) & (s2 > 0) & (r2 * s2 - libm_pow(libm_abs(u), 2) > 0)
+    r, s = np.real(r), np.real(s)
+    r2, s2 = r * r, s * s
+    return (r2 > 0) & (s2 > 0) & (r2 * s2 - abs2(u) > 0)
 
 
 @dataclass(frozen=True)
@@ -213,8 +205,8 @@ class SurfaceMetricParams:
 # Arrays carry a trailing batch index M, so that each einsum's inner loop
 # runs over the metrics; one metric is the stack x[..., None].  Their dtype
 # is the arithmetic: complex for floats, object (QQi entries) for exact
-# input.  Only the gamma solve and the inverse metric depend on it; they,
-# like the public batch functions, take the leading-M view np.linalg wants.
+# input.  Only the inverse metric depends on it; it, like the public batch
+# functions, takes the leading-M view np.linalg wants.
 
 def _leading(x):
     """The view of a trailing-M array x[..., M] as x[M, ...]."""
@@ -256,21 +248,15 @@ def _structure(alg: CoframeAlgebra, exact):
     return a, b
 
 
-def chern_connection(b, hs):
-    """gamma[M, m, k, l] = gamma^m_{k l}, the (1,0)-part of the Chern
+_GAMMA = "mjM,ikM,kjl->milM"
+
+
+def chern_connection(b, hs, up):
+    """gamma[m, k, l, M] = gamma^m_{k l}, the (1,0)-part of the Chern
     connection theta^m_k = gamma^m_{k l} phi^l + B^m_{k l} bar(phi)^l of
-    each metric in ``hs``: B removes the (1,1)-part of the torsion, and
-    gamma solves gamma^m_{i l} h_{m jbar} = - h_{i kbar} conj(B^k_{j l})."""
-    count, n = hs.shape[0], hs.shape[1]
-    rhs = -np.einsum("ikM,kjl->jilM", _trailing(hs), np.conj(b))
-    rhs = _leading(rhs).reshape(count, n, n * n)
-    ht = np.transpose(hs, (0, 2, 1))
-    if hs.dtype == object:
-        sol = np.array([mat_solve(a.tolist(), r.tolist())
-                        for a, r in zip(ht, rhs)], dtype=object)
-    else:
-        sol = np.linalg.solve(ht, rhs)
-    return sol.reshape(count, n, n, n)
+    each trailing-M metric ``hs`` of inverse ``up``: B removes the
+    (1,1)-part of the torsion, and gamma = - h^{-1} h conj(B)."""
+    return -np.einsum(_GAMMA, up, hs, np.conj(b))
 
 
 def _upper(hs):
@@ -392,8 +378,8 @@ def _einstein_stack(mode, hs, ric, s):
         if hs.dtype == object:  # numpy's real returns object arrays as is
             den = np.sum(hs * hs.conj(), axis=(0, 1))
             lam = np.array([a.real / b.real for a, b in zip(num, den)])
-        else:  # floats take |h|^2 by hypot; scan output is pinned to it
-            lam = num.real / np.sum(np.abs(hs) ** 2, axis=(0, 1))
+        else:
+            lam = num.real / np.sum(abs2(hs), axis=(0, 1))
     else:
         raise ValueError("mode must be 'strong' or 'weak'")
     return lam, np.max(np.abs(ric - lam * hs), axis=(0, 1))
@@ -456,7 +442,7 @@ class CurvatureTensor:
         mag = self._abs
         h, b = (mag("h"), None), (mag("b"), None)
         up = _bound("ka,ba,bl->kl", (mag("up"), None), h, (mag("up"), None))
-        gamma = _bound("mj,ik,kjl->mil", (mag("up"), up), h, b)
+        gamma = _bound(_GAMMA, (mag("up"), up), h, b)
         # |conj(B)| = |B|
         ops = {"gamma": (mag("gamma"), gamma), "b": b, "conj_b": b}
         r = sum(_bound(spec, *(ops[x] for x in names))
@@ -552,12 +538,12 @@ def chern_curvature(alg: CoframeAlgebra, h: HermitianMetric
     integrable or fails the Jacobi check."""
     _check_pair(alg, h.n)
     a, b = _structure(alg, h.exact)
-    hs = h.array[..., None]
-    gamma = _trailing(chern_connection(b, _leading(hs)))
+    hs, up = h.array[..., None], h.inverse_upper()
+    gamma = chern_connection(b, hs, up[..., None])
     r, theta = _curvature(b, gamma, hs)
     return CurvatureTensor(r_upper=r[..., 0], lowered=theta[..., 0],
-                           n=alg.n, a=a, b=b, gamma=gamma[..., 0],
-                           up=h.inverse_upper(), h=h.array)
+                           n=alg.n, a=a, b=b, gamma=gamma[..., 0], up=up,
+                           h=h.array)
 
 
 def _ric_matrix(kind: int, curv: CurvatureTensor, h: HermitianMetric):
@@ -721,17 +707,19 @@ def bogomolov_lubke(curv: CurvatureTensor, h: HermitianMetric):
 # ---------------------------------------------------------------------------
 # batched float pipeline (used by parameter scans)
 
-def batch_curvature(alg: CoframeAlgebra, hs: np.ndarray):
+def batch_curvature(alg: CoframeAlgebra, hs: np.ndarray, up=None):
     """Lowered curvature for a batch of constant metrics, vectorised.
 
-    ``hs`` has shape (M, n, n).  Returns Theta of shape (M, n, n, n, n)
-    indexed [batch, i, j, k, l], by the formula :func:`chern_curvature`
-    applies to one metric: the leading-M view of a trailing-M array.
+    ``hs`` has shape (M, n, n), and ``up``, if given, is their trailing-M
+    inverse.  Returns Theta of shape (M, n, n, n, n) indexed [batch, i, j,
+    k, l], by the formula :func:`chern_curvature` applies to one metric:
+    the leading-M view of a trailing-M array.
     """
     _check_pair(alg, hs.shape[1])
     b = _structure(alg, exact=False)[1]
-    gamma = _trailing(chern_connection(b, hs))
-    return _leading(_curvature(b, gamma, _trailing(hs))[1])
+    up = _trailing(_upper(hs)) if up is None else up
+    hs = _trailing(hs)
+    return _leading(_curvature(b, chern_connection(b, hs, up), hs)[1])
 
 
 def batch_einstein_residual(kind: int, alg: CoframeAlgebra, hs: np.ndarray,
@@ -743,8 +731,9 @@ def batch_einstein_residual(kind: int, alg: CoframeAlgebra, hs: np.ndarray,
     point, a dimensionless distance from the Einstein condition that is
     comparable across metric scales.
     """
-    theta = _trailing(batch_curvature(alg, hs))
-    up, hs = _trailing(_upper(hs)), _trailing(hs)
+    up = _trailing(_upper(hs))
+    theta = _trailing(batch_curvature(alg, hs, up))
+    hs = _trailing(hs)
     ric = _ricci_stack(kind, up, theta)
     s = _scalar_stack(up, theta)
     lam, resid = _einstein_stack(mode, hs, ric, s)
@@ -773,8 +762,9 @@ class ScanReport:
 # rounding, at most 1e-13 apart, and TIE is the float goldens' tolerance
 TIE = 1e-9
 
-# grid rows per block of a scan; a block's temporaries peak at 12.7 MB,
-# ~780 B a row (tracemalloc, inoue-sm kind 2 strong with its certificate)
+# grid rows per block of a scan; a block's temporaries peak at 13.8 MB,
+# ~840 B a row (tracemalloc, inoue-sm kind 2 strong with its certificate);
+# the tie rule keeps at most 13 rows in any entry, kind and mode at K=42
 SCAN_BLOCK = 16384
 
 
@@ -852,21 +842,22 @@ def scan(alg: CoframeAlgebra, kind: int, grid=None, mode: str = "strong",
     The minimised quantity is the relative residual (see
     :func:`batch_einstein_residual`), which puts points with very
     different metric scales on a common footing; the absolute residual at
-    the minimiser is reported alongside.  Ties go to the earliest row, and
-    NaN residuals sort last.
+    the minimiser is reported alongside.  The minimiser is the earliest
+    row whose relative residual is within :data:`TIE` of the least, so
+    rounding cannot move it; NaN residuals never are, unless all are.
 
-    The rows run in blocks of :data:`SCAN_BLOCK` and only per-block
-    reductions are kept, so memory is O(block), not O(grid).  Every
-    per-row quantity is elementwise in its row, so the report does not
-    depend on the block size."""
+    The rows run in blocks of :data:`SCAN_BLOCK`; only per-block
+    reductions and the tie rule's few candidates are kept, so memory is
+    O(block), not O(grid).  Every per-row quantity is elementwise in its
+    row, so the report does not depend on the block size."""
     grid = np.asarray(default_surface_grid() if grid is None else grid,
                       dtype=complex)
     if grid.ndim != 2 or grid.shape[1] != 3:
         raise ValueError(f"grid must be (r, s, u) rows, shape M x 3, "
                          f"got shape {grid.shape}")
-    # rows strictly below every earlier row and within TIE of the running
-    # minimum, as (global row index, relative residual, r, s, u, absolute
-    # residual); their residuals fall, and the first survivor wins
+    # (relative residual, r, s, u, absolute residual) of the rows below
+    # every earlier row and within TIE of the running minimum ``low``; the
+    # first survivor wins, or the first row if every residual is NaN
     count, low, kept, first, certs = 0, np.nan, [], None, []
     for r, s, u, hs in _surface_blocks(grid):
         lam, resid_abs, resid, _ = batch_einstein_residual(kind, alg, hs,
@@ -875,17 +866,16 @@ def scan(alg: CoframeAlgebra, kind: int, grid=None, mode: str = "strong",
         before = np.fmin.accumulate(np.concatenate(([low], resid[:-1])))
         low = np.fmin(low, np.fmin.reduce(resid))
         new = np.flatnonzero(~(resid >= before) & (resid <= low + TIE))
-        kept = [c for c in kept if c[1] <= low + TIE] + [
-            (count + b, resid[b], r[b], s[b], u[b], resid_abs[b]) for b in new]
-        if first is None:  # reported when every residual is NaN
-            first = (0, resid[0], r[0], s[0], u[0], resid_abs[0])
+        kept = [c for c in kept if c[0] <= low + TIE] + [
+            (resid[b], r[b], s[b], u[b], resid_abs[b]) for b in new]
+        first = first or (resid[0], r[0], s[0], u[0], resid_abs[0])
         count += len(hs)
         if certificate is not None:
             vals = certificate(r, s, u, lam)
             certs.append((bool(np.all(vals < 0)), np.max(vals)))
     if not count:
         raise ValueError("no admissible grid points")
-    _, resid, r, s, u, resid_abs = kept[0] if kept else first
+    resid, r, s, u, resid_abs = kept[0] if kept else first
     cert_ok, cert_worst = None, None
     if certs:
         oks, maxima = zip(*certs)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -101,32 +102,39 @@ def test_certificates_negative_at_points(name):
         assert val < 0
 
 
-# The certificates point by point in Python float arithmetic, as the
-# non-existence proofs state them.
+# The certificates point by point in Python float and complex arithmetic,
+# as the non-existence proofs state them, powers and moduli as products.
+def _uu(u):
+    return (u * u.conjugate()).real
+
+
 def _python_inoue_sm(r, s, u, lam):
-    d = r * r * s * s - abs(u) ** 2
-    return 8 * lam * r ** 2 * d ** 2 - r ** 4 * (
-        4 * r ** 2 * s ** 2 + 5 * abs(u) ** 2)
+    d = r * r * (s * s) - _uu(u)
+    return 8 * lam * (r * r) * (d * d) - r * r * (r * r) * (
+        4 * (r * r) * (s * s) + 5 * _uu(u))
 
 
 def _python_inoue_spm(r, s, u, lam):
-    d = r * r * s * s - abs(u) ** 2
-    return 2 * lam * r ** 2 * d ** 2 - r ** 4 * (
-        r ** 4 + r ** 2 * s ** 2 + abs(u) ** 2 + 2 * (u * u).real)
+    d = r * r * (s * s) - _uu(u)
+    return 2 * lam * (r * r) * (d * d) - r * r * (r * r) * (
+        r * r * (r * r) + r * r * (s * s) + _uu(u) + 2 * (u * u).real)
 
 
 def _python_kodaira_primary(r, s, u, lam):
-    d = r * r * s * s - abs(u) ** 2
-    if abs(u) > 1e-12:
-        return -abs(u * (2 * lam * d ** 2 - s ** 6))
-    return -(r ** 2 * s ** 6)
+    d = r * r * (s * s) - _uu(u)
+    s6 = s * s * (s * s) * (s * s)
+    if _uu(u) > 1e-24:
+        x = 2 * lam * (d * d) - s6
+        return -math.sqrt(_uu(u) * (x * x))
+    return -(r * r * s6)
 
 
 def _python_kodaira_secondary(r, s, u, lam):
-    if abs(u) > 1e-12:
-        d = r * r * s * s - abs(u) ** 2
-        return -abs(-u * s ** 2 * (1j * d + (r ** 4 + s ** 4)))
-    return -(s ** 2 / (4 * r ** 2))
+    if _uu(u) > 1e-24:
+        d = r * r * (s * s) - _uu(u)
+        f = r * r * (r * r) + s * s * (s * s)
+        return -(s * s * math.sqrt(_uu(u) * (f * f + d * d)))
+    return -(s * s / (4 * (r * r)))
 
 
 PYTHON_CERTIFICATES = {"inoue-sm": _python_inoue_sm,

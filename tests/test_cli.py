@@ -140,6 +140,41 @@ def test_scan_refuses_grid_beyond_row_cap(capsys, grid):
     assert len(lines) == 1 and "10000000 grid rows" in lines[0]
 
 
+def test_scan_takes_the_entry_structure_parameters(capsys, monkeypatch,
+                                                   tmp_path):
+    # snow-s5 at ell = 3 scans the algebra its export writes; each ell gives
+    # residual 0 at u = 0, so the grid is two rows with u != 0
+    code, text, _ = run(capsys, "catalog", "export", "snow-s5",
+                        "--params", "ell=3")
+    path = tmp_path / "snow-s5-ell3.struct"
+    path.write_text(text)
+    monkeypatch.setattr(inv, "default_surface_grid",
+                        lambda r_values, s_values: [(1, 1, 0.5j),
+                                                    (0.5, 1.5, 0.25)])
+    outs = {}
+    for name, argv in (("ell=3", ["snow-s5", "--params", "ell=3"]),
+                       ("file", [str(path)]), ("ell=1", ["snow-s5"])):
+        code, out, err = run(capsys, "scan", *argv, "--grid", "1:1:1")
+        assert code == 0 and err == ""
+        outs[name] = out.splitlines()[1:]  # the entry line names the source
+    assert outs["ell=3"] == outs["file"] != outs["ell=1"]
+
+
+@pytest.mark.parametrize("params", ["r=2", "ell=3,u=1/2,s=1"])
+@pytest.mark.parametrize("source", ["entry", "file"])
+def test_scan_refuses_metric_params(capsys, tmp_path, source, params):
+    if source == "entry":
+        source = "snow-s5"
+    else:
+        source = tmp_path / "snow.struct"
+        source.write_text(catalog.to_structure_text("snow-s5"))
+    code, out, err = run(capsys, "scan", str(source), "--params", params,
+                         "--grid", "1:1:1")
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: scan takes r, s")
+
+
 def test_grid_values(monkeypatch):
     monkeypatch.setattr(inv, "default_surface_grid",
                         lambda r_values, s_values: r_values)
