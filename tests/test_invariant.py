@@ -308,7 +308,7 @@ def test_float_theta_against_exact(name):
 @pytest.mark.xfail(strict=True, reason="R's four terms cancel: the error "
                    "grows as r^2 / s^2 at u = 0")
 def test_float_theta_of_kodaira_secondary_at_u_zero():
-    # 2.65e-10, as with the gamma solve; found by a 1979-point draw
+    # 2.65e-10; the worst of 1979 points drawn as in the test above
     assert _theta_error("kodaira-secondary", 347.48332771002515,
                         0.22486784935168957, 0j) <= 1e-12
 
