@@ -25,7 +25,7 @@ import numpy as np
 
 from . import catalog, invariant as inv, structfile, yamabe
 from .forms import CoframeAlgebra, InvariantForm
-from .scalars import is_exact, negligible, unify
+from .scalars import is_exact, resolve, unify
 
 
 class InputError(ValueError):
@@ -154,8 +154,8 @@ def cmd_curvature(args) -> int:
     rep.add("entry", label)
     _add_params(rep, p)
     for idx in np.ndindex(curv.lowered.shape):
-        v = curv.lowered[idx]
-        if not negligible(v, curv.bound["lowered"][idx]):
+        v = resolve(curv.lowered[idx], curv.bound["lowered"][idx])
+        if v:
             rep.add("theta_" + "".join(str(i + 1) for i in idx), v)
     rep.add("ric1", inv.ricci(1, curv, h))
     rep.add("ric2", inv.ricci(2, curv, h))

@@ -31,8 +31,8 @@ Theta and owns every contraction of that metric, each evaluated at most
 once, on first use and in the tensor's arithmetic; the public functions
 below are views of it.
 
-Every zero test of a float result (a printed Theta entry, a Ricci form
-entry, a trace, the Gauduchon coefficient, the Bogomolov-Lubke pairing, a
+Every zero test of a float result (each part, real or imaginary, of a
+printed Theta entry or Ricci form entry, a trace, the Gauduchon coefficient, the Bogomolov-Lubke pairing, a
 catalog comparison) is :func:`~cherncurv.scalars.negligible` against the
 result's first-order rounding bound (Higham, *Accuracy and Stability of
 Numerical Algorithms*, 2nd ed., 3.3 and ch. 14), which :func:`_bound`
@@ -80,9 +80,11 @@ from typing import Optional
 import numpy as np
 
 from .forms import CoframeAlgebra, InvariantForm, ext_d
-# mat_solve is unused, but tests/test_tracer_targets.py resolves it here
+# mat_inv and mat_solve are unused here, but benchmarks/tracer.py wraps
+# them in this module (tests/test_tracer_targets.py checks that they
+# resolve)
 from .scalars import (UNIT_ROUNDOFF, QQi, conj, is_zero, mat_det, mat_inv,
-                      mat_solve, negligible, times_i, unify)
+                      mat_solve, negligible, resolve, times_i, unify)
 
 
 class NotPositiveDefinite(ValueError):
@@ -141,7 +143,7 @@ class HermitianMetric:
     def inverse_upper(self):
         """h^{i jbar}, the inverse satisfying h^{i jbar} h_{k jbar} = delta;
         the solved tensor keeps it as ``up``."""
-        return _upper(self.array[None])[0]
+        return _upper(self.array)
 
     def scaled(self, c) -> "HermitianMetric":
         return HermitianMetric([[v * c for v in row] for row in self.h])
@@ -205,8 +207,10 @@ class SurfaceMetricParams:
 # Arrays carry a trailing batch index M, so that each einsum's inner loop
 # runs over the metrics; one metric is the stack x[..., None].  Their dtype
 # is the arithmetic: complex for floats, object (QQi entries) for exact
-# input.  Only the inverse metric depends on it; it, like the public batch
-# functions, takes the leading-M view np.linalg wants.
+# input, and one code serves both.  The inverse metric, like the public
+# batch functions, takes a stack hs[M, ...], the leading-M view
+# :func:`_leading` makes of a trailing-M array, and computes on the
+# trailing-M array again.
 
 def _leading(x):
     """The view of a trailing-M array x[..., M] as x[M, ...]."""
@@ -261,12 +265,34 @@ def chern_connection(b, hs, up):
 
 def _upper(hs):
     """up[..., k, l] = h^{k lbar}, the inverse with h^{k lbar} h_{m lbar} =
-    delta_km, of a stack hs[M, ...] or of one float matrix."""
-    if hs.dtype == object:
-        inv = np.array([mat_inv(a.tolist()) for a in hs], dtype=object)
-    else:
-        inv = np.linalg.inv(hs)
-    return np.swapaxes(inv, -1, -2)
+    delta_km, of a stack hs[M, ...] or of one matrix, by
+    :func:`_eliminate`: for a stack, the leading-M view of a trailing-M
+    array."""
+    if hs.ndim == 2:
+        return _eliminate(hs[..., None])[..., 0]
+    return _leading(_eliminate(_trailing(hs)))
+
+
+def _eliminate(hs):
+    """up[k, l, M] = h^{k lbar} of a trailing-M stack hs[i, j, M] of
+    Hermitian positive-definite matrices, by Gauss-Jordan elimination
+    without pivoting, each entry an M-vector, complex or QQi.  On such
+    matrices it is backward stable without pivoting (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, 2nd ed., 10.1), and its
+    pivots, ratios of leading principal minors, are positive: one that is
+    not raises NotPositiveDefinite."""
+    n, exact = hs.shape[0], hs.dtype == object
+    a = [[hs[i, j] for j in range(n)] for i in range(n)]
+    for k in range(n):
+        piv = a[k][k]
+        re = np.array([x.real for x in piv]) if exact else piv.real
+        if not (re > 0).all():
+            raise NotPositiveDefinite(f"pivot {k + 1} is not positive")
+        row = [1 / piv if j == k else x / piv for j, x in enumerate(a[k])]
+        a = [row if i == k else
+             [-(a[i][k] * row[j]) if j == k else a[i][j] - a[i][k] * row[j]
+              for j in range(n)] for i in range(n)]
+    return np.array([[a[l][k] for l in range(n)] for k in range(n)])
 
 
 # R^m_{k i jbar} as (sign, einsum spec, operands) terms, and Theta
@@ -301,6 +327,17 @@ def _curvature(b, gamma, hs):
     return r, np.einsum(_THETA, r, hs)
 
 
+@functools.lru_cache(maxsize=None)
+def _parse(spec, shapes):
+    """(spec without M, k u) of :func:`_bound` over operands of the given
+    shapes, parsed once per (spec, shapes)."""
+    spec = spec.replace("M", "")
+    ins, out = spec.split("->")
+    size = dict(zip(ins.replace(",", ""), (d for s in shapes for d in s)))
+    return spec, UNIT_ROUNDOFF * (len(shapes) + math.prod(
+        d for c, d in size.items() if c not in out))
+
+
 def _bound(spec, *pairs):
     """First-order rounding bound of each entry of a float
     np.einsum(spec, values) over (|value|, bound) pairs of one metric (M
@@ -308,13 +345,8 @@ def _bound(spec, *pairs):
     with one operand's bound in place of its magnitude, summed over the
     operands, plus k u times the einsum of |values|, k the operand count
     plus the terms each entry sums."""
-    spec = spec.replace("M", "")
-    ins, out = spec.split("->")
-    size = dict(zip(ins.replace(",", ""), (d for v, _ in pairs
-                                           for d in v.shape)))
     mags = [m for m, _ in pairs]
-    ku = UNIT_ROUNDOFF * (len(pairs) + math.prod(
-        d for c, d in size.items() if c not in out))
+    spec, ku = _parse(spec, tuple(m.shape for m in mags))
     total = None
     for i, (_, err) in enumerate(pairs):
         if err is not None:
@@ -553,12 +585,15 @@ def _ric_matrix(kind: int, curv: CurvatureTensor, h: HermitianMetric):
 
 def _matrix_to_form(m, bound) -> InvariantForm:
     """The (1,1)-form sqrt(-1) m_{a bbar} phi^a ^ bar(phi)^b of an array,
-    without the entries negligible against their rounding bound."""
+    each real and imaginary part negligible against its entry's rounding
+    bound set to 0 (:func:`~cherncurv.scalars.resolve`), and the entries
+    that leaves 0 dropped."""
     n, m = len(m), m.tolist()
     form = InvariantForm(n)
-    form.coefficients = {(a, b + n): times_i(m[a][b])
-                         for a in range(n) for b in range(n)
-                         if not negligible(m[a][b], bound[a][b])}
+    coefficients = ((a, b, resolve(m[a][b], bound[a][b]))
+                    for a in range(n) for b in range(n))
+    form.coefficients = {(a, b + n): times_i(v)
+                         for a, b, v in coefficients if v}
     return form
 
 

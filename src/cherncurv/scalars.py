@@ -271,6 +271,17 @@ def negligible(x, bound) -> bool:
     return not x if is_exact(x) else abs(x) <= ROUNDING * bound
 
 
+def resolve(x, bound):
+    """x with each of its real and imaginary parts that is negligible
+    against ``bound``, the rounding bound of x, set to 0: a float's parts
+    that are rounding noise print as 0.  Exact x is returned as it is."""
+    if is_exact(x):
+        return x
+    x = complex(x)
+    return complex(0.0 if negligible(x.real, bound) else x.real,
+                   0.0 if negligible(x.imag, bound) else x.imag)
+
+
 def mat_mul(a, b):
     n, m, p = len(a), len(b), len(b[0])
     return [[sum(a[i][k] * b[k][j] for k in range(m)) for j in range(p)]

@@ -656,6 +656,33 @@ def test_curvature_hopf_anisotropic_keeps_small_entries(capsys):
         assert abs(got[key] - want[key]) <= 1e-9 * scale, key
 
 
+def _zero_parts(text):
+    """{term: (real part is 0, imaginary part is 0)} of a printed number or
+    form, a number being the one term ''."""
+    terms = [t.split(") ") if t.startswith("(") else ("(" + t, "")
+             for t in text.split(" + ")]
+    return {mono: tuple(x == 0 for x in (z.real, z.imag))
+            for z, mono in ((complex(parse_complex(c[1:])), mono)
+                            for c, mono in terms)}
+
+
+def test_curvature_prints_no_rounding_noise_parts(capsys):
+    # each real and imaginary part of a float Theta entry and Ricci
+    # coefficient is judged against the entry's rounding bound, so the
+    # float run prints 0 exactly where the exact run does
+    params = ("r=5/2,s=9/4,u=9/16+63/16i",)
+    prints = []
+    for flags in ((), ("--exact",)):
+        code, out, _ = run(capsys, "curvature", "inoue-sm", *flags,
+                           "--params", *params)
+        assert code == 0
+        prints.append({k: _zero_parts(v) for k, v in fields(out).items()
+                       if k.startswith(("theta_", "ric1", "ric2"))})
+    got, want = prints
+    assert got == want
+    assert sum(k.startswith("theta_") for k in want) == 4
+
+
 def test_curvature_kodaira_primary_anisotropic_zero_traces(capsys):
     code, out, _ = run(capsys, "curvature", "kodaira-primary", "--params",
                        ANISOTROPIC[0])
