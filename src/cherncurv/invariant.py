@@ -265,24 +265,20 @@ def chern_connection(b, hs, up):
 
 def _upper(hs):
     """up[..., k, l] = h^{k lbar}, the inverse with h^{k lbar} h_{m lbar} =
-    delta_km, of a stack hs[M, ...] or of one matrix, by
-    :func:`_eliminate`: for a stack, the leading-M view of a trailing-M
-    array."""
-    if hs.ndim == 2:
-        return _eliminate(hs[..., None])[..., 0]
-    return _leading(_eliminate(_trailing(hs)))
+    delta_km, of a stack hs[M, ...] of Hermitian positive-definite
+    matrices or of one such matrix: for a stack, the leading-M view of a
+    trailing-M array.
 
-
-def _eliminate(hs):
-    """up[k, l, M] = h^{k lbar} of a trailing-M stack hs[i, j, M] of
-    Hermitian positive-definite matrices, by Gauss-Jordan elimination
-    without pivoting, each entry an M-vector, complex or QQi.  On such
-    matrices it is backward stable without pivoting (Higham, *Accuracy
-    and Stability of Numerical Algorithms*, 2nd ed., 10.1), and its
-    pivots, ratios of leading principal minors, are positive: one that is
-    not raises NotPositiveDefinite."""
-    n, exact = hs.shape[0], hs.dtype == object
-    a = [[hs[i, j] for j in range(n)] for i in range(n)]
+    One Gauss-Jordan elimination without pivoting runs on the trailing-M
+    stack, each entry an M-vector, complex or QQi.  On such matrices it is
+    backward stable without pivoting (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., 10.1), and its pivots, ratios of
+    leading principal minors, are positive: one that is not raises
+    NotPositiveDefinite."""
+    one = hs.ndim == 2
+    h = hs[..., None] if one else _trailing(hs)
+    n, exact = h.shape[0], h.dtype == object
+    a = [[h[i, j] for j in range(n)] for i in range(n)]
     for k in range(n):
         piv = a[k][k]
         re = np.array([x.real for x in piv]) if exact else piv.real
@@ -292,7 +288,8 @@ def _eliminate(hs):
         a = [row if i == k else
              [-(a[i][k] * row[j]) if j == k else a[i][j] - a[i][k] * row[j]
               for j in range(n)] for i in range(n)]
-    return np.array([[a[l][k] for l in range(n)] for k in range(n)])
+    up = np.array([[a[l][k] for l in range(n)] for k in range(n)])
+    return up[..., 0] if one else _leading(up)
 
 
 # R^m_{k i jbar} as (sign, einsum spec, operands) terms, and Theta
