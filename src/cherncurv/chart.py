@@ -284,10 +284,9 @@ def _assemble_curvature(up, dh, dhb, d2h):
 
 def _curvature(field: ChartMetricField, x):
     """(Theta, h, h^{-1} as :func:`invariant._upper`) at x from one jet of
-    the metric field, with h inverted once."""
+    the metric field, with h inverted once; the inverse refuses a metric
+    that is not positive definite at x."""
     h0, dh, dhb, d2h = _holo_jets(field.fn, x)
-    if np.min(np.linalg.eigvalsh(h0)) <= 0:
-        raise ValueError("metric is not positive definite at the point")
     up = inv._upper(h0)
     return _assemble_curvature(up, dh, dhb, d2h), h0, up
 

@@ -283,7 +283,8 @@ def _upper(hs):
         piv = a[k][k]
         re = np.array([x.real for x in piv]) if exact else piv.real
         if not (re > 0).all():
-            raise NotPositiveDefinite(f"pivot {k + 1} is not positive")
+            raise NotPositiveDefinite(f"metric is not positive definite: "
+                                      f"pivot {k + 1} is not positive")
         row = [1 / piv if j == k else x / piv for j, x in enumerate(a[k])]
         a = [row if i == k else
              [-(a[i][k] * row[j]) if j == k else a[i][j] - a[i][k] * row[j]

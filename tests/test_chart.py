@@ -134,6 +134,18 @@ def test_one_inversion_per_chart_solve(monkeypatch, call, inversions):
     assert inv._upper.calls == inversions
 
 
+def test_curvature_refuses_a_metric_that_is_not_positive_definite():
+    # the inverse of h refuses it by its first pivot, -1 + |z1|^2 at x
+    def fn(z):
+        return [[z[0] * z[0].conjugate() - 1, 0 * z[0]],
+                [0 * z[0], 1 + 0 * z[0]]]
+
+    field = ChartMetricField(2, fn, [(-1.0, 1.0)] * 4)
+    for call in (curvature_at, ricci_matrices_at):
+        with pytest.raises(inv.NotPositiveDefinite):
+            call(field, [0.1, 0.2, 0.3, 0.1])
+
+
 @pytest.mark.parametrize("name", ["hopf-chart", "random-poly"])
 def test_chart_ricci_is_the_invariant_contraction(name):
     # the chart's Ric1, Ric2 and S are the invariant layer's contractions
