@@ -32,12 +32,13 @@ once, on first use and in the tensor's arithmetic; the public functions
 below are views of it.
 
 Every zero test of a float result (each part, real or imaginary, of a
-printed Theta entry or Ricci form entry, a trace, the Gauduchon coefficient, the Bogomolov-Lubke pairing, a
-catalog comparison) is :func:`~cherncurv.scalars.negligible` against the
-result's first-order rounding bound (Higham, *Accuracy and Stability of
-Numerical Algorithms*, 2nd ed., 3.3 and ch. 14), which :func:`_bound`
-takes from the result's own einsum on absolute values, err(AB) <=
-|A| err(B) + err(A) |B| + k u |A| |B|.  h^{-1}, gamma, R and Theta are
+printed Theta entry or Ricci form entry, a trace, the Gauduchon
+coefficient, the Bogomolov-Lubke pairing, a catalog comparison) is
+:func:`~cherncurv.scalars.negligible` against the result's first-order
+rounding bound (Higham, *Accuracy and Stability of Numerical
+Algorithms*, 2nd ed., 3.3 and ch. 14), which :func:`_bound` takes from
+the result's own einsum on absolute values, err(AB) <= |A| err(B) +
+err(A) |B| + k u |A| |B|.  h^{-1}, gamma, R and Theta are
 bounded on first use, each magnitude taken once; exact solves have zero
 bounds, a caller that needs no bound computes none, nor does the batched
 scan, and the Einstein residuals stay in the solve's arithmetic.
