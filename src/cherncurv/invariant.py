@@ -18,12 +18,15 @@ theta^l_k = R^m_{k i jbar} phi^i ^ bar(phi)^j has the closed form
                    + gamma^m_{l i} B^l_{k j} - B^m_{l j} gamma^l_{k i},
     Theta_{i jbar k lbar} = R^m_{k i jbar} h_{m lbar}.
 
-One einsum evaluation of this formula, and one set of contractions (the two
-Ricci forms, the third Ricci tensor, both scalar curvatures, the Einstein
-residuals), serves a single metric in exact QQi or float arithmetic and a
-float batch of metrics alike; one metric is the batch of size M = 1.  The
-chart backend (:mod:`cherncurv.chart`) takes its h^{-1}, Ricci forms, S
-and Chern-Laplacian trace from the same contractions.
+One einsum evaluation of this formula, and one set of contractions of
+Theta (the two Ricci forms, the third Ricci tensor, both scalar
+curvatures, the Einstein residuals), serves a single metric in exact QQi
+or float arithmetic.  The chart backend (:mod:`cherncurv.chart`) takes its
+h^{-1}, Ricci forms, S and Chern-Laplacian trace from the same
+contractions.  The batched scan reads only one Ricci trace and S, and
+contracts them from gamma, B, h^{-1} and h without forming R or Theta
+(:func:`_connection_traces`), so the single path is its independent
+reference; in both, one metric is the batch of size M = 1.
 
 :func:`chern_curvature` validates and solves a (coframe, metric) pair once;
 its :class:`CurvatureTensor` carries A, B, gamma and h^{-1} beside R and
@@ -747,7 +750,8 @@ def batch_curvature(alg: CoframeAlgebra, hs: np.ndarray, up=None):
     ``hs`` has shape (M, n, n), and ``up``, if given, is their trailing-M
     inverse.  Returns Theta of shape (M, n, n, n, n) indexed [batch, i, j,
     k, l], by the formula :func:`chern_curvature` applies to one metric:
-    the leading-M view of a trailing-M array.
+    the leading-M view of a trailing-M array.  The scan does not form it;
+    :func:`batch_einstein_residual` contracts the connection instead.
     """
     _check_pair(alg, hs.shape[1])
     b = _structure(alg, exact=False)[1]
@@ -756,20 +760,70 @@ def batch_curvature(alg: CoframeAlgebra, hs: np.ndarray, up=None):
     return _leading(_curvature(b, chern_connection(b, hs, up), hs)[1])
 
 
+def _connection_traces(kind, b, hs, up):
+    """(Ric^(kind) [a, b, M], S [M]) of trailing-M (h, up), contracted from
+    B, h^{-1}, h and, for kind 2, gamma, without forming R or Theta.  With
+    t_l = h^{i jbar} B^l_{i j}, the traces of R's closed form are
+
+        Ric1_{a bbar} = R^m_{m a bbar} = X_{a b} + conj(X_{b a}),
+            X_{a b} = -conj(B^m_{m l}) B^l_{a b},
+        S = h^{a bbar} Ric1_{a bbar},
+        Ric3_{a bbar} = R^i_{a i bbar} = -h_{l kbar} conj(t_k) B^l_{a b}
+                        - B^i_{a l} conj(B^l_{b i}),
+        Ric2_{a bbar} = K^m_a h_{m bbar},  K^m_a = h^{i jbar} R^m_{a i jbar}
+            = sum_l (gamma^m_{a l} t_l - B^m_{a l} conj(t_l)
+                     + gamma^m_{l i} U^l_{a i} - U^m_{l i} gamma^l_{a i}),
+            U^l_{a i} = h^{i jbar} B^l_{a j}.
+
+    Under the trace over m R's last two terms cancel by relabelling, and
+    under the trace over i its first and last; sum_m gamma^m_{m l} =
+    -conj(B^m_{m l}) since h^{m jbar} h_{m kbar} = delta_jk, so Ric1 is the
+    same for every metric; h^{-1} is Hermitian.  K keeps its l-sums apart,
+    so that the terms l = m of the commutator, the same products, cancel
+    exactly before the sum: summed first, their rounding, times a large
+    h_{m bbar}, reached 2e-3 of Ric2 at kodaira-secondary r = 718,
+    s = 0.28, u = 0."""
+    if kind not in _RICCI:
+        raise ValueError("kind must be 1, 2 or 3")
+    cb = np.conj(b)
+    x = -np.einsum("mml,lab->ab", cb, b)
+    ric1 = x + np.conj(x.T)
+    s = np.einsum("abM,ab->M", up, ric1)
+    if kind == 1:
+        return np.broadcast_to(ric1[..., None], hs.shape), s
+    if kind == 3:
+        t = np.einsum("ijM,lij->lM", up, b)
+        g = -np.einsum("lkM,kM->lM", hs, np.conj(t))
+        return (np.einsum("lM,lab->abM", g, b)
+                - np.einsum("ial,lbi->ab", b, cb)[..., None]), s
+    gamma = chern_connection(b, hs, up)
+    u = np.einsum("ijM,laj->laiM", up, b)
+    t = u.diagonal(axis1=1, axis2=2).sum(axis=-1)  # t_l = U^l_{i i}
+    k = np.einsum("mliM,laiM->malM", gamma, u)
+    k -= np.einsum("mliM,laiM->malM", u, gamma)
+    k += gamma * t
+    k -= b[..., None] * np.conj(t)
+    return np.einsum("maM,mbM->abM", k.sum(axis=2), hs), s
+
+
 def batch_einstein_residual(kind: int, alg: CoframeAlgebra, hs: np.ndarray,
-                            mode: str = "strong"):
+                            mode: str = "strong", b=None):
     """Vectorised (lambda*, residual, relative residual, S) over a batch of
-    metrics.
+    metrics, from the traces of :func:`_connection_traces`.  ``b``, if
+    given, is the structure B of ``alg`` (:func:`_structure`), whose pair
+    the caller has checked, as :func:`scan` does once for all its blocks.
 
     The relative residual is normalised by max(|Ric|, |lambda| |h|) per
     point, a dimensionless distance from the Einstein condition that is
     comparable across metric scales.
     """
+    if b is None:
+        _check_pair(alg, hs.shape[1])
+        b = _structure(alg, exact=False)[1]
     up = _trailing(_upper(hs))
-    theta = _trailing(batch_curvature(alg, hs, up))
     hs = _trailing(hs)
-    ric = _ricci_stack(kind, up, theta)
-    s = _scalar_stack(up, theta)
+    ric, s = _connection_traces(kind, b, hs, up)
+    s = s.real
     lam, resid = _einstein_stack(mode, hs, ric, s)
     scale = np.maximum(np.max(np.abs(ric), axis=(0, 1)),
                        np.abs(lam) * np.max(np.abs(hs), axis=(0, 1)))
@@ -796,9 +850,10 @@ class ScanReport:
 # rounding, at most 1e-13 apart, and TIE is the float goldens' tolerance
 TIE = 1e-9
 
-# grid rows per block of a scan; a block's temporaries peak at 13.8 MB,
-# ~840 B a row (tracemalloc, inoue-sm kind 2 strong with its certificate);
-# the tie rule keeps at most 13 rows in any entry, kind and mode at K=42
+# grid rows per block of a scan; a block's temporaries peak at 13.0 MB,
+# ~790 B a row (tracemalloc, inoue-sm kind 2 strong with its certificate;
+# kinds 1 and 3 at 5.8 and 6.8 MB); the tie rule keeps at most 6 rows in
+# any entry, kind and mode at K=42
 SCAN_BLOCK = 16384
 
 
@@ -889,13 +944,15 @@ def scan(alg: CoframeAlgebra, kind: int, grid=None, mode: str = "strong",
     if grid.ndim != 2 or grid.shape[1] != 3:
         raise ValueError(f"grid must be (r, s, u) rows, shape M x 3, "
                          f"got shape {grid.shape}")
+    _check_pair(alg, 2)
+    b = _structure(alg, exact=False)[1]
     # (relative residual, r, s, u, absolute residual) of the rows below
     # every earlier row and within TIE of the running minimum ``low``; the
     # first survivor wins, or the first row if every residual is NaN
     count, low, kept, first, certs = 0, np.nan, [], None, []
     for r, s, u, hs in _surface_blocks(grid):
         lam, resid_abs, resid, _ = batch_einstein_residual(kind, alg, hs,
-                                                           mode=mode)
+                                                           mode=mode, b=b)
         # before[i]: the least earlier residual, NaN while there is none
         before = np.fmin.accumulate(np.concatenate(([low], resid[:-1])))
         low = np.fmin(low, np.fmin.reduce(resid))

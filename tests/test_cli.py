@@ -761,7 +761,10 @@ def test_exact_run_takes_few_magnitudes(capsys, monkeypatch, argv, most):
     ("bl ovando-r2r2 --params r=1,s=1,u=0", 33),
     ("catalog verify ovando-r4 --params r=2,s=3/2,u=1/4", 24),
     ("catalog verify ovando-r4 --params r=2,s=3/2,u=1/4 --exact", 9),
-    ("scan inoue-sm --grid 0.5:1.5:0.5", 8)])
+    ("scan inoue-sm --grid 0.5:1.5:0.5", 8),
+    ("scan inoue-sm --grid 0.5:1.5:0.5 --kind 1", 2),
+    ("scan inoue-sm --grid 0.5:1.5:0.5 --kind 3", 6),
+    ("scan inoue-sm --grid 0.5:1.5:0.5 --mode weak", 9)])
 def test_einsum_budget(capsys, monkeypatch, argv, most):
     calls = count_calls(monkeypatch, np, "einsum")
     code, _, err = run(capsys, *argv.split())

@@ -216,12 +216,53 @@ def _leading_upper(hs):
     return np.stack([np.stack(col, axis=-1) for col in zip(*a)], axis=1)
 
 
+def _leading_residuals(hs, ric, s):
+    """{mode: the four arrays of batch_einstein_residual} of leading-M
+    (h, Ric, S)."""
+    n, out = hs.shape[1], {}
+    for mode in ("strong", "weak"):
+        if mode == "strong":
+            lam = s / n
+        else:
+            lam = (np.einsum("Mab,Mab->M", hs.conj(), ric).real
+                   / np.sum(hs.real ** 2 + hs.imag ** 2, axis=(1, 2)))
+        resid = np.max(np.abs(ric - lam[:, None, None] * hs), axis=(1, 2))
+        scale = np.maximum(np.max(np.abs(ric), axis=(1, 2)),
+                           np.abs(lam) * np.max(np.abs(hs), axis=(1, 2)))
+        out[mode] = (lam, resid, resid / np.maximum(scale, 1e-300), s)
+    return out
+
+
+def _leading_traces(kind, b, hs, up, gamma):
+    """(Ric^(kind), S) of leading-M (h, up, gamma), contracted from the
+    connection as batch_einstein_residual contracts it, M first."""
+    cb = np.conj(b)
+    x = -np.einsum("mml,lab->ab", cb, b)
+    ric1 = x + np.conj(x.T)
+    s = np.einsum("Mab,ab->M", up, ric1)
+    if kind == 1:
+        return np.broadcast_to(ric1, hs.shape), s
+    if kind == 3:
+        t = np.einsum("Mij,lij->Ml", up, b)
+        g = -np.einsum("Mlk,Mk->Ml", hs, np.conj(t))
+        return (np.einsum("Ml,lab->Mab", g, b)
+                - np.einsum("ial,lbi->ab", b, cb)), s
+    u = np.einsum("Mij,laj->Mlai", up, b)
+    t = u.diagonal(axis1=2, axis2=3).sum(axis=-1)
+    k = np.einsum("Mmli,Mlai->Mmal", gamma, u)
+    k -= np.einsum("Mmli,Mlai->Mmal", u, gamma)
+    k += gamma * t[:, None, None, :]
+    k -= b * np.conj(t)[:, None, None, :]
+    return np.einsum("Mma,Mmb->Mab", k.sum(axis=3), hs), s
+
+
 def _leading_axis_pipeline(alg, hs):
     """(Theta, {kind: Ric}, S, {(kind, mode): the four arrays of
-    batch_einstein_residual}) of an (M, n, n) stack, computed with M first
-    in every array."""
+    batch_einstein_residual}) of an (M, n, n) stack by the single path's
+    Theta route, and {kind: (Ric, S)} and {(kind, mode): those arrays} by
+    batch_einstein_residual's connection-contracted traces, computed with
+    M first in every array."""
     b = inv._structure(alg, exact=False)[1]
-    n = hs.shape[1]
     up = _leading_upper(hs)
     gamma = -np.einsum("Mmj,Mik,kjl->Mmil", up, hs, np.conj(b))
     ops = {"gamma": gamma, "b": b, "conj_b": np.conj(b)}
@@ -232,22 +273,16 @@ def _leading_axis_pipeline(alg, hs):
             r, np.einsum(spec, *(ops[x] for x in names)), out=r)
     theta = np.einsum("Mmkij,Mml->Mijkl", r, hs)
     s = np.einsum("Mij,Mkl,Mijkl->M", up, up, theta).real
-    ric, residuals = {}, {}
+    ric, residuals, traced, traced_residuals = {}, {}, {}, {}
     for kind, spec in _LEADING_RICCI.items():
         ric[kind] = np.einsum(spec, up, theta)
-        for mode in ("strong", "weak"):
-            if mode == "strong":
-                lam = s / n
-            else:
-                lam = (np.einsum("Mab,Mab->M", hs.conj(), ric[kind]).real
-                       / np.sum(hs.real ** 2 + hs.imag ** 2, axis=(1, 2)))
-            resid = np.max(np.abs(ric[kind] - lam[:, None, None] * hs),
-                           axis=(1, 2))
-            scale = np.maximum(np.max(np.abs(ric[kind]), axis=(1, 2)),
-                               np.abs(lam) * np.max(np.abs(hs), axis=(1, 2)))
-            residuals[kind, mode] = (lam, resid,
-                                     resid / np.maximum(scale, 1e-300), s)
-    return theta, ric, s, residuals
+        traced[kind] = _leading_traces(kind, b, hs, up, gamma)
+        for mode, arrays in _leading_residuals(hs, ric[kind], s).items():
+            residuals[kind, mode] = arrays
+        for mode, arrays in _leading_residuals(
+                hs, traced[kind][0], traced[kind][1].real).items():
+            traced_residuals[kind, mode] = arrays
+    return theta, ric, s, residuals, traced, traced_residuals
 
 
 def _log_uniform_params(seed, m):
@@ -281,13 +316,17 @@ def _same_bits(got, want):
 def test_trailing_batch_axis_is_bit_identical(name):
     alg, _, _ = catalog.build(name, exact=False)
     hs = _log_uniform_stack(ENTRIES.index(name), 3000)
-    theta, ric, s, residuals = _leading_axis_pipeline(alg, hs)
+    theta, ric, s, _, traced, residuals = _leading_axis_pipeline(alg, hs)
     batch_theta = inv.batch_curvature(alg, hs)
     _same_bits(batch_theta, theta)
     up, th = inv._trailing(inv._upper(hs)), inv._trailing(batch_theta)
     _same_bits(np.einsum(inv._S_CHERN, up, up, th).real, s)
+    b = inv._structure(alg, exact=False)[1]
     for kind in (1, 2, 3):
         _same_bits(inv._leading(inv._ricci_stack(kind, up, th)), ric[kind])
+        got = inv._connection_traces(kind, b, inv._trailing(hs), up)
+        _same_bits(inv._leading(got[0]), traced[kind][0])
+        _same_bits(got[1], traced[kind][1])
         for mode in ("strong", "weak"):
             got = inv.batch_einstein_residual(kind, alg, hs, mode)
             for g, w in zip(got, residuals[kind, mode]):
@@ -372,12 +411,14 @@ def test_float_theta_of_kodaira_secondary_at_u_zero():
 
 @pytest.mark.parametrize("name", ENTRIES)
 def test_one_metric_is_the_batch_of_one(name):
-    # a stack of one metric, and the single-metric path, against the oracle
+    # a stack of one metric against the connection-contracted oracle, and
+    # the single-metric path against the Theta-route one
     alg, _, _ = catalog.build(name, exact=False)
     hs = _log_uniform_stack(100 + ENTRIES.index(name), 30)
     for idx in range(len(hs)):
-        theta, ric, _, residuals = _leading_axis_pipeline(alg, hs[idx:idx + 1])
-        for (kind, mode), want in residuals.items():
+        theta, ric, _, residuals, _, traced = _leading_axis_pipeline(
+            alg, hs[idx:idx + 1])
+        for (kind, mode), want in traced.items():
             got = inv.batch_einstein_residual(kind, alg, hs[idx:idx + 1], mode)
             for g, w in zip(got, want):
                 _same_bits(g, w)
@@ -393,6 +434,96 @@ def test_one_metric_is_the_batch_of_one(name):
             lam, resid = inv.einstein_residual(kind, alg, h, "weak", curv)
             want = residuals[kind, "weak"]
             assert (lam, resid) == (want[0][0], want[1][0])
+
+
+def _rational_params(seed, m):
+    """m exact surface-metric parameters (r, s, u): r and s in 1/8..8 in
+    eighths, u = r s (p + q i) / 10 with p, q in -6..6, so |u| < 0.85 r s."""
+    rng = np.random.default_rng(seed)
+    for r, s, p, q in zip(*rng.integers(1, 65, (2, m)),
+                          *rng.integers(-6, 7, (2, m))):
+        r, s = Fraction(int(r), 8), Fraction(int(s), 8)
+        yield r, s, QQi(r * s * Fraction(int(p), 10),
+                        r * s * Fraction(int(q), 10))
+
+
+@pytest.mark.parametrize("name", ENTRIES)
+def test_connection_traces_against_exact(name):
+    # the scan's contractions of the connection, in exact QQi arithmetic,
+    # equal the single path's exact traces of Theta; in floats they are
+    # within 1e-12 of them, relative to the largest entry
+    for point in _rational_params(400 + ENTRIES.index(name), 4):
+        alg, h, _ = catalog.build(name, dict(zip("rsu", point)), exact=True)
+        curv = inv.chern_curvature(alg, h)
+        b, hf = curv.b.astype(complex), curv.h.astype(complex)
+        for kind in (1, 2, 3):
+            ric, s = inv._connection_traces(kind, curv.b, curv.h[..., None],
+                                            curv.up[..., None])
+            want = curv.ric(kind)
+            assert (ric[..., 0] == want).all()
+            assert s[0] == QQi(curv.s_chern[0])
+            ric, s = inv._connection_traces(kind, b, hf[..., None],
+                                            inv._upper(hf)[..., None])
+            want = want.astype(complex)
+            assert (np.max(np.abs(ric[..., 0] - want))
+                    <= 1e-12 * np.max(np.abs(want))), (kind, point)
+            assert (abs(s[0] - curv.s_chern[0])
+                    <= 1e-12 * abs(curv.s_chern[0])), point
+
+
+def test_ric2_commutator_cancels_before_its_sum():
+    # K's commutator terms l = m are the same products and cancel exactly;
+    # summed over l first, their rounding times h_11 ~ 2.6e5 left 2e-3 of
+    # Ric2 here
+    got, want = _float_and_exact("kodaira-secondary", 718.1158706215507,
+                                 0.2777800615482869, 0j)
+    ric, _ = inv._connection_traces(2, got.b, got.h[..., None],
+                                    got.up[..., None])
+    want = want.ric(2).astype(complex)
+    assert np.max(np.abs(ric[..., 0] - want)) <= 1e-8 * np.max(np.abs(want))
+
+
+def test_first_chern_ricci_flat_entry_has_zero_kind_1_residual():
+    # kodaira-primary is first-Chern-Ricci flat; through the traces of
+    # Theta, rounding left residuals of up to 1.8e5 on these rows (4.7e-7
+    # where r and s lie in 0.1..10), and > 1e-9 on 380 of them
+    rng = np.random.default_rng(3)
+    r, s = 10 ** rng.uniform(-3, 4, (2, 2000))
+    u = (0.999 * r * s * rng.uniform(0, 1, 2000)
+         * np.exp(2j * np.pi * rng.uniform(0, 1, 2000)))
+    grid = np.stack([r, s, u], axis=1)
+    alg, _, _ = catalog.build("kodaira-primary", exact=False)
+    (_, _, _, hs), = inv._surface_blocks(grid)  # the rows scan keeps
+    assert len(hs) == 1814
+    for mode in ("strong", "weak"):
+        _, resid_abs, resid, _ = inv.batch_einstein_residual(1, alg, hs, mode)
+        assert np.max(resid_abs) <= 1e-9 and np.max(resid) <= 1e-9
+
+
+def test_scan_checks_the_pair_once(monkeypatch):
+    # two blocks, one Jacobi check and one B
+    calls = {"jacobi": 0, "structure": 0}
+    for key, owner, name in (("jacobi", CoframeAlgebra, "check_jacobi"),
+                             ("structure", inv, "_structure")):
+        def counted(*args, _key=key, _fn=getattr(owner, name), **kwargs):
+            calls[_key] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    alg, _, _ = catalog.build("inoue-sm", exact=False)
+    assert inv.scan(alg, 2, grid=_random_grid(6, B + 1)).count == B + 1
+    assert calls == {"jacobi": 1, "structure": 1}
+
+
+def test_scan_forms_no_curvature_tensor(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("scan formed R and Theta")
+
+    monkeypatch.setattr(inv, "_curvature", refuse)
+    alg, _, _ = catalog.build("inoue-sm", exact=False)
+    grid = inv.default_surface_grid([0.5, 1.0], [0.5, 1.0], radii=2,
+                                    phases=4)
+    for kind, mode in product((1, 2, 3), ("strong", "weak")):
+        inv.scan(alg, kind, grid=grid, mode=mode)
 
 
 # ---------------------------------------------------------------------------
@@ -867,7 +998,7 @@ def test_block_scan_winner_copied_later():
     lambda r, s: np.full_like(r, np.nan)])
 def test_block_scan_tie_rule(monkeypatch, resid_of):
     # ties between different rows, so the earliest row is seen to win
-    def fake(kind, alg, hs, mode="strong"):
+    def fake(kind, alg, hs, mode="strong", b=None):
         r, s = np.sqrt(2 * hs[:, 0, 0].real), np.sqrt(2 * hs[:, 1, 1].real)
         zero = np.zeros(len(hs))
         return zero, zero, resid_of(r, s), zero
@@ -878,7 +1009,7 @@ def test_block_scan_tie_rule(monkeypatch, resid_of):
 
 def test_block_scan_tie_across_blocks(monkeypatch):
     # the tied rows sit at local index 10 of block 1 and 0 of block 2
-    def fake(kind, alg, hs, mode="strong"):
+    def fake(kind, alg, hs, mode="strong", b=None):
         zero = np.zeros(len(hs))
         return zero, zero, (hs[:, 1, 1].real > 0.1) * 1.0, zero
 
