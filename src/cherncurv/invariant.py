@@ -778,11 +778,11 @@ def _connection_traces(kind, b, hs, up):
     Under the trace over m R's last two terms cancel by relabelling, and
     under the trace over i its first and last; sum_m gamma^m_{m l} =
     -conj(B^m_{m l}) since h^{m jbar} h_{m kbar} = delta_jk, so Ric1 is the
-    same for every metric; h^{-1} is Hermitian.  K keeps its l-sums apart,
-    so that the terms l = m of the commutator, the same products, cancel
-    exactly before the sum: summed first, their rounding, times a large
-    h_{m bbar}, reached 2e-3 of Ric2 at kodaira-secondary r = 718,
-    s = 0.28, u = 0."""
+    same for every metric; conj(t_k) is h^{i jbar} conj(B^k_{j i}), as
+    h^{-1} is Hermitian.  K keeps its l-sums apart, so that the terms
+    l = m of the commutator, the same products, cancel exactly before the
+    sum: summed first, their rounding, times a large h_{m bbar}, reached
+    2e-3 of Ric2 at kodaira-secondary r = 718, s = 0.28, u = 0."""
     if kind not in _RICCI:
         raise ValueError("kind must be 1, 2 or 3")
     cb = np.conj(b)
