@@ -17,9 +17,11 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
+import types
 
 import numpy as np
 
@@ -377,10 +379,15 @@ def _add_params(rep: Report, p: dict):
 # ---------------------------------------------------------------------------
 # argument parsing
 
+# the --params default; read-only, because main's parser, and so this
+# default, is shared by every call in a process
+NO_PARAMS = types.MappingProxyType({})
+
+
 def _add_common(sub):
     sub.add_argument("source", help="catalog entry name or structure "
                      "file path")
-    sub.add_argument("--params", type=parse_params, default={},
+    sub.add_argument("--params", type=parse_params, default=NO_PARAMS,
                      help="metric parameters, e.g. r=1,s=2,u=1/2+1i")
     sub.add_argument("--format", choices=("text", "kv"), default="text")
 
@@ -392,6 +399,7 @@ def _add_exact(sub):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser of the ``cherncurv`` command line."""
     parser = argparse.ArgumentParser(
         prog="cherncurv",
         description="Chern curvature, Einstein residuals and conformal "
@@ -421,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("catalog", help="inspect or verify the registry")
     p.add_argument("action", choices=("list", "verify", "export"))
     p.add_argument("entry", nargs="?", help="restrict to one entry")
-    p.add_argument("--params", type=parse_params, default={})
+    p.add_argument("--params", type=parse_params, default=NO_PARAMS)
     p.add_argument("--format", choices=("text", "kv"), default="text")
     _add_exact(p)
     p.set_defaults(fn=cmd_catalog)
@@ -453,9 +461,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser, built on its first call and reused: parsing leaves a
+# parser as it was, and help and usage text are formatted when printed,
+# at the terminal width of that moment
+_main_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _main_parser().parse_args(argv)
     try:
         return args.fn(args)
     # the package's input errors are ValueErrors or KeyErrors; a huge

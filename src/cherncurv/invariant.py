@@ -825,8 +825,10 @@ def batch_einstein_residual(kind: int, alg: CoframeAlgebra, hs: np.ndarray,
     ric, s = _connection_traces(kind, b, hs, up)
     s = s.real
     lam, resid = _einstein_stack(mode, hs, ric, s)
-    scale = np.maximum(np.max(np.abs(ric), axis=(0, 1)),
-                       np.abs(lam) * np.max(np.abs(hs), axis=(0, 1)))
+    # Ric1 is one matrix broadcast over the metrics: its moduli over one
+    # metric's slice
+    top = np.max(np.abs(ric[..., :1] if kind == 1 else ric), axis=(0, 1))
+    scale = np.maximum(top, np.abs(lam) * np.max(np.abs(hs), axis=(0, 1)))
     return lam, resid, resid / np.maximum(scale, 1e-300), s
 
 

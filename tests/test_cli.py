@@ -1,5 +1,9 @@
+import argparse
 import contextlib
 import io
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -481,6 +485,101 @@ def test_huge_rational_literal_in_float_mode(capsys):
                          "--params", "r=1" + "0" * 400)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# main builds its parser on its first call and reuses it
+
+# one cheap call of each of the eight commands
+EVERY_COMMAND = [
+    ["curvature", "hopf", "--params", "r=3/2"],
+    ["einstein", "ovando-r4", "--kind", "2"],
+    ["scan", "hopf", "--grid", "1:2:1"],
+    ["catalog", "list"],
+    ["yamabe", "--generator", "constant", "--N", "8"],
+    ["lee", "inoue-sm"],
+    ["gauduchon", "inoue-sm"],
+    ["bl", "ovando-r2r2"],
+]
+
+
+def test_main_builds_no_parser_after_its_first_call(capsys, monkeypatch):
+    run(capsys, *EVERY_COMMAND[0])
+    calls = count_calls(monkeypatch, argparse.ArgumentParser,
+                        "add_argument")
+    cli.build_parser()
+    assert len(calls) >= 40  # the counter sees a parser being built
+    calls.clear()
+    for i in range(20):
+        code, _, err = run(capsys, *EVERY_COMMAND[i % len(EVERY_COMMAND)])
+        assert code in (0, 1) and err == ""
+    assert calls == []
+
+
+def fresh_process(argv):
+    """(exit code, stdout, stderr) of ``cherncurv argv`` in a new Python
+    process, 80 columns wide."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, COLUMNS="80", PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from cherncurv.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", *argv],
+        capture_output=True, env=env, check=False)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_a_refused_call_leaves_the_next_as_in_a_fresh_process(capsys,
+                                                              monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    refused, valid = ["scan", "hopf", "--kind", "4"], EVERY_COMMAND[2]
+    with pytest.raises(SystemExit) as exc:
+        main(refused)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert (2, b"", captured.err.encode()) == fresh_process(refused)
+    assert "--kind" in captured.err
+    code, out, err = run(capsys, *valid)
+    assert (code, out.encode(), err.encode()) == fresh_process(valid)
+
+
+@pytest.mark.parametrize("command", [None, "curvature", "einstein", "scan",
+                                     "catalog", "yamabe", "lee", "gauduchon",
+                                     "bl"])
+def test_help_is_that_of_a_new_parser_at_any_width(capsys, monkeypatch,
+                                                   command):
+    argv = [command, "--help"] if command else ["--help"]
+    texts = []
+    for columns in ("200", "40"):
+        monkeypatch.setenv("COLUMNS", columns)
+        outputs = []
+        for parse in (main, cli.build_parser().parse_args):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            assert exc.value.code == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        if command is None:
+            assert outputs[0] == cli.build_parser().format_help()
+        texts.append(outputs[0])
+    assert texts[0] != texts[1]  # the width reaches the text
+
+
+def test_params_default_is_read_only(capsys, monkeypatch):
+    # main's parser, and so its --params default, is shared by every call
+    want = run(capsys, "curvature", "hopf")
+    seen = []
+
+    def writing(name, params=None, exact=None):
+        seen.append(params)
+        params["r"] = 2  # a command that writes into its default
+
+    monkeypatch.setattr(catalog, "build", writing)
+    with pytest.raises(TypeError):
+        main(["curvature", "hopf"])
+    monkeypatch.undo()
+    assert run(capsys, "curvature", "hopf") == want
+    assert seen == [{}]
 
 
 def readme_commands():

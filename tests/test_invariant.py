@@ -500,6 +500,28 @@ def test_first_chern_ricci_flat_entry_has_zero_kind_1_residual():
         assert np.max(resid_abs) <= 1e-9 and np.max(resid) <= 1e-9
 
 
+def test_kind_1_scale_takes_moduli_of_one_ric1(monkeypatch):
+    # Ric1 is one matrix broadcast over the batch, so the scale's max |Ric|
+    # reads one metric's n^2 entries; only |Ric - lambda h| and |h| read
+    # all n^2 M
+    grid = np.array([[r, s, 0.1 * r * s] for r in (0.5, 1, 2)
+                     for s in (0.7, 3)])
+    (_, _, _, hs), = inv._surface_blocks(grid)
+    alg, _, _ = catalog.build("inoue-sm", exact=False)
+    sizes, real = [], np.abs
+
+    def recording(x, *args, **kwargs):
+        sizes.append(np.size(x))
+        return real(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "abs", recording)
+    for kind, whole in ((1, 2), (2, 3), (3, 3)):
+        sizes.clear()
+        inv.batch_einstein_residual(kind, alg, hs)
+        assert sizes.count(hs.size) == whole
+        assert max(sizes) == hs.size
+
+
 def test_scan_checks_the_pair_once(monkeypatch):
     # two blocks, one Jacobi check and one B
     calls = {"jacobi": 0, "structure": 0}
