@@ -521,7 +521,7 @@ def fresh_process(argv):
     process, 80 columns wide."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, COLUMNS="80", PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
         [sys.executable, "-c", "import sys; from cherncurv.cli import main; "
          "sys.exit(main(sys.argv[1:]))", *argv],
