@@ -233,13 +233,28 @@ def _trailing(x):
 
 def _check_pair(alg: CoframeAlgebra, n: int):
     """Refuse a coframe that is not integrable or fails the Jacobi check,
-    and a metric dimension n other than the coframe's."""
-    alg.check_integrable()
-    ok, res = alg.check_jacobi()
+    and a metric dimension n other than the coframe's.  The verdict on the
+    coframe is kept per process (:func:`_coframe_verdict`), keyed on its
+    structure constants as they are now, each with its type."""
+    ok, res = _coframe_verdict(alg.n, *(
+        tuple((idx, type(v), v) for idx, v in sorted(table.items()))
+        for table in (alg.a, alg.b, alg.c)))
     if not ok:
         raise ValueError(f"structure equations fail the Jacobi check ({res})")
     if n != alg.n:
         raise ValueError("metric dimension does not match the coframe")
+
+
+@functools.lru_cache(maxsize=64)
+def _coframe_verdict(n, a, b, c):
+    """(passed, residual) of the Jacobi check of the coframe of dimension
+    n with the tables (a, b, c) of (index, type, value) triples, after its
+    integrability check, which raises; a type in the key keeps float and
+    exact constants from sharing a verdict."""
+    alg = CoframeAlgebra(n, *({idx: v for idx, _, v in table}
+                              for table in (a, b, c)))
+    alg.check_integrable()
+    return alg.check_jacobi()
 
 
 def _structure(alg: CoframeAlgebra, exact):
@@ -431,17 +446,16 @@ class CurvatureTensor:
     """The solved Chern connection and curvature of one (coframe, metric)
     pair, as numpy arrays, and the contractions of that pair.
 
-    ``r_upper[m, k, i, j]`` is R^m_{k i jbar}, with
-    Theta^m_k = R^m_{k i jbar} phi^i ^ bar(phi)^j, and ``lowered[i, j, k, l]``
-    is Theta_{i jbar k lbar} = R^m_{k i jbar} h_{m lbar}; ``a`` and ``b``
-    are A and B (:func:`_structure`), ``gamma[m, k, l]`` = gamma^m_{k l}
-    and ``up[k, l]`` = h^{k lbar}, the inverse every contraction reads, of
-    the metric ``h``.  Entries are QQi (dtype object) for an exact metric
-    and complex otherwise.  Contractions, bounds and magnitudes are kept.
+    ``a`` and ``b`` are A and B (:func:`_structure`), ``gamma[m, k, l]``
+    = gamma^m_{k l} and ``up[k, l]`` = h^{k lbar}, the inverse every
+    contraction reads, of the metric ``h``; ``r_upper[m, k, i, j]`` is
+    R^m_{k i jbar}, with Theta^m_k = R^m_{k i jbar} phi^i ^ bar(phi)^j, and
+    ``lowered[i, j, k, l]`` is Theta_{i jbar k lbar} = R^m_{k i jbar}
+    h_{m lbar}, both formed on first use.  Entries are QQi (dtype object)
+    for an exact metric and complex otherwise.  Contractions, bounds and
+    magnitudes are kept.
     """
 
-    r_upper: np.ndarray
-    lowered: np.ndarray
     n: int
     a: np.ndarray
     b: np.ndarray
@@ -466,30 +480,56 @@ class CurvatureTensor:
         return self._once(("abs", name), lambda: abs(getattr(self, name)))
 
     @functools.cached_property
+    def _r_theta(self):
+        """(R, Theta) of the solved connection (:func:`_curvature`)."""
+        r, theta = _curvature(self.b, self.gamma[..., None], self.h[..., None])
+        return r[..., 0], theta[..., 0]
+
+    @property
+    def r_upper(self):
+        return self._r_theta[0]
+
+    @property
+    def lowered(self):
+        return self._r_theta[1]
+
+    @property
     def bound(self):
         """Maps "up", "gamma", "r_upper" and "lowered" to the rounding
-        bound of each entry of that array: h^{-1} as
-        |h^{-1}| |h| |h^{-1}|, gamma as -h^{-1} h conj(B), R term by term."""
-        if self.exact:  # an exact solve rounds nothing
-            return {name: np.zeros(getattr(self, name).shape)
-                    for name in ("up", "gamma", "r_upper", "lowered")}
-        mag = self._abs
-        h, b = (mag("h"), None), (mag("b"), None)
-        up = _bound("ka,ba,bl->kl", (mag("up"), None), h, (mag("up"), None))
-        gamma = _bound(_GAMMA, (mag("up"), up), h, b)
-        # |conj(B)| = |B|
-        ops = {"gamma": (mag("gamma"), gamma), "b": b, "conj_b": b}
-        r = sum(_bound(spec, *(ops[x] for x in names))
-                for _, spec, *names in _R_TERMS)
-        return {"up": up, "gamma": gamma, "r_upper": r,
-                "lowered": _bound(_THETA, (mag("r_upper"), r), h)}
+        bound of each entry of that array (:meth:`_err`)."""
+        return {name: self._err(name)
+                for name in ("up", "gamma", "r_upper", "lowered")}
+
+    def _err(self, name):
+        """The rounding bound of each entry of the array ``name``, each
+        evaluated once: h^{-1} as |h^{-1}| |h| |h^{-1}|, gamma as
+        -h^{-1} h conj(B), R term by term, Theta as R h; zero for an exact
+        solve, which rounds nothing."""
+        def compute():
+            if self.exact:
+                return np.zeros(getattr(self, name).shape)
+            mag = self._abs
+            h, b = (mag("h"), None), (mag("b"), None)
+            if name == "up":
+                return _bound("ka,ba,bl->kl", (mag("up"), None), h,
+                              (mag("up"), None))
+            if name == "gamma":
+                return _bound(_GAMMA, (mag("up"), self._err("up")), h, b)
+            if name == "r_upper":
+                # |conj(B)| = |B|
+                ops = {"gamma": (mag("gamma"), self._err("gamma")), "b": b,
+                       "conj_b": b}
+                return sum(_bound(spec, *(ops[x] for x in names))
+                           for _, spec, *names in _R_TERMS)
+            return _bound(_THETA, (mag("r_upper"), self._err("r_upper")), h)
+        return self._once(("bound", name), compute)
 
     def _bound_of(self, spec, *names):
         """The rounding bound of np.einsum(spec) over the named arrays of
         the tensor; zero for an exact tensor."""
         if self.exact:
             return np.zeros((self.n,) * len(spec.split("->")[1].strip("M")))
-        return _bound(spec, *((self._abs(x), self.bound[x]) for x in names))
+        return _bound(spec, *((self._abs(x), self._err(x)) for x in names))
 
     def ric(self, kind: int):
         """Coefficient matrix M with Ric = sqrt(-1) M_{a bbar} phi^a ^
@@ -545,15 +585,21 @@ class CurvatureTensor:
         return self._once(("einstein_bound", kind), compute)
 
     @functools.cached_property
+    def tau(self):
+        """(tau, its rounding bound): the torsion trace of :func:`torsion`,
+        T bounded by gamma's bound and its transpose (A is an input)."""
+        e_gamma = self._err("gamma")
+        t, tau = torsion(self)
+        return tau, np.zeros(self.n) if self.exact else _bound(
+            _TAU, (abs(t), e_gamma + np.transpose(e_gamma, (0, 2, 1))))
+
+    @functools.cached_property
     def gauduchon(self):
         """(verdict, residual); see :func:`is_gauduchon`."""
-        e_gamma = self.bound["gamma"]
-        t, tau = torsion(self)
-        tau = (tau, np.zeros(self.n) if self.exact else _bound(
-            _TAU, (abs(t), e_gamma + np.transpose(e_gamma, (0, 2, 1)))))
+        tau = self.tau
         outer, e_outer = _contract("l,k->lk", tau, (np.conj(tau[0]), tau[1]))
         tb, e_tb = _contract("j,jkl->lk", tau, (self.b, None))
-        x, bound = _contract("lk,lk->", (self.up, self.bound["up"]),
+        x, bound = _contract("lk,lk->", (self.up, self._err("up")),
                              (outer - np.conj(tb), e_outer + e_tb))
         if negligible(x.item(), bound):
             return True, 0.0
@@ -568,15 +614,13 @@ class CurvatureTensor:
 def chern_curvature(alg: CoframeAlgebra, h: HermitianMetric
                     ) -> CurvatureTensor:
     """The one solve of (alg, h), the M = 1 case of :func:`batch_curvature`
-    in the metric's own arithmetic; refuses a coframe that is not
-    integrable or fails the Jacobi check."""
+    in the metric's own arithmetic, R and Theta formed on first use;
+    refuses a coframe that is not integrable or fails the Jacobi check."""
     _check_pair(alg, h.n)
     a, b = _structure(alg, h.exact)
-    hs, up = h.array[..., None], h.inverse_upper()
-    gamma = chern_connection(b, hs, up[..., None])
-    r, theta = _curvature(b, gamma, hs)
-    return CurvatureTensor(r_upper=r[..., 0], lowered=theta[..., 0],
-                           n=alg.n, a=a, b=b, gamma=gamma[..., 0], up=up,
+    up = h.inverse_upper()
+    gamma = chern_connection(b, h.array[..., None], up[..., None])
+    return CurvatureTensor(n=alg.n, a=a, b=b, gamma=gamma[..., 0], up=up,
                            h=h.array)
 
 
@@ -666,7 +710,10 @@ def lee_form(alg: CoframeAlgebra, h: HermitianMetric):
     when the residual exceeds 1e-9 max(|d omega^{n-1}|, 1).  lck is True
     when additionally d theta = 0 (for n = 2 this is the
     locally-conformally-Kahler condition).  The checks are float form
-    algebra, so exact input is refused.
+    algebra, so exact input is refused.  The returned theta has each real
+    and imaginary part of tau that is negligible against tau's rounding
+    bound set to 0 (:func:`~cherncurv.scalars.resolve`); the checks read
+    tau as computed.
     """
     n = alg.n
     if n < 2:
@@ -674,9 +721,8 @@ def lee_form(alg: CoframeAlgebra, h: HermitianMetric):
     if h.exact:
         raise ValueError("the Lee form is checked in floats; "
                          "exact input is refused")
-    tau = torsion(chern_curvature(alg, h))[1].tolist()
-    theta = InvariantForm(n, {(j + bar * n,): conj(t) if bar else t
-                              for bar in (0, 1) for j, t in enumerate(tau)})
+    tau, bound = (x.tolist() for x in chern_curvature(alg, h).tau)
+    theta = _lee(tau)
     omega = h.omega()
     power = omega
     for _ in range(n - 2):
@@ -686,7 +732,14 @@ def lee_form(alg: CoframeAlgebra, h: HermitianMetric):
     if residual > 1e-9 * max(target.max_abs(), 1.0):
         return None, False, residual
     lck = ext_d(alg, theta).is_zero(tol_scale=max(theta.max_abs(), 1.0))
-    return theta, lck, residual
+    return _lee([resolve(t, e) for t, e in zip(tau, bound)]), lck, residual
+
+
+def _lee(tau) -> InvariantForm:
+    """The 1-form tau_j phi^j + conj(tau_j) bar(phi)^j of a list tau."""
+    n = len(tau)
+    return InvariantForm(n, {(j + bar * n,): conj(t) if bar else t
+                             for bar in (0, 1) for j, t in enumerate(tau)})
 
 
 def is_gauduchon(curv: CurvatureTensor, h: HermitianMetric):
@@ -796,14 +849,67 @@ def _connection_traces(kind, b, hs, up):
         g = -np.einsum("lkM,kM->lM", hs, np.conj(t))
         return (np.einsum("lM,lab->abM", g, b)
                 - np.einsum("ial,lbi->ab", b, cb)[..., None]), s
-    gamma = chern_connection(b, hs, up)
-    u = np.einsum("ijM,laj->laiM", up, b)
-    t = u.diagonal(axis1=1, axis2=2).sum(axis=-1)  # t_l = U^l_{i i}
-    k = np.einsum("mliM,laiM->malM", gamma, u)
-    k -= np.einsum("mliM,laiM->malM", u, gamma)
-    k += gamma * t
-    k -= b[..., None] * np.conj(t)
-    return np.einsum("maM,mbM->abM", k.sum(axis=2), hs), s
+    ric = np.full(hs.shape, QQi() if hs.dtype == object else 0j, hs.dtype)
+    for (a, c), x in _ric2(_nonzeros(b), hs, up).items():
+        ric[a, c] = x
+    return ric, s
+
+
+def _nonzeros(b):
+    """B's nonzero entries as ((l, a, j), B^l_{a j}, -conj(B^l_{a j})), in
+    index order: the plan of the kind-2 kernel :func:`_ric2`."""
+    return [(idx, b[idx], -conj(b[idx]))
+            for idx in map(tuple, np.argwhere(b).tolist())]
+
+
+def _sums(terms):
+    """{key: the sum of its M-vectors} over (key, sign, M-vector) terms,
+    each key's terms added or subtracted in the order given: a sparse
+    tensor holding only the entries that some term reaches."""
+    out = {}
+    for key, sign, x in terms:
+        if key in out:
+            out[key] = out[key] + x if sign > 0 else out[key] - x
+        else:
+            out[key] = x if sign > 0 else -x
+    return out
+
+
+def _ric2(nonzeros, hs, up):
+    """{(a, b): Ric2_{a bbar} [M]} of trailing-M (h, up) from B's
+    ``nonzeros`` (:func:`_nonzeros`), by the identities of
+    :func:`_connection_traces`: each tensor is kept as its entries that
+    some product of nonzero factors reaches, each entry an M-vector, so
+    every step is an elementwise ufunc over the metrics, in complex or
+    QQi arithmetic alike, and an entry absent from the result is 0.
+
+    gamma^m_{i l} = h^{m jbar} w_{i j l} with w_{i j l} = -h_{i kbar}
+    conj(B^k_{j l}); the commutator's products l = m = a are the same and
+    cancel, so they are left out."""
+    n = len(hs)
+    u = _sums(((l, a, i), 1, up[i, j] * v)
+              for (l, a, j), v, _ in nonzeros for i in range(n))
+    w = _sums(((i, j, l), 1, hs[i, k] * cv)
+              for (k, j, l), _, cv in nonzeros for i in range(n))
+    gamma = _sums(((m, i, l), 1, up[m, j] * x)
+                  for (i, j, l), x in w.items() for m in range(n))
+    t = _sums((l, 1, x) for (l, a, i), x in u.items() if a == i)
+    e1 = _sums(((m, a, l), 1, gamma[m, l, i] * x)
+               for (l, a, i), x in u.items() for m in range(n)
+               if (m, l, i) in gamma and not m == a == l)
+    e2 = _sums(((m, a, l), 1, x * gamma[l, a, i])
+               for (m, l, i), x in u.items() for a in range(n)
+               if (l, a, i) in gamma and not m == a == l)
+    k = _sums([(key, 1, x) for key, x in e1.items()]
+              + [(key, -1, x) for key, x in e2.items()]
+              + [((m, a, l), 1, x * t[l])
+                 for (m, a, l), x in gamma.items() if l in t]
+              + [((m, a, l), -1, v * np.conj(t[l]))
+                 for (m, a, l), v, _ in nonzeros if l in t])
+    # K^m_a = sum_l k^m_{a l}, then Ric2_{a bbar} = K^m_a h_{m bbar}
+    kk = _sums(((m, a), 1, k[m, a, l]) for m, a, l in sorted(k))
+    return _sums(((a, c), 1, x * hs[m, c])
+                 for (m, a), x in sorted(kk.items()) for c in range(n))
 
 
 def batch_einstein_residual(kind: int, alg: CoframeAlgebra, hs: np.ndarray,
@@ -852,11 +958,13 @@ class ScanReport:
 # rounding, at most 1e-13 apart, and TIE is the float goldens' tolerance
 TIE = 1e-9
 
-# grid rows per block of a scan; a block's temporaries peak at 13.0 MB,
-# ~790 B a row (tracemalloc, inoue-sm kind 2 strong with its certificate;
-# kinds 1 and 3 at 5.8 and 6.8 MB); the tie rule keeps at most 6 rows in
-# any entry, kind and mode at K=42
-SCAN_BLOCK = 16384
+# grid rows per block of a scan, chosen by measurement: a K=42 kind-2 scan
+# ran fastest at 4096 of 2048, 4096, 8192 and 16384, whose M-vectors outgrow
+# the CPU's caches.  A block's temporaries peak at 2.9 MB, ~700 B a row
+# (tracemalloc, inoue-sm kind 2 strong with its certificate; kinds 1 and 3
+# at 1.4 and 1.6 MB); the tie rule keeps at most 7 rows in any entry, kind
+# and mode at K=42
+SCAN_BLOCK = 4096
 
 
 def default_surface_grid(r_values=None, s_values=None, radii=9, phases=8):
@@ -897,8 +1005,9 @@ def _surface_blocks(grid):
     for lo in range(0, len(grid), SCAN_BLOCK):
         block = grid[lo:lo + SCAN_BLOCK]
         with np.errstate(over="ignore", invalid="ignore"):
-            block = block[surface_admissible(block[:, 0], block[:, 1],
-                                             block[:, 2])]
+            ok = surface_admissible(block[:, 0], block[:, 1], block[:, 2])
+            if not ok.all():
+                block = block[ok]
             r, s, u = block[:, 0].real, block[:, 1].real, block[:, 2]
             hs = np.empty((2, 2, len(block)), dtype=complex)
             hs[0, 0] = r * r / 2

@@ -648,11 +648,13 @@ def test_refuses_non_jacobi_or_non_integrable_file(capsys, tmp_path,
 
 
 # ---------------------------------------------------------------------------
-# one solve per (coframe, metric): the Jacobi check, the gamma solve and the
-# inversion of h each run once per command and per catalog point
+# one solve per (coframe, metric): the gamma solve and the inversion of h
+# run once per command and per catalog point, and the Jacobi check once per
+# distinct coframe, counted from an empty verdict cache
 
 @pytest.fixture
 def solves(monkeypatch):
+    inv._coframe_verdict.cache_clear()
     counts = {}
     for key, owner, name in (("jacobi", CoframeAlgebra, "check_jacobi"),
                              ("gamma", inv, "chern_connection"),
@@ -682,16 +684,23 @@ def source(request, tmp_path):
 def test_one_solve_per_command(capsys, solves, source, argv):
     code, _, _ = run(capsys, argv[0], source, *argv[1:])
     assert code in (0, 1)
-    assert solves == {"jacobi": 1, "gamma": 1, "inverse": 1}
+    # the scan's kind-2 kernel forms gamma from B's nonzeros, not by
+    # chern_connection
+    gamma = 0 if argv[0] == "scan" else 1
+    assert solves == {"jacobi": 1, "gamma": gamma, "inverse": 1}
+    run(capsys, argv[0], source, *argv[1:])
+    assert solves == {"jacobi": 1, "gamma": 2 * gamma, "inverse": 2}
 
 
 @pytest.mark.parametrize("flags", [[], ["--exact"]], ids=["float", "exact"])
 def test_one_solve_per_verify_point(capsys, solves, flags):
     code, _, _ = run(capsys, "catalog", "verify", *flags)
     assert code == 0
-    points = sum(len(catalog.get(name).points or [None])
-                 for name in catalog.list_entries())
-    assert solves == {"jacobi": points, "gamma": points, "inverse": points}
+    points = [(name, p.get("ell")) for name in catalog.list_entries()
+              for p in catalog.get(name).points or [{}]]
+    # snow-s5's ell is the only parameter that changes a coframe
+    assert solves == {"jacobi": len(set(points)), "gamma": len(points),
+                      "inverse": len(points)}
 
 
 # Fraction constructions of an exact run: QQi computes on int numerators
@@ -780,6 +789,25 @@ def test_curvature_prints_no_rounding_noise_parts(capsys):
     got, want = prints
     assert got == want
     assert sum(k.startswith("theta_") for k in want) == 4
+
+
+@pytest.mark.parametrize("entry", catalog.list_entries())
+def test_lee_prints_no_rounding_noise_parts(capsys, entry):
+    # lee runs in floats only; each part of tau is judged against tau's
+    # rounding bound, so theta prints 0 exactly where the exact tau has 0
+    params = "r=5/2,s=9/4,u=9/16+63/16i" + (",ell=1" if entry == "snow-s5"
+                                              else "")
+    code, out, _ = run(capsys, "lee", entry, "--params", params)
+    assert code == 0
+    alg, h, _ = catalog.build(entry, parse_params(params), exact=True)
+    tau = inv.chern_curvature(alg, h).tau[0]
+    want = {f"{name}{j + 1}": (t.real == 0, t.imag == 0)
+            for j, t in enumerate(tau) for name in ("phi", "bar")
+            if t}
+    got = fields(out)["lee_form"]
+    assert (_zero_parts(got) if got != "0" else {}) == want
+    if entry == "ovando-r4":
+        assert got == "(-1i) phi1 + (1i) bar1"
 
 
 def test_curvature_kodaira_primary_anisotropic_zero_traces(capsys):
