@@ -25,14 +25,17 @@ or float arithmetic.  The chart backend (:mod:`cherncurv.chart`) takes its
 h^{-1}, Ricci forms, S and Chern-Laplacian trace from the same
 contractions.  The batched scan reads only one Ricci trace and S, and
 contracts them from gamma, B, h^{-1} and h without forming R or Theta
-(:func:`_connection_traces`), so the single path is its independent
-reference; in both, one metric is the batch of size M = 1.
+(:func:`_connection_traces`; for kind 2 over B's nonzero entries alone,
+each step an elementwise ufunc over the metrics), so the single path,
+with ``chern_connection``'s einsum, is its independent reference; in both,
+one metric is the batch of size M = 1.
 
 :func:`chern_curvature` validates and solves a (coframe, metric) pair once;
-its :class:`CurvatureTensor` carries A, B, gamma and h^{-1} beside R and
-Theta and owns every contraction of that metric, each evaluated at most
-once, on first use and in the tensor's arithmetic; the public functions
-below are views of it.
+its :class:`CurvatureTensor` carries A, B, gamma and h^{-1}, forms R and
+Theta on first use, and owns every contraction of that metric, each
+evaluated at most once, on first use and in the tensor's arithmetic; the
+public functions below are views of it.  A coframe's integrability and
+Jacobi verdict is kept per process, so each algebra is checked once.
 
 Every zero test of a float result (each part, real or imaginary, of a
 printed Theta entry or Ricci form entry, a trace, the Gauduchon
@@ -493,7 +496,7 @@ class CurvatureTensor:
     def lowered(self):
         return self._r_theta[1]
 
-    @property
+    @functools.cached_property
     def bound(self):
         """Maps "up", "gamma", "r_upper" and "lowered" to the rounding
         bound of each entry of that array (:meth:`_err`)."""
@@ -832,10 +835,11 @@ def _connection_traces(kind, b, hs, up):
     under the trace over i its first and last; sum_m gamma^m_{m l} =
     -conj(B^m_{m l}) since h^{m jbar} h_{m kbar} = delta_jk, so Ric1 is the
     same for every metric; conj(t_k) is h^{i jbar} conj(B^k_{j i}), as
-    h^{-1} is Hermitian.  K keeps its l-sums apart, so that the terms
-    l = m of the commutator, the same products, cancel exactly before the
-    sum: summed first, their rounding, times a large h_{m bbar}, reached
-    2e-3 of Ric2 at kodaira-secondary r = 718, s = 0.28, u = 0."""
+    h^{-1} is Hermitian.  Kind 2 reads only B's nonzero entries
+    (:func:`_ric2`), where the catalog's B has 1 to 3 of n^3 = 8.  K's
+    commutator terms l = m = a are the same products and are left out;
+    summed with the rest instead, their rounding, times a large h_{m bbar},
+    reached 2e-3 of Ric2 at kodaira-secondary r = 718, s = 0.28, u = 0."""
     if kind not in _RICCI:
         raise ValueError("kind must be 1, 2 or 3")
     cb = np.conj(b)

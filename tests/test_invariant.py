@@ -1128,7 +1128,8 @@ def _check_blocks(grid, kind=2, mode="strong", entry="inoue-sm",
     return got
 
 
-@pytest.mark.parametrize("rows", [1, B - 1, B, B + 1, 2 * B + 3])
+@pytest.mark.parametrize("rows", [1, B - 1, B, B + 1, 2 * B + 3],
+                         ids=["1", "B-1", "B", "B+1", "2B+3"])
 def test_block_scan_matches_whole_grid(rows):
     assert _check_blocks(_random_grid(rows, rows)).count == rows
 
