@@ -384,6 +384,15 @@ def _add_params(rep: Report, p: dict):
 NO_PARAMS = types.MappingProxyType({})
 
 
+def tolerance(text: str) -> float:
+    """A ``--tol`` value: a float that is finite and >= 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(
+            f"tolerance must be finite and >= 0, got {text!r}")
+    return value
+
+
 def _add_common(sub):
     sub.add_argument("source", help="catalog entry name or structure "
                      "file path")
@@ -416,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_exact(p)
     p.add_argument("--kind", type=int, choices=(1, 2, 3), default=2)
     p.add_argument("--mode", choices=("strong", "weak"), default="strong")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=tolerance, default=1e-9)
     p.set_defaults(fn=cmd_einstein)
 
     p = subs.add_parser("scan", help="Einstein residual over an (r,s,u) grid")
@@ -440,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=sorted(yamabe.GENERATORS))
     p.add_argument("--N", type=int, default=64)
     p.add_argument("--n", type=int, default=2)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=tolerance, default=1e-9)
     p.add_argument("--seed", type=int, help="randomize the initial guess")
     p.add_argument("--format", choices=("text", "kv"), default="text")
     p.set_defaults(fn=cmd_yamabe)
@@ -455,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("bl", help="Bogomolov-Lubke pairing")
     _add_common(p)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=tolerance, default=1e-9)
     p.set_defaults(fn=cmd_bl)
 
     return parser

@@ -73,12 +73,15 @@ def parse_complex(text: str):
         re_part = text
     exact = not any(c in part for part in (re_part, im_part)
                     for c in ".eE")
-    if exact:
-        return QQi(Fraction(re_part), Fraction(im_part))
-    return complex(float(Fraction(re_part)) if "/" in re_part
-                   else float(re_part),
-                   float(Fraction(im_part)) if "/" in im_part
-                   else float(im_part))
+    try:
+        if exact:
+            return QQi(Fraction(re_part), Fraction(im_part))
+        return complex(float(Fraction(re_part)) if "/" in re_part
+                       else float(re_part),
+                       float(Fraction(im_part)) if "/" in im_part
+                       else float(im_part))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def format_complex(v) -> str:

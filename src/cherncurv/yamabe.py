@@ -15,8 +15,12 @@ exactly.
 The solvable branch is mean(S) <= 0.  A vanishing mean reduces the problem
 to a linear Poisson equation with lam = 0; a negative mean is handled by an
 inexact Newton iteration whose steps are exact-Jacobian linear solves by
-spectrally preconditioned GMRES.  The positive branch is an open problem and
-is refused, not approximated.
+spectrally preconditioned GMRES.  A Newton step costs one real-FFT pair per
+GMRES matvec and no more, because the Laplacian of the iterate is carried
+through the Krylov basis; the convergence verdict costs one more pair, on
+a fresh transform, and so does a given start f0.  A step of k matvecs holds
+2k fields.  The positive branch is an open problem and is refused, not
+approximated.
 """
 
 from __future__ import annotations
@@ -50,6 +54,10 @@ class PeriodicGrid:
     def __init__(self, N: int):
         if N < 4:
             raise ValueError("grid resolution must be at least 4")
+        if N > GRID_MAX_N:
+            raise ValueError(f"grid resolution {N} is above {GRID_MAX_N}: "
+                             f"a solve would hold more than "
+                             f"{SOLVE_MAX_BYTES >> 30} GiB of fields")
         self.N = N
         k = 2.0 * math.pi * np.fft.fftfreq(N, d=1.0 / N)
         kr = 2.0 * math.pi * np.fft.rfftfreq(N, d=1.0 / N)
@@ -96,6 +104,8 @@ class YamabeProblem:
             raise ValueError("S must be finite")
         if self.n < 1:
             raise ValueError("complex dimension must be positive")
+        if not (math.isfinite(self.tol) and self.tol >= 0):
+            raise ValueError(f"tol must be finite and >= 0, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 
@@ -107,7 +117,8 @@ class YamabeResult:
     residual: float
     iterations: int
     converged: bool
-    residuals: list          # max|F| per Newton iterate, the last included
+    residuals: list          # max|F| per Newton iterate; the last, a fresh
+                             # transform's, included
     linear_iterations: list  # GMRES matvecs per Newton step
 
 
@@ -142,12 +153,13 @@ def conformal_scalar_law(S: np.ndarray, f: np.ndarray, n: int,
     return np.exp(f) * (S + n * grid.laplacian(f))
 
 
-def _residual(grid, f, S, n, gamma):
-    """(F, lam, w) at f: F = lap f + S/n - lam w with w = exp(-f) and lam
-    refreshed from the constraint mean(S/n) = lam mean(w)."""
+def _residual(lap_f, f, S, n, gamma):
+    """(F, lam, w) at f, given lap f: F = lap f + S/n - lam w with
+    w = exp(-f) and lam refreshed from the constraint mean(S/n) = lam
+    mean(w)."""
     w = np.exp(-f)
     lam = (gamma / n) / float(np.mean(w))
-    return grid.laplacian(f) + S / n - lam * w, lam, w
+    return lap_f + S / n - lam * w, lam, w
 
 
 def _jacobian(lam, w):
@@ -162,8 +174,12 @@ def _jacobian(lam, w):
 
 
 def _gmres(op, b, rtol, m):
-    """(x, matvecs): GMRES (Saad & Schultz 1986) for op(x) = b from x = 0,
-    stopped once |b - op(x)| <= rtol |b| or after m matvecs.
+    """(x, y, matvecs): GMRES (Saad & Schultz 1986) for op(x) = b from
+    x = 0, stopped once |b - op(x)| <= rtol |b| or after m matvecs.
+
+    x is y[j] times the j-th Krylov vector, summed, where the j-th vector is
+    the j-th argument op was called with; a caller that keeps what op made
+    of each vector combines those with the same y.
 
     The least-squares problem is kept triangular by Givens rotations; the
     last sine times the previous residual is the new residual.  An exact
@@ -201,15 +217,24 @@ def _gmres(op, b, rtol, m):
     x = sum(c * v for c, v in zip(y, V))
     if not np.all(np.isfinite(x)):
         raise SolverDiverged("Krylov solve produced non-finite values")
-    return x, k
+    return x, y, k
 
 
 # forcing term of the inexact Newton steps: each step's linear solve leaves
 # this share of |F|, and the quadratic convergence does the rest
 GMRES_RTOL = 1e-3
 # Krylov basis cap; each Newton step starts a new cycle, which is the
-# restart.  One N = 256 field is 0.5 MB.
+# restart.  A step keeps each Krylov vector and its preconditioned image, so
+# k matvecs hold 2k fields; one N = 256 field is 0.5 MB.
 KRYLOV_DIM = 20
+# fields a solve holds at its peak: the Krylov storage and 12 more for S,
+# f, lap f, F, exp(-f), the step, the half spectra and their temporaries
+# (51.6 in all under tracemalloc at N = 256 with every step at KRYLOV_DIM)
+SOLVE_FIELDS = 2 * KRYLOV_DIM + 12
+# PeriodicGrid refuses an N whose solve would hold more bytes than this,
+# so GRID_MAX_N is 2272
+SOLVE_MAX_BYTES = 2 ** 31
+GRID_MAX_N = math.isqrt(SOLVE_MAX_BYTES // (8 * SOLVE_FIELDS))
 
 
 def solve_chya(p: YamabeProblem, f0: Optional[np.ndarray] = None
@@ -224,7 +249,13 @@ def solve_chya(p: YamabeProblem, f0: Optional[np.ndarray] = None
     193, 2004).  Each step solves J delta = -F with the exact Jacobian by
     GMRES, right-preconditioned with the spectral inverse of lap + mu,
     mu = mean(S)/n, so that a matvec costs one forward and one inverse real
-    FFT.  It stops when max|F| <= tol.
+    FFT.  The preconditioned vectors are kept beside the Krylov basis, as in
+    flexible GMRES (Saad, SIAM J. Sci. Comput. 14, 1993), so a step of k
+    matvecs holds 2k fields and gives delta and lap delta with no further
+    transform: a Newton step costs its matvecs.  F is formed from the
+    carried lap f.  Once max|F| <= tol there, f is transformed anew, and
+    convergence and the residual reported are decided on that residual
+    alone; if it is above tol, the iteration goes on from the new transform.
     """
     grid, S, n = p.grid, p.S, p.n
     gamma, scale, degree = _mean_scale_degree(S)
@@ -241,31 +272,49 @@ def solve_chya(p: YamabeProblem, f0: Optional[np.ndarray] = None
                             [res], [])
 
     # mu < 0, so lap + mu is invertible; with z = (lap + mu)^-1 v,
-    # lap z = v - mu z, and J z needs no further transform
+    # lap z = v - mu z, and J z needs no further transform.  Nor does the
+    # step: delta = sum y_j z_j, and lap delta = sum y_j (v_j - mu z_j),
+    # which is x - mu delta for GMRES's x = sum y_j v_j.
     mu = gamma / n
     inv = 1.0 / (grid._mult + mu)
-    f = np.zeros((grid.N, grid.N)) if f0 is None \
-        else np.asarray(f0, dtype=float).copy()
-    f -= np.mean(f)
+    if f0 is None:
+        # the Laplacian of 0 is exactly 0, as a transform would give it
+        f, lap_f = np.zeros((grid.N, grid.N)), np.zeros((grid.N, grid.N))
+    else:
+        f = np.asarray(f0, dtype=float).copy()
+        f -= np.mean(f)
+        lap_f = grid.laplacian(f)
+    fresh = True                 # lap_f is a transform of f, not carried
     residuals, linear = [], []
     # an overflow turns up as a non-finite iterate, reported below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for it in range(p.max_iter):
-            F, lam, w = _residual(grid, f, S, n, gamma)
-            res = float(np.max(np.abs(F)))
+            # a carried residual at or below tol only calls the check: the
+            # verdict and the residual reported are those of a new
+            # transform, and the iteration goes on from it if it fails
+            while True:
+                F, lam, w = _residual(lap_f, f, S, n, gamma)
+                res = float(np.max(np.abs(F)))
+                if fresh or res > p.tol:
+                    break
+                lap_f, fresh = grid.laplacian(f), True
             residuals.append(res)
             if res <= p.tol:
                 return YamabeResult(f, lam, res, it, True, residuals, linear)
             jac = _jacobian(lam, w)
+            Z = []
 
             def op(v):
                 z = grid._filter(v, inv)
+                Z.append(z)
                 return jac(z, v - mu * z)
 
-            y, matvecs = _gmres(op, -F, GMRES_RTOL, KRYLOV_DIM)
+            x, y, matvecs = _gmres(op, -F, GMRES_RTOL, KRYLOV_DIM)
             linear.append(matvecs)
-            f = f + grid._filter(y, inv)
+            delta = sum(c * z for c, z in zip(y, Z))
+            f = f + delta
             f -= np.mean(f)
+            lap_f, fresh = lap_f + (x - mu * delta), False
             if not np.all(np.isfinite(f)):
                 raise SolverDiverged("iteration produced non-finite values")
     raise SolverDiverged(

@@ -4,6 +4,7 @@ import io
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -289,6 +290,97 @@ def test_yamabe_positive_file(capsys, tmp_path):
     code, _, err = run(capsys, "yamabe", "--problem", str(path))
     assert code == 2
     assert "open" in err.lower() or "conjecture" in err.lower()
+
+
+def refusal_lines(capsys, argv):
+    """The stderr lines of a call refused with exit code 2, returned by
+    main or raised by its parser, after checking it printed no traceback
+    and no output."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # an argparse refusal: usage, then the error
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert "Traceback" not in err
+    return err.splitlines()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("argv", [["einstein", "hopf"], ["bl", "hopf"],
+                                  ["yamabe", "--N", "16"]],
+                         ids=["einstein", "bl", "yamabe"])
+def test_tol_must_be_finite_and_not_negative(capsys, argv, value):
+    lines = refusal_lines(capsys, [*argv, "--tol", value])
+    # argparse prints its usage first; the refusal itself is one line
+    errors = [line for line in lines if "error:" in line]
+    assert errors == [lines[-1]]
+    assert errors[0].endswith(f"argument --tol: tolerance must be finite "
+                              f"and >= 0, got {value!r}")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_problem_file_tol_must_be_finite_and_not_negative(capsys, tmp_path,
+                                                          value):
+    path = tmp_path / "p.txt"
+    path.write_text(f"S = constant\nvalue = -1\nN = 8\ntol = {value}\n")
+    lines = refusal_lines(capsys, ["yamabe", "--problem", str(path)])
+    assert lines == [f"error: tol must be finite and >= 0, got "
+                     f"{float(value)}"]
+
+
+def test_tol_zero_is_a_tolerance(capsys):
+    code, _, err = run(capsys, "yamabe", "--generator", "constant",
+                       "--N", "8", "--tol", "0")
+    assert code == 0 and err == ""
+    assert cli.tolerance("0") == 0.0 and cli.tolerance("1e-6") == 1e-6
+
+
+def test_yamabe_grid_above_the_cap_is_refused_unallocated(capsys, tmp_path):
+    # one past the cap; a grid of that size would take hundreds of MB, so
+    # a peak of under 1 MB shows the refusal came before any field
+    N = yamabe.GRID_MAX_N + 1
+    path = tmp_path / "p.txt"
+    path.write_text(f"S = sine-offset\nN = {N}\n")
+    want = [f"error: grid resolution {N} is above {yamabe.GRID_MAX_N}: a "
+            f"solve would hold more than 2 GiB of fields"]
+    for argv in (["yamabe", "--N", str(N)],
+                 ["yamabe", "--N", str(N), "--generator", "constant"],
+                 ["yamabe", "--problem", str(path)]):
+        tracemalloc.start()
+        try:
+            lines = refusal_lines(capsys, argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert lines == want and peak < 2 ** 20
+
+
+@pytest.mark.parametrize("argv", [
+    ["curvature", "hopf", "--exact", "--params", "r=1/0"],
+    ["einstein", "hopf", "--params", "r=0/0"],
+    ["scan", "hopf", "--params", "ell=1/0"],
+], ids=["curvature", "einstein", "scan"])
+def test_zero_denominator_params_exit_two(capsys, argv):
+    lines = refusal_lines(capsys, argv)
+    # a bad --params value is refused by argparse, after its usage
+    errors = [line for line in lines if "error:" in line]
+    assert errors == [lines[-1]] and "argument --params" in errors[0]
+
+
+@pytest.mark.parametrize("text, where", [
+    ("dim 2\nd phi1 = 1/0 phi1^phi2\n", "line 2, column 10"),
+    ("dim 2\nd phi1 = phi1^phi2\nmetric surface r=1/0\n",
+     "line 3, column 1"),
+], ids=["coefficient", "metric"])
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_zero_denominator_in_a_file_exits_two(capsys, tmp_path, text, where,
+                                              exact):
+    path = tmp_path / "zero.struct"
+    path.write_text(text)
+    argv = ["curvature", str(path)] + (["--exact"] if exact else [])
+    assert refusal_lines(capsys, argv) == [
+        f"error: {where}: zero denominator in '1/0'"]
 
 
 def test_lee_gauduchon_bl(capsys):
@@ -941,7 +1033,8 @@ def test_gauduchon_coefficient_is_evaluated_once(monkeypatch):
 
 _LITERALS = st.sampled_from(["1", "-1", "2", "1/2", "-3/4", "i", "-i",
                              "1/3i", "1+1/2i", "-2/5-i", "0.5", "-0.25",
-                             "1.5i", "0.5-0.5i", "2e-3", "1/2+0.5i", "0"])
+                             "1.5i", "0.5-0.5i", "2e-3", "1/2+0.5i", "0",
+                             "1/0", "0/0i", "1/2-3/0i", "0.5+1/0i"])
 _MONOMIALS = st.sampled_from(["phi1^phi2", "phi2^phi1", "phi1^bar1",
                               "phi1^bar2", "phi2^bar1", "phi2^bar2",
                               "bar1^bar2", "phi1^phi1"])
