@@ -70,8 +70,9 @@ class ExpectedQuantity:
 @dataclass
 class ExampleEntry:
     """``structure`` maps the parameters to the structure-constant tables
-    (a, b) of d phi^i; ``metric`` maps parameters in one arithmetic to the
-    metric."""
+    (a, b[, c]) of d phi^i; ``metric`` maps parameters in one arithmetic to
+    the metric; ``fixup`` maps the ``params`` given to an entry before they
+    go over its defaults."""
 
     name: str
     doc: str
@@ -97,8 +98,8 @@ def _snow_metric(p):
                                 [times_i(conj(u)), s * s]])
 
 
-def _const_structure(a, b):
-    return lambda p: (a, b)
+def _const_structure(*tables):
+    return lambda p: tables
 
 
 def _snow_structure(p):
@@ -444,26 +445,50 @@ def get(name: str) -> ExampleEntry:
         raise UnknownEntry(name) from None
 
 
-def _resolve(name: str, params: Optional[dict], exact: Optional[bool]):
-    """(entry, exact, algebra, parameters) of an entry at the given
-    parameters, with the entry's defaults filled in.
+def from_structure(doc, name: str) -> ExampleEntry:
+    """A parsed structure file as an anonymous entry named ``name``: its
+    constant tables, the surface metric and defaults r=1, s=1, u=0 with
+    the file's metric line on top.  It has no expected quantities and no
+    certificate, and ell, which has no role in a file, is dropped from
+    the metric line and from the parameters given."""
+    alg = doc.algebra
+    if alg.n != 2:
+        raise ValueError("surface metric parameters need dim 2")
+    return ExampleEntry(
+        name=name, doc="structure file",
+        structure=_const_structure(alg.a, alg.b, alg.c),
+        metric=_surface_metric,
+        defaults=_drop_ell({"r": 1, "s": 1, "u": 0,
+                            **(doc.metric_params or {})}),
+        fixup=_drop_ell)
+
+
+def _drop_ell(params):
+    return {k: v for k, v in (params or {}).items() if k != "ell"}
+
+
+def _resolve(source, params: Optional[dict], exact: Optional[bool]):
+    """(entry, exact, algebra, parameters) of an entry, given by name or
+    as an :class:`ExampleEntry`, at the given parameters over the entry's
+    defaults.
 
     The structure constants and the parameters enter one
     :func:`~cherncurv.scalars.unify`: the arithmetic is exact when the
     parameters are rational, unless ``exact`` says otherwise.
     """
-    entry = get(name)
+    entry = source if isinstance(source, ExampleEntry) else get(source)
     raw = dict(entry.defaults)
     raw.update(entry.fixup(params) if entry.fixup else params or {})
-    exact, (a, b, p) = unify([*entry.structure(raw), raw], exact)
-    return entry, exact, CoframeAlgebra(2, a, b), p
+    exact, (*tables, p) = unify([*entry.structure(raw), raw], exact)
+    return entry, exact, CoframeAlgebra(2, *tables), p
 
 
-def build(name: str, params: Optional[dict] = None,
+def build(source, params: Optional[dict] = None,
           exact: Optional[bool] = None):
-    """(algebra, metric, parameters) for an entry at the given
-    parameters."""
-    entry, _, alg, p = _resolve(name, params, exact)
+    """(algebra, metric, parameters) for an entry, by name or as an
+    :class:`ExampleEntry`, at the given parameters; the metric refuses
+    parameters that do not give a positive-definite one."""
+    entry, _, alg, p = _resolve(source, params, exact)
     return alg, entry.metric(p), p
 
 
@@ -583,17 +608,23 @@ def verify(name: str, params: Optional[dict] = None,
     return VerifyReport(entry=name, params=p, mode=mode, rows=rows)
 
 
-def scan_entry(name: str, kind: int = 2, grid=None, mode: str = "strong",
+def scan_entry(source, kind: int = 2, grid=None, mode: str = "strong",
                params: Optional[dict] = None) -> inv.ScanReport:
-    """Einstein-residual scan with the entry's sign certificate attached,
-    of the algebra at the structure parameters in ``params`` (ell)."""
-    entry, _, alg, _ = _resolve(name, params, False)
+    """Einstein-residual scan of an entry, by name or as an
+    :class:`ExampleEntry`, with its sign certificate attached if it has
+    one, of the algebra at the structure parameters in ``params``
+    (ell)."""
+    entry, _, alg, _ = _resolve(source, params, False)
     return inv.scan(alg, kind, grid=grid, mode=mode,
-                    certificate=entry.certificate, entry_name=name)
+                    certificate=entry.certificate, entry_name=entry.name)
 
 
 def to_structure_text(name: str, params: Optional[dict] = None) -> str:
-    """Entry rendered in the structure-file format (round-trippable)."""
+    """Entry rendered in the structure-file format.  The structure
+    round-trips; the metric does only for entries whose metric is the
+    surface family's, since a file's ``metric surface`` line always reads
+    back as that family (snow-s5's omits its 1/2 factors, so its export
+    reads back as h/2)."""
     from . import structfile
     _, _, alg, p = _resolve(name, params, None)
     return structfile.print_structure(alg, p)

@@ -306,15 +306,6 @@ def ricci_matrices_at(field: ChartMetricField, x):
             float(inv._scalar_stack(up, theta)[0]))
 
 
-def ric1_logdet_at(field: ChartMetricField, x):
-    """- del delbar log det h as a coefficient matrix (independent path)."""
-
-    def logdet(z):
-        return hd_log(mat_det(field.fn(z)))
-
-    return -_holo_jets(logdet, x)[3]
-
-
 def chern_laplacian_at(field: ChartMetricField, f: ScalarField, x):
     """Delta^Ch f = -2 h^{j kbar} d^2 f / dz^j dzbar^k at x."""
     up, d2f = inv._upper(field.matrix(x)), _holo_jets(f.fn, x)[3]

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Sources are either catalog entry names or paths to structure-equation
-files; metric parameters come from ``--params r=..,s=..,u=..`` or the
-file's metric block.  Output is deterministic: fixed key order and 12
+files, read as anonymous entries (:func:`~cherncurv.catalog.from_structure`);
+``--params r=..,s=..,u=..`` goes over the entry's defaults, a file's metric
+line among them.  Output is deterministic: fixed key order and 12
 significant digits for floats.
 
 Without ``--exact`` every command computes in floats.  ``--exact``
@@ -26,8 +27,8 @@ import types
 import numpy as np
 
 from . import catalog, invariant as inv, structfile, yamabe
-from .forms import CoframeAlgebra, InvariantForm
-from .scalars import is_exact, resolve, unify
+from .forms import InvariantForm
+from .scalars import is_exact, resolve
 
 
 class InputError(ValueError):
@@ -99,47 +100,40 @@ class Report:
 # input resolution
 
 def parse_params(text: str) -> dict:
-    """``r=1,s=2,u=1/2+1i[,ell=2]`` with the structure-file literal
-    grammar."""
-    out = {}
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
-        if "=" not in piece:
-            raise InputError(f"expected key=value in --params, got {piece!r}")
-        key, _, val = piece.partition("=")
-        key = key.strip()
-        if key not in ("r", "s", "u", "ell"):
-            raise InputError(f"unknown parameter {key!r}")
-        try:
-            out[key] = structfile.parse_complex(val.strip())
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
-    return out
+    """``r=1,s=2,u=1/2+1i[,ell=2]`` in the structure file's ``key=value``
+    grammar (:func:`~cherncurv.structfile.parse_params`)."""
+    try:
+        return structfile.parse_params(text.split(","))
+    except ValueError as exc:
+        # argparse prints an ArgumentTypeError's text; a ValueError's it
+        # drops
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def resolve_source(source: str, params: dict, exact: bool):
-    """(algebra, metric, label, params) from an entry name or a file, in
-    exact arithmetic or in floats as ``exact`` says."""
+def resolve_source(source: str) -> catalog.ExampleEntry:
+    """The catalog entry a source names: an entry name, or a structure
+    file read as an anonymous entry named by its basename
+    (:func:`~cherncurv.catalog.from_structure`)."""
     if source in catalog.list_entries():
-        alg, h, p = catalog.build(source, params, exact=exact)
-        return alg, h, source, p
+        return catalog.get(source)
     if not os.path.exists(source):
         raise InputError(f"{source!r} is neither a catalog entry nor a file")
     with open(source) as fh:
         doc = structfile.parse_structure(fh.read())
-    merged = {"r": 1, "s": 1, "u": 0, **(doc.metric_params or {}), **params}
-    alg = doc.algebra
-    _, (a, b, c, p) = unify([alg.a, alg.b, alg.c, merged], exact)
-    alg = CoframeAlgebra(alg.n, a, b, c)
-    p = {k: p[k] for k in ("r", "s", "u")}  # ell has no role in a file
-    sp = inv.SurfaceMetricParams(p["r"], p["s"], p["u"])
-    if alg.n != 2:
-        raise InputError("surface metric parameters need dim 2")
-    if not sp.admissible():
-        raise InputError("metric parameters are not admissible")
-    return alg, sp.metric(), os.path.basename(source), p
+    return catalog.from_structure(doc, os.path.basename(source))
+
+
+def _start(args, exact: bool = False):
+    """(algebra, metric, report) of a single-metric command: the source at
+    ``--params``, and a report that opens with its entry and parameters."""
+    entry = resolve_source(args.source)
+    alg, h, p = catalog.build(entry, args.params, exact=exact)
+    rep = Report()
+    rep.add("entry", entry.name)
+    for key in ("r", "s", "u", "ell"):
+        if key in p:
+            rep.add(f"param_{key}", p[key])
+    return alg, h, rep
 
 
 def _emit(report: Report, args) -> None:
@@ -150,11 +144,8 @@ def _emit(report: Report, args) -> None:
 # subcommands
 
 def cmd_curvature(args) -> int:
-    alg, h, label, p = resolve_source(args.source, args.params, args.exact)
+    alg, h, rep = _start(args, args.exact)
     curv = inv.chern_curvature(alg, h)
-    rep = Report()
-    rep.add("entry", label)
-    _add_params(rep, p)
     for idx in np.ndindex(curv.lowered.shape):
         v = resolve(curv.lowered[idx], curv.bound["lowered"][idx])
         if v:
@@ -168,11 +159,8 @@ def cmd_curvature(args) -> int:
 
 
 def cmd_einstein(args) -> int:
-    alg, h, label, p = resolve_source(args.source, args.params, args.exact)
+    alg, h, rep = _start(args, args.exact)
     lam, residual = inv.einstein_residual(args.kind, alg, h, mode=args.mode)
-    rep = Report()
-    rep.add("entry", label)
-    _add_params(rep, p)
     rep.add("kind", args.kind)
     rep.add("mode", args.mode)
     rep.add("lambda", lam)
@@ -191,13 +179,8 @@ def cmd_scan(args) -> int:
     grid = None
     if args.grid:
         grid = _parse_grid(args.grid)
-    if args.source in catalog.list_entries():
-        report = catalog.scan_entry(args.source, args.kind, grid=grid,
-                                    mode=args.mode, params=args.params)
-    else:
-        alg, _, label, _ = resolve_source(args.source, args.params, False)
-        report = inv.scan(alg, args.kind, grid=grid, mode=args.mode,
-                          entry_name=label)
+    report = catalog.scan_entry(resolve_source(args.source), args.kind,
+                                grid=grid, mode=args.mode, params=args.params)
     rep = Report()
     rep.add("entry", report.entry)
     rep.add("kind", args.kind)
@@ -327,11 +310,8 @@ def cmd_yamabe(args) -> int:
 
 
 def cmd_lee(args) -> int:
-    alg, h, label, p = resolve_source(args.source, args.params, False)
+    alg, h, rep = _start(args)
     theta, lck, residual = inv.lee_form(alg, h)
-    rep = Report()
-    rep.add("entry", label)
-    _add_params(rep, p)
     if theta is None:
         rep.add("lee_form", "none")
     else:
@@ -343,12 +323,9 @@ def cmd_lee(args) -> int:
 
 
 def cmd_gauduchon(args) -> int:
-    alg, h, label, p = resolve_source(args.source, args.params, False)
+    alg, h, rep = _start(args)
     curv = inv.chern_curvature(alg, h)
     ok, residual = inv.is_gauduchon(curv, h)
-    rep = Report()
-    rep.add("entry", label)
-    _add_params(rep, p)
     rep.add("gauduchon", ok)
     rep.add("residual", residual)
     if ok:
@@ -358,22 +335,13 @@ def cmd_gauduchon(args) -> int:
 
 
 def cmd_bl(args) -> int:
-    alg, h, label, p = resolve_source(args.source, args.params, False)
+    alg, h, rep = _start(args)
     curv = inv.chern_curvature(alg, h)
     value = inv.bogomolov_lubke(curv, h)
-    rep = Report()
-    rep.add("entry", label)
-    _add_params(rep, p)
     rep.add("bogomolov_lubke", value)
     rep.add("inequality_holds", value <= args.tol)
     _emit(rep, args)
     return 0 if value <= args.tol else 1
-
-
-def _add_params(rep: Report, p: dict):
-    for key in ("r", "s", "u", "ell"):
-        if key in p:
-            rep.add(f"param_{key}", p[key])
 
 
 # ---------------------------------------------------------------------------

@@ -121,13 +121,6 @@ class CoframeAlgebra:
                 raise NotIntegrable(
                     "coframe has a (0,2)-component in its differential")
 
-    def is_integrable(self) -> bool:
-        try:
-            self.check_integrable()
-        except NotIntegrable:
-            return False
-        return True
-
     def check_jacobi(self):
         """d(d phi^i) termwise for every basis covector.
 

@@ -125,10 +125,13 @@ class HermitianMetric:
         self.exact, (flat,) = unify([{(i, j): v for i, row in enumerate(rows)
                                       for j, v in enumerate(row)}])
         self.h = [[flat[i, j] for j in range(self.n)] for i in range(self.n)]
-        self._validate()
         self.array = np.array(self.h, dtype=object if self.exact else complex)
+        self._up = self._validate()
 
     def _validate(self):
+        """h^{-1}, once the metric is found nondegenerate, Hermitian and
+        positive definite, in that order; the last test is
+        :func:`_upper`'s."""
         n = self.n
         # exact tests need no scale; floats are judged against the largest
         # entry
@@ -140,17 +143,12 @@ class HermitianMetric:
             for j in range(n):
                 if not is_zero(self.h[i][j] - conj(self.h[j][i]), scale=scale):
                     raise ValueError("metric matrix is not Hermitian")
-        # positive definiteness via leading principal minors
-        for k in range(1, n + 1):
-            minor = mat_det([row[:k] for row in self.h[:k]])
-            if minor.real <= 0:
-                raise NotPositiveDefinite(
-                    f"leading principal minor {k} is not positive")
+        return _upper(self.array)
 
     def inverse_upper(self):
         """h^{i jbar}, the inverse satisfying h^{i jbar} h_{k jbar} = delta;
         the solved tensor keeps it as ``up``."""
-        return _upper(self.array)
+        return self._up
 
     def scaled(self, c) -> "HermitianMetric":
         return HermitianMetric([[v * c for v in row] for row in self.h])

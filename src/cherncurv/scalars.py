@@ -282,12 +282,6 @@ def resolve(x, bound):
                    0.0 if negligible(x.imag, bound) else x.imag)
 
 
-def mat_mul(a, b):
-    n, m, p = len(a), len(b), len(b[0])
-    return [[sum(a[i][k] * b[k][j] for k in range(m)) for j in range(p)]
-            for i in range(n)]
-
-
 def mat_solve(a, rhs):
     """Solve A x = b columnwise by Gaussian elimination, backend generic.
 

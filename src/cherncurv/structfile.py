@@ -110,23 +110,34 @@ class StructureDoc:
     metric_params: Optional[Dict[str, object]] = None
 
 
+def parse_params(pieces) -> Dict[str, object]:
+    """The parameters of ``key=value`` pieces, each key one of r, s, u and
+    ell and each value a complex literal (:func:`parse_complex`); blank
+    pieces are skipped.  A bad piece raises ValueError."""
+    params: Dict[str, object] = {}
+    for piece in pieces:
+        piece = piece.strip()
+        if not piece:
+            continue
+        if "=" not in piece:
+            raise ValueError(f"expected key=value, got {piece!r}")
+        key, _, val = piece.partition("=")
+        key = key.strip()
+        if key not in ("r", "s", "u", "ell"):
+            raise ValueError(f"unknown parameter {key!r}")
+        params[key] = parse_complex(val)
+    return params
+
+
 def _parse_metric_line(rest: str, lineno: int, col: int):
     fields = rest.split()
     if not fields or fields[0] != "surface":
         raise ParseError(lineno, col, "only the 'surface' metric family "
                          "is recognized")
-    params: Dict[str, object] = {}
-    for tok in fields[1:]:
-        if "=" not in tok:
-            raise ParseError(lineno, col, f"expected key=value, got {tok!r}")
-        key, _, val = tok.partition("=")
-        if key not in ("r", "s", "u", "ell"):
-            raise ParseError(lineno, col, f"unknown metric parameter {key!r}")
-        try:
-            params[key] = parse_complex(val)
-        except ValueError as exc:
-            raise ParseError(lineno, col, str(exc)) from None
-    return params
+    try:
+        return parse_params(fields[1:])
+    except ValueError as exc:
+        raise ParseError(lineno, col, str(exc)) from None
 
 
 def parse_structure(text: str) -> StructureDoc:

@@ -9,7 +9,8 @@ from cherncurv.chart import (ChartMetricField, HyperDual, ScalarField,
                              curvature_at, fd_oracle, first_ce_from_potential,
                              hd_exp, hd_log, jet2, metric_from_potential,
                              registered_factors, registered_metrics,
-                             ric1_logdet_at, ricci_matrices_at, sample_points)
+                             ricci_matrices_at, sample_points)
+from logdet_oracle import ric1_logdet_at
 
 METRICS = registered_metrics()
 FACTORS = registered_factors()
