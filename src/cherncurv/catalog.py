@@ -71,8 +71,7 @@ class ExpectedQuantity:
 class ExampleEntry:
     """``structure`` maps the parameters to the structure-constant tables
     (a, b[, c]) of d phi^i; ``metric`` maps parameters in one arithmetic to
-    the metric; ``fixup`` maps the ``params`` given to an entry before they
-    go over its defaults."""
+    the metric; ``fixup`` maps given parameters before the defaults."""
 
     name: str
     doc: str
@@ -446,11 +445,9 @@ def get(name: str) -> ExampleEntry:
 
 
 def from_structure(doc, name: str) -> ExampleEntry:
-    """A parsed structure file as an anonymous entry named ``name``: its
-    constant tables, the surface metric and defaults r=1, s=1, u=0 with
-    the file's metric line on top.  It has no expected quantities and no
-    certificate, and ell, which has no role in a file, is dropped from
-    the metric line and from the parameters given."""
+    """A parsed structure file as an entry named ``name``: its constant
+    tables, the surface metric, defaults r=1, s=1, u=0 under its metric
+    line, and no expected quantities; ell has no role and is dropped."""
     alg = doc.algebra
     if alg.n != 2:
         raise ValueError("surface metric parameters need dim 2")
@@ -468,9 +465,8 @@ def _drop_ell(params):
 
 
 def _resolve(source, params: Optional[dict], exact: Optional[bool]):
-    """(entry, exact, algebra, parameters) of an entry, given by name or
-    as an :class:`ExampleEntry`, at the given parameters over the entry's
-    defaults.
+    """(entry, exact, algebra, parameters) of an entry, by name or as an
+    :class:`ExampleEntry`, at the given parameters over its defaults.
 
     The structure constants and the parameters enter one
     :func:`~cherncurv.scalars.unify`: the arithmetic is exact when the
@@ -486,8 +482,7 @@ def _resolve(source, params: Optional[dict], exact: Optional[bool]):
 def build(source, params: Optional[dict] = None,
           exact: Optional[bool] = None):
     """(algebra, metric, parameters) for an entry, by name or as an
-    :class:`ExampleEntry`, at the given parameters; the metric refuses
-    parameters that do not give a positive-definite one."""
+    :class:`ExampleEntry`, at the given parameters."""
     entry, _, alg, p = _resolve(source, params, exact)
     return alg, entry.metric(p), p
 
@@ -610,10 +605,9 @@ def verify(name: str, params: Optional[dict] = None,
 
 def scan_entry(source, kind: int = 2, grid=None, mode: str = "strong",
                params: Optional[dict] = None) -> inv.ScanReport:
-    """Einstein-residual scan of an entry, by name or as an
-    :class:`ExampleEntry`, with its sign certificate attached if it has
-    one, of the algebra at the structure parameters in ``params``
-    (ell)."""
+    """Einstein-residual scan with the entry's sign certificate, if any,
+    attached, of the algebra at the structure parameters in ``params``
+    (ell); the entry is a name or an :class:`ExampleEntry`."""
     entry, _, alg, _ = _resolve(source, params, False)
     return inv.scan(alg, kind, grid=grid, mode=mode,
                     certificate=entry.certificate, entry_name=entry.name)
@@ -621,10 +615,9 @@ def scan_entry(source, kind: int = 2, grid=None, mode: str = "strong",
 
 def to_structure_text(name: str, params: Optional[dict] = None) -> str:
     """Entry rendered in the structure-file format.  The structure
-    round-trips; the metric does only for entries whose metric is the
-    surface family's, since a file's ``metric surface`` line always reads
-    back as that family (snow-s5's omits its 1/2 factors, so its export
-    reads back as h/2)."""
+    round-trips; the metric only when it is the surface family's, as the
+    ``metric surface`` line is: snow-s5's h omits the 1/2 factors, so its
+    export reads back as h/2."""
     from . import structfile
     _, _, alg, p = _resolve(name, params, None)
     return structfile.print_structure(alg, p)
