@@ -17,8 +17,8 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from .forms import CoframeAlgebra, InvariantForm
-from .scalars import (UNIT_ROUNDOFF, QQi, I_EXACT, conj, is_zero,
-                      negligible, times_i, unify)
+from .scalars import (UNIT_ROUNDOFF, QQi, I_EXACT, is_zero, negligible,
+                      times_i, unify)
 from . import invariant as inv
 
 
@@ -33,18 +33,13 @@ class UnknownQuantity(KeyError):
 # ---------------------------------------------------------------------------
 # closed-form helpers, in the arithmetic of the parameters
 
-def _uu(u):
-    """|u|^2 in the arithmetic of u."""
-    return (u * conj(u)).real
-
-
 def _re_u2(u):
     return (u * u).real
 
 
 def _D(p):
     r, s, u = p["r"], p["s"], p["u"]
-    return r * r * s * s - _uu(u)
+    return r * r * s * s - inv.abs2(u)
 
 
 def _form(n, coeffs, exact):
@@ -57,6 +52,21 @@ def _form(n, coeffs, exact):
 
 # ---------------------------------------------------------------------------
 # entry definition
+
+def _surface_metric(p):
+    return inv.SurfaceMetricParams(p["r"], p["s"], p["u"]).metric()
+
+
+def _surface_points():
+    h = Fraction(1, 2)
+    return [
+        {"r": 1, "s": 1, "u": 0},
+        {"r": 1, "s": 1, "u": h},
+        {"r": 2, "s": 1, "u": h},
+        {"r": h, "s": 3, "u": QQi(0, Fraction(1, 4))},
+        {"r": 3, "s": 2, "u": QQi(1, h)},
+    ]
+
 
 @dataclass
 class ExpectedQuantity:
@@ -71,30 +81,27 @@ class ExpectedQuantity:
 class ExampleEntry:
     """``structure`` maps the parameters to the structure-constant tables
     (a, b[, c]) of d phi^i; ``metric`` maps parameters in one arithmetic to
-    the metric; ``fixup`` maps given parameters before the defaults."""
+    the metric, the surface family's by default, as are the verified
+    ``points``; ``fixup`` maps given parameters before the defaults."""
 
     name: str
     doc: str
     structure: Callable[[dict], tuple]
-    metric: Callable[[dict], inv.HermitianMetric]
+    metric: Callable[[dict], inv.HermitianMetric] = _surface_metric
     expected: List[ExpectedQuantity] = field(default_factory=list)
     defaults: dict = field(default_factory=lambda: {"r": 1, "s": 1, "u": 0})
-    points: List[dict] = field(default_factory=list)
+    points: List[dict] = field(default_factory=_surface_points)
     certificate: Optional[Callable] = None
     lemma: Optional[Callable[[dict], bool]] = None
     fixup: Optional[Callable[[dict], dict]] = None
 
 
-def _surface_metric(p):
-    return inv.SurfaceMetricParams(p["r"], p["s"], p["u"]).metric()
-
-
 def _snow_metric(p):
-    # the Snow display writes omega without the 1/2 factors: h11 = r^2,
-    # h22 = s^2, h12 = -sqrt(-1) u
-    r, s, u = p["r"], p["s"], p["u"]
-    return inv.HermitianMetric([[r * r, -times_i(u)],
-                                [times_i(conj(u)), s * s]])
+    # the Snow display writes omega without the 1/2 factors: h is twice the
+    # surface family's, and doubling is exact in both arithmetics
+    return inv.HermitianMetric(
+        [[v * 2 for v in row]
+         for row in inv.surface_matrix(p["r"], p["s"], p["u"])])
 
 
 def _const_structure(*tables):
@@ -149,8 +156,8 @@ def _cert_kodaira_secondary(r, s, u, lam):
 def _lemma_inoue_spm(p) -> bool:
     # r^2 s^2 + |u|^2 + 2 Re(u^2) >= r^2 s^2 - |u|^2 > 0
     r, s, u = p["r"], p["s"], p["u"]
-    d = r * r * s * s - _uu(u)
-    lhs = r * r * s * s + _uu(u) + 2 * _re_u2(u)
+    d = r * r * s * s - inv.abs2(u)
+    lhs = r * r * s * s + inv.abs2(u) + 2 * _re_u2(u)
     gap = lhs - d  # in floats, rounding may make it slightly negative
     return d > 0 and (gap >= 0 or is_zero(gap, scale=max(abs(lhs), abs(d),
                                                          1.0)))
@@ -177,17 +184,6 @@ def _hopf_points():
             for r in (1, 2, Fraction(1, 3), 3, Fraction(1, 2))]
 
 
-def _surface_points():
-    h = Fraction(1, 2)
-    return [
-        {"r": 1, "s": 1, "u": 0},
-        {"r": 1, "s": 1, "u": h},
-        {"r": 2, "s": 1, "u": h},
-        {"r": h, "s": 3, "u": QQi(0, Fraction(1, 4))},
-        {"r": 3, "s": 2, "u": QQi(1, h)},
-    ]
-
-
 def _snow_points():
     pts = _surface_points()
     out = []
@@ -212,7 +208,6 @@ def _build_registry() -> Dict[str, ExampleEntry]:
         name="flat-torus",
         doc="Abelian structure equations; every curvature quantity vanishes.",
         structure=_const_structure({}, {}),
-        metric=_surface_metric,
         expected=[
             exq("S_Ch", lambda p, e: 0),
             exq("S3", lambda p, e: 0),
@@ -220,7 +215,6 @@ def _build_registry() -> Dict[str, ExampleEntry]:
             exq("einstein2_lambda", lambda p, e: 0),
             exq("einstein2_residual", lambda p, e: 0.0),
         ],
-        points=_surface_points(),
     )
 
     # -- Hopf -----------------------------------------------------------
@@ -230,7 +224,6 @@ def _build_registry() -> Dict[str, ExampleEntry]:
              "factor 2/r^2."),
         structure=_const_structure({(1, 1, 2): i},
                                    {(1, 1, 2): i, (2, 1, 1): -i}),
-        metric=_surface_metric,
         expected=[
             exq("Ric1", lambda p, e: _form(2, {(0, 0): 2}, e)),
             exq("S_Ch", lambda p, e: 4 / (p["r"] * p["r"])),
@@ -247,7 +240,6 @@ def _build_registry() -> Dict[str, ExampleEntry]:
                 note="regression value +r^2/2; published sign is negative "
                      "under a different index-ordering convention"),
         ],
-        defaults={"r": 1, "s": 1, "u": 0},
         points=_hopf_points(),
         fixup=_hopf_fixup,
     )
@@ -259,15 +251,13 @@ def _build_registry() -> Dict[str, ExampleEntry]:
         structure=_const_structure({(1, 1, 2): i * quarter},
                                    {(1, 1, 2): -(i * quarter),
                                     (2, 2, 2): i * half}),
-        metric=_surface_metric,
         expected=[
             exq("Ric1", lambda p, e: _form(2, {(1, 1): -quarter}, e)),
             exq("S_Ch", lambda p, e: -(p["r"] * p["r"]) / (2 * _D(p))),
             exq("S3", lambda p, e: -(p["r"] * p["r"]) * (
-                8 * p["r"] ** 2 * p["s"] ** 2 + _uu(p["u"]))
+                8 * p["r"] ** 2 * p["s"] ** 2 + inv.abs2(p["u"]))
                 / (8 * _D(p) ** 2)),
         ],
-        points=_surface_points(),
         certificate=_cert_inoue_sm,
     )
 
@@ -279,12 +269,10 @@ def _build_registry() -> Dict[str, ExampleEntry]:
                                    {(1, 2, 1): -(i * half),
                                     (1, 2, 2): i * half,
                                     (2, 2, 2): -(i * half)}),
-        metric=_surface_metric,
         expected=[
             exq("Ric1", lambda p, e: _form(2, {(1, 1): -half}, e)),
             exq("S_Ch", lambda p, e: -(p["r"] * p["r"]) / _D(p)),
         ],
-        points=_surface_points(),
         certificate=_cert_inoue_spm,
         lemma=_lemma_inoue_spm,
     )
@@ -294,13 +282,11 @@ def _build_registry() -> Dict[str, ExampleEntry]:
         name="kodaira-primary",
         doc="First-Chern-Ricci flat; no strong-(2)-Chern-Einstein metric.",
         structure=_const_structure({}, {(2, 1, 1): i * half}),
-        metric=_surface_metric,
         expected=[
             exq("Ric1", _ric1_zero),
             exq("S_Ch", lambda p, e: 0),
             exq("S3", lambda p, e: -(p["s"] ** 6) / (2 * _D(p) ** 2)),
         ],
-        points=_surface_points(),
         certificate=_cert_kodaira_primary,
     )
 
@@ -311,19 +297,17 @@ def _build_registry() -> Dict[str, ExampleEntry]:
         structure=_const_structure({(1, 1, 2): QQi(-half)},
                                    {(1, 1, 2): QQi(half),
                                     (2, 1, 1): i * half}),
-        metric=_surface_metric,
         expected=[
             exq("Ric1", _ric1_zero),
             exq("S_Ch", lambda p, e: 0),
         ],
-        points=_surface_points(),
         certificate=_cert_kodaira_secondary,
     )
 
     # -- Snow S5 --------------------------------------------------------
     def _snow_ric2_11(p, e):
         ell = p["ell"]
-        return ell * ell * p["r"] ** 2 * p["s"] ** 2 * _uu(p["u"]) \
+        return ell * ell * p["r"] ** 2 * p["s"] ** 2 * inv.abs2(p["u"]) \
             / (4 * _D(p) ** 2)
 
     def _snow_ric2_12(p, e):
@@ -333,7 +317,7 @@ def _build_registry() -> Dict[str, ExampleEntry]:
 
     def _snow_ric2_22(p, e):
         ell = p["ell"]
-        return ell * ell * p["s"] ** 4 * _uu(p["u"]) / (4 * _D(p) ** 2)
+        return ell * ell * p["s"] ** 4 * inv.abs2(p["u"]) / (4 * _D(p) ** 2)
 
     reg["snow-s5"] = ExampleEntry(
         name="snow-s5",
@@ -348,7 +332,7 @@ def _build_registry() -> Dict[str, ExampleEntry]:
             exq("Ric2_12", _snow_ric2_12),
             exq("Ric2_22", _snow_ric2_22),
             exq("S3", lambda p, e: -(p["ell"] ** 2) * p["s"] ** 2
-                * _uu(p["u"]) / (4 * _D(p) ** 2), asserted=False,
+                * inv.abs2(p["u"]) / (4 * _D(p) ** 2), asserted=False,
                 note="regression value; the published display carries "
                      "denominator 2 instead of 4, a convention-sensitive "
                      "factor"),
@@ -374,7 +358,6 @@ def _build_registry() -> Dict[str, ExampleEntry]:
              "negative factor."),
         structure=_const_structure({}, {(1, 1, 1): QQi(-half),
                                         (2, 2, 2): QQi(-half)}),
-        metric=_surface_metric,
         expected=[
             exq("Ric1", lambda p, e: _form(2, {(0, 0): -half,
                                                (1, 1): -half}, e)),
@@ -384,7 +367,6 @@ def _build_registry() -> Dict[str, ExampleEntry]:
             exq("Ric2_diag_matches_minus_omega", lambda p, e: True,
                 only_when=_diag_only),
         ],
-        points=_surface_points(),
     )
 
     # -- Ovando r4 ------------------------------------------------------
@@ -395,14 +377,12 @@ def _build_registry() -> Dict[str, ExampleEntry]:
         structure=_const_structure({(2, 1, 2): -(i * half)},
                                    {(1, 1, 1): -(i * half),
                                     (2, 2, 1): -(i * half)}),
-        metric=_surface_metric,
         expected=[
             exq("Ric1", lambda p, e: _form(2, {(0, 0): -1}, e)),
             exq("S_Ch", lambda p, e: -2 * p["s"] ** 2 / _D(p)),
             exq("einstein2_lambda", lambda p, e: -(p["s"] ** 2) / _D(p)),
             exq("einstein2_residual", lambda p, e: 0.0),
         ],
-        points=_surface_points(),
     )
 
     return reg
@@ -454,7 +434,6 @@ def from_structure(doc, name: str) -> ExampleEntry:
     return ExampleEntry(
         name=name, doc="structure file",
         structure=_const_structure(alg.a, alg.b, alg.c),
-        metric=_surface_metric,
         defaults=_drop_ell({"r": 1, "s": 1, "u": 0,
                             **(doc.metric_params or {})}),
         fixup=_drop_ell)

@@ -92,18 +92,6 @@ class HyperDual:
     def __rtruediv__(self, o):
         return HyperDual.lift(o) * self._recip()
 
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("only nonnegative integer powers")
-        out = HyperDual(1.0)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def conjugate(self):
         # valid because differentiation directions are real coordinates
         return HyperDual(self.f0.conjugate(), self.f1.conjugate(),
@@ -120,9 +108,6 @@ class HyperDual:
     def log(self):
         v0 = self.f0
         return self._chain(hd_log(v0), 1 / v0, -1 / (v0 * v0))
-
-    def __repr__(self):
-        return f"HyperDual({self.f0!r}, {self.f1!r}, {self.f2!r}, {self.f12!r})"
 
 
 def hd_exp(x):

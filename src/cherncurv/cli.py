@@ -12,7 +12,7 @@ Gaussian rationals and refuses, with exit code 2, any input that is not
 rational.
 
 Exit codes: 0 success or condition holds, 1 condition fails, 2 input
-error.
+error, a floating-point overflow or invalid value among them.
 """
 
 from __future__ import annotations
@@ -447,10 +447,14 @@ _main_parser = functools.cache(build_parser)
 def main(argv=None) -> int:
     args = _main_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # a float overflow, invalid value or division by zero refuses the
+        # input; overflows by design are ignored where they happen
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.fn(args)
     # the package's input errors are ValueErrors or KeyErrors; a huge
-    # rational literal read as a float raises OverflowError
-    except (ValueError, KeyError, OSError, OverflowError) as exc:
+    # rational literal read as a float raises OverflowError, and numpy's
+    # refusals above FloatingPointError, both ArithmeticErrors
+    except (ValueError, KeyError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -172,6 +172,15 @@ def _nondegenerate(det, top, n):
         return np.isfinite(det) & np.isfinite(volume) & (abs(det) >= volume)
 
 
+def surface_matrix(r, s, u):
+    """The surface family's h(r, s, u) as a 2 x 2 nested list,
+    [[r^2/2, -sqrt(-1) u/2], [sqrt(-1) conj(u)/2, s^2/2]], elementwise in
+    the arithmetic of r, s and u: QQi or complex scalars, or arrays of
+    scan rows."""
+    return [[r * r / 2, -times_i(u) / 2],
+            [times_i(conj(u)) / 2, s * s / 2]]
+
+
 def surface_admissible(r, s, u):
     """Elementwise r^2 > 0, s^2 > 0 and r^2 s^2 - |u|^2 > 0: whether
     (r, s, u), real parts of r and s taken, gives a positive-definite
@@ -183,11 +192,8 @@ def surface_admissible(r, s, u):
 
 @dataclass(frozen=True)
 class SurfaceMetricParams:
-    """(r, s, u) parameterisation of invariant surface metrics.
-
-    Induces h11 = r^2/2, h22 = s^2/2, h12 = -sqrt(-1) u / 2,
-    h21 = sqrt(-1) conj(u) / 2, admissible when r^2 s^2 - |u|^2 > 0.
-    """
+    """(r, s, u) parameterisation of invariant surface metrics, inducing
+    :func:`surface_matrix`, admissible when r^2 s^2 - |u|^2 > 0."""
 
     r: object
     s: object
@@ -201,9 +207,7 @@ class SurfaceMetricParams:
         """The metric, exact when r, s and u are rational unless ``exact``
         says otherwise (see :func:`~cherncurv.scalars.unify`)."""
         _, (p,) = unify([{"r": self.r, "s": self.s, "u": self.u}], exact)
-        r, s, u = p["r"], p["s"], p["u"]
-        return HermitianMetric([[r * r / 2, -times_i(u) / 2],
-                                [times_i(conj(u)) / 2, s * s / 2]])
+        return HermitianMetric(surface_matrix(p["r"], p["s"], p["u"]))
 
 
 # ---------------------------------------------------------------------------
@@ -996,8 +1000,8 @@ def default_surface_grid(r_values=None, s_values=None, radii=9, phases=8):
 
 def _surface_blocks(grid):
     """Per block of :data:`SCAN_BLOCK` grid rows, the (r, s, u, h stack)
-    of the rows :func:`scan` keeps, h the leading-M view of a trailing-M
-    array; blocks that keep none are skipped.
+    of the rows :func:`scan` keeps, h their :func:`surface_matrix` as the
+    leading-M view of a trailing-M array; blocks keeping none are skipped.
 
     r^2, s^2, |u|^2, det h and max |h|^2 overflow for huge rows by design:
     such a row fails the mask, or its det h or max |h|^2 is not finite and
@@ -1011,11 +1015,7 @@ def _surface_blocks(grid):
             if not ok.all():
                 block = block[ok]
             r, s, u = block[:, 0].real, block[:, 1].real, block[:, 2]
-            hs = np.empty((2, 2, len(block)), dtype=complex)
-            hs[0, 0] = r * r / 2
-            hs[1, 1] = s * s / 2
-            hs[0, 1] = -1j * u / 2
-            hs[1, 0] = 1j * u.conjugate() / 2
+            hs = np.array(surface_matrix(r, s, u), dtype=complex)
             det = hs[0, 0] * hs[1, 1] - hs[0, 1] * hs[1, 0]
             top = np.max(np.abs(hs), axis=(0, 1))
         # HermitianMetric's DegenerateMetric rule: a row on the cone

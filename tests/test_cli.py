@@ -1104,6 +1104,72 @@ def test_gauduchon_coefficient_is_evaluated_once(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# hostile parameters: every command keeps the exit-code contract
+
+_HOSTILE_TOKENS = ["nan", "inf", "-inf", "1e400", "-1e400", "1e-400",
+                   "1e153", "1e155", "1e300", "1/0", "0", "-1", "1e-160", "2"]
+_HOSTILE_FORMS = [["curvature"], ["curvature", "--exact"],
+                  ["einstein", "--kind", "2"],
+                  ["einstein", "--kind", "1", "--mode", "weak"], ["lee"],
+                  ["gauduchon"], ["bl"]]
+
+
+def _hostile_argvs(entry):
+    for key in ("r", "s", "u", "ell"):
+        for token in _HOSTILE_TOKENS:
+            params = ["--params", f"{key}={token}"]
+            for cmd, *flags in _HOSTILE_FORMS:
+                yield [cmd, entry, *flags, *params]
+            if key == "ell":  # scan takes r, s and u from its grid
+                yield ["scan", entry, *params]
+            yield ["catalog", "verify", entry, *params]
+
+
+def _contract_break(argv):
+    """Why one in-process run breaks the exit-code contract, or None."""
+    out, err = io.StringIO(), io.StringIO()
+    # python shows a warning once per source location under the default
+    # filters; here every warning of every run is recorded
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # an argparse refusal: usage, then error
+            code = exc.code
+    lines = err.getvalue().splitlines()
+    if code not in (0, 1, 2):
+        return f"exit {code!r}"
+    warned = [str(w.message) for w in caught]
+    if warned or any("Traceback" in line for line in lines):
+        return f"exit {code} with {lines}, warned {warned}"
+    if code == 2 and [line for line in lines if "error:" in line] \
+            != lines[-1:]:
+        return f"exit 2 with {lines}"
+    if code != 2 and lines:
+        return f"exit {code} with {lines}"
+    return None
+
+
+@pytest.mark.parametrize("entry", ["snow-s5", "inoue-sm", "hopf",
+                                   "kodaira-secondary"])
+def test_hostile_params_keep_the_exit_code_contract(entry):
+    broken = {" ".join(argv): why for argv in _hostile_argvs(entry)
+              if (why := _contract_break(argv))}
+    assert broken == {}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["scan", "snow-s5", "--params", "ell=1e153"],
+     "error: overflow encountered in multiply"),
+    (["scan", "inoue-sm", "--grid", "1e40:1e41:1e40"],
+     "error: overflow encountered in multiply")])
+def test_float_overflow_is_one_line(capsys, argv, message):
+    # both overflow in floats past the metric's checks; inoue-sm's
+    # certificate would reach -inf and read as a pass
+    assert run(capsys, *argv) == (2, "", message + "\n")
+
+
 # fuzz: structure files of rational and decimal literals never escape the
 # exit-code contract
 

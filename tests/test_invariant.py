@@ -907,6 +907,18 @@ def test_admissibility():
     assert not SurfaceMetricParams(0, 1, 0).admissible()
 
 
+def test_scan_blocks_hold_the_surface_metric_bit_for_bit():
+    # the scan's h stack and a single metric's h come from one formula,
+    # inv.surface_matrix; u = 0 on every fifth row
+    r, s, u = _log_uniform_params(23, 400)
+    (r, s, u, hs), = inv._surface_blocks(np.stack([r, s, u], axis=1))
+    assert len(hs) == 400
+    for i in range(len(hs)):
+        _same_bits(hs[i],
+                   SurfaceMetricParams(r[i], s[i], u[i]).metric(
+                       exact=False).array)
+
+
 def test_admissibility_mask_matches_params():
     rows = [(1, 1, 0.5), (1, 1, 1.0), (0, 1, 0), (1, -2, 0), (2, 3, 6j),
             (2, 3, 6 - 1e-12), (0.3, 0.7, 0.2099 * np.exp(0.4j)),
