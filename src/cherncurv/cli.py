@@ -452,8 +452,8 @@ def main(argv=None) -> int:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return args.fn(args)
     # the package's input errors are ValueErrors or KeyErrors; a huge
-    # rational literal read as a float raises OverflowError, and numpy's
-    # refusals above FloatingPointError, both ArithmeticErrors
+    # rational literal read as a float raises OverflowError and the
+    # errstate above FloatingPointError, both ArithmeticErrors
     except (ValueError, KeyError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
