@@ -81,6 +81,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -969,38 +970,98 @@ TIE = 1e-9
 # the CPU's caches.  A block's temporaries peak at 2.9 MB, ~700 B a row
 # (tracemalloc, inoue-sm kind 2 strong with its certificate; kinds 1 and 3
 # at 1.4 and 1.6 MB); the tie rule keeps at most 7 rows in any entry, kind
-# and mode at K=42
+# and mode at K=42.  Blocks start at the same row offsets whether the rows
+# come as one array or in chunks
 SCAN_BLOCK = 4096
 
+# grid rows :func:`surface_grid_chunks` builds at a time, ten blocks,
+# chosen by measurement.  Freeing a chunk raises glibc's dynamic mmap
+# threshold to its size and the trim threshold to twice that, and the
+# heap is trimmed, and its pages faulted in anew, whenever more than that
+# is free at its top: a chunk and a block's temporaries must fit under it.
+# Minor page faults per op of the invariant-scan workload's mix (K=12 and
+# K=42 kind-2 scans), chunks of 1, 8, 10, 12 and 16 blocks: 915 and
+# 20,209; 144 and 674; 0 and 411; 0 and 606; 0 and 1,026, each fault
+# about 3.4 us on a shared 2-vCPU host.  A whole K=100 scan command peaks
+# at 3.8, 4.8, 5.2, 6.1 and 7.7 MB (tracemalloc)
+SCAN_CHUNK = 10 * SCAN_BLOCK
 
-def default_surface_grid(r_values=None, s_values=None, radii=9, phases=8):
+# default_surface_grid's u values per (r, s) pair: zero, then radii x phases
+SURFACE_RADII, SURFACE_PHASES = 9, 8
+SURFACE_PAIR_ROWS = 1 + SURFACE_RADII * SURFACE_PHASES
+SURFACE_AXIS = tuple(0.25 * k for k in range(1, 13))
+
+
+def default_surface_grid(r_values=None, s_values=None, radii=SURFACE_RADII,
+                         phases=SURFACE_PHASES):
     """The (r, s, u) grid as an (M, 3) complex array of rows: r, s in
     0.25..3 and, for each (r, s) pair in that order, u = 0 and then u on a
     polar grid strictly inside the admissibility cone |u| < 0.95 r s,
     radius 0.95 r s a / (radii + 1) for a = 1..radii, each at the phases
     2 pi p / phases."""
     if r_values is None:
-        r_values = [0.25 * k for k in range(1, 13)]
+        r_values = SURFACE_AXIS
     if s_values is None:
-        s_values = [0.25 * k for k in range(1, 13)]
+        s_values = SURFACE_AXIS
     r, s = (v.ravel() for v in np.meshgrid(r_values, s_values,
                                            indexing="ij"))
     angles = [2 * math.pi * p / phases for p in range(phases)]
     phase = np.array([complex(math.cos(a), math.sin(a)) for a in angles])
-    u = np.zeros((len(r), 1 + radii * phases), complex)
+    # (pair, u, column), filled in place: the rows are the only array of
+    # their size that is made
+    rows = np.zeros((len(r), 1 + radii * phases, 3), complex)
+    rows[:, :, 0] = r[:, None]
+    rows[:, :, 1] = s[:, None]
     # r s overflows for huge r and s; :func:`scan` drops those rows
     with np.errstate(over="ignore", invalid="ignore"):
         rho = (0.95 * r[:, None] * s[:, None] * np.arange(1, radii + 1)
                / (radii + 1))
-        u[:, 1:] = (rho[:, :, None] * phase).reshape(len(r), -1)
-    per = u.shape[1]
-    return np.stack([np.repeat(r, per), np.repeat(s, per), u.ravel()],
-                    axis=1)
+        rows[:, 1:, 2] = (rho[:, :, None] * phase).reshape(len(r), -1)
+    return rows.reshape(-1, 3)
+
+
+def surface_grid_chunks(r_values=None, s_values=None):
+    """The rows of ``default_surface_grid(r_values, s_values)``, in its
+    order and with its bits, as an iterator of (M, 3) arrays: each is
+    :func:`default_surface_grid` of a run of consecutive r values, as many
+    as keep it within :data:`SCAN_CHUNK` rows, and at least one."""
+    if r_values is None:
+        r_values = SURFACE_AXIS
+    if s_values is None:
+        s_values = SURFACE_AXIS
+    group = max(1, SCAN_CHUNK // max(len(s_values) * SURFACE_PAIR_ROWS, 1))
+    for lo in range(0, len(r_values), group):
+        yield default_surface_grid(r_values[lo:lo + group], s_values)
+
+
+def _row_blocks(grid):
+    """``grid``'s rows (see :func:`scan`) in blocks of :data:`SCAN_BLOCK`,
+    each starting at a multiple of it in the whole run of rows: views of a
+    chunk, or a copy where a block spans two chunks."""
+    chunks = grid if isinstance(grid, Iterator) else iter([grid])
+    carry = np.empty((0, 3), complex)
+    for chunk in chunks:
+        chunk = np.asarray(chunk, dtype=complex)
+        if chunk.ndim != 2 or chunk.shape[1] != 3:
+            raise ValueError(f"grid must be (r, s, u) rows, shape M x 3, "
+                             f"got shape {chunk.shape}")
+        if len(carry):
+            need = SCAN_BLOCK - len(carry)
+            carry, chunk = np.concatenate([carry, chunk[:need]]), chunk[need:]
+            if len(carry) < SCAN_BLOCK:
+                continue
+            yield carry
+        full = len(chunk) - len(chunk) % SCAN_BLOCK
+        for lo in range(0, full, SCAN_BLOCK):
+            yield chunk[lo:lo + SCAN_BLOCK]
+        carry = chunk[full:]
+    if len(carry):
+        yield carry
 
 
 def _surface_blocks(grid):
-    """Per block of :data:`SCAN_BLOCK` grid rows, the (r, s, u, h stack)
-    of the rows :func:`scan` keeps, h their :func:`surface_matrix` as the
+    """Per block of :func:`_row_blocks`, the (r, s, u, h stack) of the
+    rows :func:`scan` keeps, h their :func:`surface_matrix` as the
     leading-M view of a trailing-M array; blocks keeping none are skipped.
 
     r^2, s^2, |u|^2, det h and max |h|^2 overflow for huge rows by design:
@@ -1008,8 +1069,7 @@ def _surface_blocks(grid):
     it is dropped with the numerically degenerate rows, as
     :class:`HermitianMetric` refuses both.
     """
-    for lo in range(0, len(grid), SCAN_BLOCK):
-        block = grid[lo:lo + SCAN_BLOCK]
+    for block in _row_blocks(grid):
         with np.errstate(over="ignore", invalid="ignore"):
             ok = surface_admissible(block[:, 0], block[:, 1], block[:, 2])
             if not ok.all():
@@ -1030,8 +1090,9 @@ def _surface_blocks(grid):
 def scan(alg: CoframeAlgebra, kind: int, grid=None, mode: str = "strong",
          certificate=None, entry_name=None) -> ScanReport:
     """Einstein residual over an (r, s, u) grid: an (M, 3) array of rows,
-    or anything ``np.asarray`` makes one of, such as a list of triples;
-    :func:`default_surface_grid` when None.  Rows that are not
+    or anything ``np.asarray`` makes one of, such as a list of triples; or
+    an iterator of such arrays, whose rows run on as one grid; when None,
+    :func:`surface_grid_chunks` of the default axes.  Rows that are not
     :func:`surface_admissible` are dropped, and so are rows whose metric
     is numerically degenerate or not finite, as :class:`HermitianMetric`
     refuses it.
@@ -1049,21 +1110,20 @@ def scan(alg: CoframeAlgebra, kind: int, grid=None, mode: str = "strong",
     rounding cannot move it; NaN residuals never are, unless all are.
 
     The rows run in blocks of :data:`SCAN_BLOCK`; only per-block
-    reductions and the tie rule's few candidates are kept, so memory is
-    O(block), not O(grid).  Every per-row quantity is elementwise in its
-    row, so the report does not depend on the block size."""
-    grid = np.asarray(default_surface_grid() if grid is None else grid,
-                      dtype=complex)
-    if grid.ndim != 2 or grid.shape[1] != 3:
-        raise ValueError(f"grid must be (r, s, u) rows, shape M x 3, "
-                         f"got shape {grid.shape}")
+    reductions and the tie rule's few candidates are kept.  With rows
+    streamed in chunks, as :func:`surface_grid_chunks` yields them (the
+    default, and ``scan --grid``), memory is O(chunk), not O(grid): at
+    most :data:`SCAN_CHUNK` rows exist at a time.  Every per-row quantity
+    is elementwise in its row, and blocks start at the same rows however
+    the rows are chunked, so the report depends on neither."""
     _check_pair(alg, 2)
     b = _structure(alg, exact=False)[1]
     # (relative residual, r, s, u, absolute residual) of the rows below
     # every earlier row and within TIE of the running minimum ``low``; the
     # first survivor wins, or the first row if every residual is NaN
     count, low, kept, first, certs = 0, np.nan, [], None, []
-    for r, s, u, hs in _surface_blocks(grid):
+    for r, s, u, hs in _surface_blocks(
+            surface_grid_chunks() if grid is None else grid):
         lam, resid_abs, resid, _ = batch_einstein_residual(kind, alg, hs,
                                                            mode=mode, b=b)
         # before[i]: the least earlier residual, NaN while there is none

@@ -40,8 +40,8 @@ class PositiveDegreeOpen(NotImplementedError):
     """
 
 
-class SolverDiverged(RuntimeError):
-    pass
+class SolverDiverged(ArithmeticError):
+    """A non-finite iterate: the iteration cannot go on."""
 
 
 class PeriodicGrid:
@@ -118,7 +118,7 @@ class YamabeResult:
     iterations: int
     converged: bool
     residuals: list          # max|F| per Newton iterate; the last, a fresh
-                             # transform's, included
+                             # transform's if converged, included
     linear_iterations: list  # GMRES matvecs per Newton step
 
 
@@ -256,6 +256,8 @@ def solve_chya(p: YamabeProblem, f0: Optional[np.ndarray] = None
     carried lap f.  Once max|F| <= tol there, f is transformed anew, and
     convergence and the residual reported are decided on that residual
     alone; if it is above tol, the iteration goes on from the new transform.
+    After ``max_iter`` steps above tol the last iterate is returned, not
+    converged; a non-finite iterate raises :class:`SolverDiverged`.
     """
     grid, S, n = p.grid, p.S, p.n
     gamma, scale, degree = _mean_scale_degree(S)
@@ -288,7 +290,7 @@ def solve_chya(p: YamabeProblem, f0: Optional[np.ndarray] = None
     residuals, linear = [], []
     # an overflow turns up as a non-finite iterate, reported below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for it in range(p.max_iter):
+        for it in range(p.max_iter + 1):
             # a carried residual at or below tol only calls the check: the
             # verdict and the residual reported are those of a new
             # transform, and the iteration goes on from it if it fails
@@ -301,6 +303,8 @@ def solve_chya(p: YamabeProblem, f0: Optional[np.ndarray] = None
             residuals.append(res)
             if res <= p.tol:
                 return YamabeResult(f, lam, res, it, True, residuals, linear)
+            if it == p.max_iter:
+                break
             jac = _jacobian(lam, w)
             Z = []
 
@@ -317,9 +321,8 @@ def solve_chya(p: YamabeProblem, f0: Optional[np.ndarray] = None
             lap_f, fresh = lap_f + (x - mu * delta), False
             if not np.all(np.isfinite(f)):
                 raise SolverDiverged("iteration produced non-finite values")
-    raise SolverDiverged(
-        f"no convergence within {p.max_iter} iterations "
-        f"(last residual {res:.3e})")
+    # max_iter steps leave the condition failing: a result, not an error
+    return YamabeResult(f, lam, res, p.max_iter, False, residuals, linear)
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,23 @@ def test_catalog_verify_exact(capsys):
     assert "reported" in out  # convention-sensitive rows shown, not asserted
 
 
+@pytest.mark.parametrize("params, exact", [("r=1,s=2", False),
+                                           ("r=2,s=1/3", True),
+                                           ("r=1,s=1,u=1/2", True),
+                                           ("r=1,s=1,u=1/2", False),
+                                           ("r=3,s=1/2,u=1/4+1/8i", True)])
+def test_catalog_verify_hopf_off_its_family(capsys, params, exact):
+    # hopf's closed forms hold on s = r, u = 0, S and lambda on u = 0
+    code, out, err = run(capsys, "catalog", "verify", "hopf", "--params",
+                         params, *(["--exact"] if exact else []))
+    assert code == 0 and err == ""
+    rows = [line.split()[0] for line in out.splitlines()]
+    on_u_zero = ["hopf.0.S_Ch", "hopf.0.einstein2_lambda"]
+    assert rows == ["hopf.0.Ric1", *(on_u_zero if "u" not in params else []),
+                    "all_passed"]
+    assert "FAIL" not in out
+
+
 def test_scan_reports(capsys):
     code, out, _ = run(capsys, "scan", "kodaira-primary",
                        "--grid", "0.5:1.5:0.5")
@@ -145,6 +162,22 @@ def test_scan_refuses_grid_beyond_row_cap(capsys, grid):
     assert len(lines) == 1 and "10000000 grid rows" in lines[0]
 
 
+def test_scan_memory_with_its_grid(capsys):
+    # the whole command, grid rows included, on a K=60 grid of 262,800
+    # rows: 5.3 MB, against 21.3 MB with the grid built before the scan
+    spec = f"{12 / 64!r}:{(12 + 59 * 5) / 64!r}:{5 / 64!r}"
+    assert len(cli._parse_grid(spec)) == 60
+    tracemalloc.start()
+    try:
+        code = main(["scan", "inoue-sm", "--grid", spec])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and fields(capsys.readouterr().out)["points"] == \
+        "262800"
+    assert peak <= 7e6
+
+
 def test_scan_takes_the_entry_structure_parameters(capsys, monkeypatch,
                                                    tmp_path):
     # snow-s5 at ell = 3 scans the algebra its export writes; each ell gives
@@ -180,9 +213,7 @@ def test_scan_refuses_metric_params(capsys, tmp_path, source, params):
     assert len(lines) == 1 and lines[0].startswith("error: scan takes r, s")
 
 
-def test_grid_values(monkeypatch):
-    monkeypatch.setattr(inv, "default_surface_grid",
-                        lambda r_values, s_values: r_values)
+def test_grid_values():
     # the invariant-scan workload's grids: whole 64ths, K values per axis
     for K, most in {6: 24, 8: 20, 12: 12, 42: 5}.items():
         for a in range(6, 33):
@@ -238,8 +269,19 @@ def test_yamabe_non_finite_is_one_line(capsys, tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")     # no overflow warning either
         code, out, err = run(capsys, "yamabe", "--problem", str(path))
-    assert code == 1 and out == ""
+    assert code == 2 and out == ""
     assert err == "error: Krylov solve produced non-finite values\n"
+
+
+def test_yamabe_without_convergence_fails_on_stdout(capsys):
+    # tol 0 is below the rounding floor of the residual: the condition
+    # fails after max_iter steps, reported like any other result
+    code, out, err = run(capsys, "yamabe", "--generator", "sine-offset",
+                         "--N", "16", "--tol", "0")
+    assert code == 1 and err == ""
+    got = fields(out)
+    assert got["converged"] == "false" and got["iterations"] == "200"
+    assert 0 < float(got["residual"]) < 1e-12
 
 
 def test_yamabe_poisson_branch_of_huge_amplitude(capsys, tmp_path):
@@ -599,11 +641,11 @@ def test_exact_refuses_decimal_params(capsys):
 
 @pytest.mark.parametrize("name", catalog.list_entries())
 def test_catalog_verify_exact_with_params(capsys, name):
-    # hopf's closed forms hold on its family s = r, u = 0 only, so away
-    # from it both arithmetics agree that its rows fail
+    # hopf's closed forms hold on its family s = r, u = 0 only and are
+    # skipped away from it, in both arithmetics
     code, exact_out, _ = run(capsys, "catalog", "verify", name, "--exact",
                              "--params", "r=1,s=2,u=1/2")
-    assert code == (1 if name == "hopf" else 0)
+    assert code == 0
     _, float_out, _ = run(capsys, "catalog", "verify", name,
                           "--params", "r=1,s=2,u=1/2")
 

@@ -1290,6 +1290,84 @@ def test_scan_memory_of_the_largest_workload_grid():
     assert _scan_peak("inoue-sm", grid) <= 4e6
 
 
+# ---------------------------------------------------------------------------
+# rows streamed in chunks against the same rows as one array
+
+def _chunked(rows, sizes):
+    """An iterator over ``rows`` cut into consecutive chunks of ``sizes``."""
+    return iter(np.split(rows, np.cumsum(sizes)[:-1]))
+
+
+@pytest.mark.parametrize("sizes", [
+    [1], [B - 1], [B], [B + 1], [B - 1, 1], [B - 1, 2], [B, B],
+    [5, 0, B - 5, B + 3], [1000] * 9, [3 * B + 7, 10]])
+def test_row_blocks_start_at_multiples_of_the_block(sizes):
+    # below, on and across a block's end, inside a chunk and between two
+    m = sum(sizes)
+    rows = np.arange(3 * m, dtype=complex).reshape(m, 3)
+    want = [rows[lo:lo + B] for lo in range(0, m, B)]
+    for grid in (rows, _chunked(rows, sizes)):
+        got = list(inv._row_blocks(grid))
+        assert [len(b) for b in got] == [len(b) for b in want]
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("r_values, s_values", [
+    ([1.0], [1.0]), (None, None), (K30[:6], K30[:6]), (K30[:22], K30[:22]),
+    ([(12 + 5 * k) / 64 for k in range(42)],) * 2, (K30, K30[:3]),
+    (K30[:3], [0.01 * k for k in range(1, 501)])])
+def test_surface_grid_chunks_are_the_grid(r_values, s_values):
+    chunks = list(inv.surface_grid_chunks(r_values, s_values))
+    whole = inv.default_surface_grid(r_values, s_values)
+    assert np.concatenate(chunks).tobytes() == whole.tobytes()
+    per_r = len(whole) // len(r_values or inv.SURFACE_AXIS)
+    assert all(len(c) <= max(inv.SCAN_CHUNK, per_r) for c in chunks)
+    # whole r values per chunk, as many as fit
+    assert all(len(c) % max(per_r, 1) == 0 for c in chunks)
+    assert len(chunks[0]) > inv.SCAN_CHUNK - per_r or len(chunks) == 1
+
+
+# 12 x 10 (r, s) pairs, 8760 rows: two blocks and part of a third
+AXIS_R = [0.25 + 0.25 * k for k in range(12)]
+AXIS_S = [0.3 + 0.3 * k for k in range(10)]
+
+
+@pytest.mark.parametrize("mode", ["strong", "weak"])
+@pytest.mark.parametrize("kind", [1, 2, 3])
+@pytest.mark.parametrize("name", catalog.list_entries())
+def test_streamed_scan_matches_materialised_rows(monkeypatch, name, kind,
+                                                 mode):
+    # chunks of two r values, 1460 rows, so that blocks span chunks
+    monkeypatch.setattr(inv, "SCAN_CHUNK", 1500)
+    alg, _, _ = catalog.build(name, exact=False)
+    cert = catalog.get(name).certificate
+    rows = inv.default_surface_grid(AXIS_R, AXIS_S)
+    want = inv.scan(alg, kind, grid=rows, mode=mode, certificate=cert)
+    _assert_same_report(want, _whole_grid_scan(alg, kind, rows, mode, cert))
+    got = inv.scan(alg, kind, grid=inv.surface_grid_chunks(AXIS_R, AXIS_S),
+                   mode=mode, certificate=cert)
+    _assert_same_report(got, want)
+    assert got.count == len(rows)
+
+
+@pytest.mark.parametrize("at", [B - 1, B, B + 1])
+@pytest.mark.parametrize("bad", [EDGE, (1e160, 1e160, 0), (1e150, 1e150, 0)],
+                         ids=["degenerate", "overflow", "det-overflow"])
+def test_streamed_scan_drops_rows_next_to_a_boundary(at, bad):
+    rows = np.insert(_random_grid(11, 2 * B), at, bad, axis=0)
+    alg, _, _ = catalog.build("inoue-sm", exact=False)
+    cert = catalog.get("inoue-sm").certificate
+    want = inv.scan(alg, 2, grid=np.delete(rows, at, axis=0),
+                    certificate=cert)
+    assert want.count == 2 * B
+    # the dropped row last in its block or first, last in its chunk or
+    # first, or alone in one
+    for sizes in ([len(rows)], [at, len(rows) - at],
+                  [at + 1, len(rows) - at - 1], [at, 1, len(rows) - at - 1]):
+        got = inv.scan(alg, 2, grid=_chunked(rows, sizes), certificate=cert)
+        _assert_same_report(got, want)
+
+
 def test_ricci_report_consistent():
     alg, h, _ = catalog.build("ovando-r4", {"r": 1.0}, exact=False)
     curv = inv.chern_curvature(alg, h)
