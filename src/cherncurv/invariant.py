@@ -1112,8 +1112,8 @@ def scan(alg: CoframeAlgebra, kind: int, grid=None, mode: str = "strong",
     The rows run in blocks of :data:`SCAN_BLOCK`; only per-block
     reductions and the tie rule's few candidates are kept.  With rows
     streamed in chunks, as :func:`surface_grid_chunks` yields them (the
-    default, and ``scan --grid``), memory is O(chunk), not O(grid): at
-    most :data:`SCAN_CHUNK` rows exist at a time.  Every per-row quantity
+    default, and ``scan --grid``), memory is O(chunk), not O(grid): rows
+    are built :data:`SCAN_CHUNK` at a time.  Every per-row quantity
     is elementwise in its row, and blocks start at the same rows however
     the rows are chunked, so the report depends on neither."""
     _check_pair(alg, 2)
