@@ -167,10 +167,11 @@ def abs2(z):
 def _nondegenerate(det, top, n):
     """Elementwise: whether a float metric with determinant ``det`` and
     largest |h_ij| ``top`` is not numerically degenerate, that is det h
-    and top^n are finite and |det h| >= DEGENERACY top^n."""
+    and top^n are finite and |det h| >= DEGENERACY top^n (which no finite
+    det h is of a top^n that is not)."""
     with np.errstate(over="ignore", invalid="ignore"):
         volume = DEGENERACY * np.asarray(top, dtype=float) ** n
-        return np.isfinite(det) & np.isfinite(volume) & (abs(det) >= volume)
+        return np.isfinite(det) & (abs(det) >= volume)
 
 
 def surface_matrix(r, s, u):
@@ -224,14 +225,14 @@ class SurfaceMetricParams:
 
 def _leading(x):
     """The view of a trailing-M array x[..., M] as x[M, ...]."""
-    return np.moveaxis(x, -1, 0)
+    return x.transpose(x.ndim - 1, *range(x.ndim - 1))
 
 
 def _trailing(x):
     """x[..., M] of a leading-M array x[M, ...]: a view when M is already
     the innermost index in memory, as in :func:`_leading` of a trailing-M
     array, or M = 1, else a C-contiguous copy."""
-    x = np.moveaxis(x, 0, -1)
+    x = x.transpose(*range(1, x.ndim), 0)
     if x.shape[-1] == 1 or x.strides[-1] == x.itemsize:
         return x
     return np.ascontiguousarray(x)
@@ -920,11 +921,12 @@ def _ric2(nonzeros, hs, up):
 
 
 def batch_einstein_residual(kind: int, alg: CoframeAlgebra, hs: np.ndarray,
-                            mode: str = "strong", b=None):
+                            mode: str = "strong", b=None, h_max=None):
     """Vectorised (lambda*, residual, relative residual, S) over a batch of
     metrics, from the traces of :func:`_connection_traces`.  ``b``, if
     given, is the structure B of ``alg`` (:func:`_structure`), whose pair
-    the caller has checked, as :func:`scan` does once for all its blocks.
+    the caller has checked, as :func:`scan` does once for all its blocks;
+    ``h_max``, if given, is max |h| per metric, as :func:`scan` has it.
 
     The relative residual is normalised by max(|Ric|, |lambda| |h|) per
     point, a dimensionless distance from the Einstein condition that is
@@ -941,7 +943,9 @@ def batch_einstein_residual(kind: int, alg: CoframeAlgebra, hs: np.ndarray,
     # Ric1 is one matrix broadcast over the metrics: its moduli over one
     # metric's slice
     top = np.max(np.abs(ric[..., :1] if kind == 1 else ric), axis=(0, 1))
-    scale = np.maximum(top, np.abs(lam) * np.max(np.abs(hs), axis=(0, 1)))
+    if h_max is None:
+        h_max = np.max(np.abs(hs), axis=(0, 1))
+    scale = np.maximum(top, np.abs(lam) * h_max)
     return lam, resid, resid / np.maximum(scale, 1e-300), s
 
 
@@ -967,9 +971,9 @@ TIE = 1e-9
 
 # grid rows per block of a scan, chosen by measurement: a K=42 kind-2 scan
 # ran fastest at 4096 of 2048, 4096, 8192 and 16384, whose M-vectors outgrow
-# the CPU's caches.  A block's temporaries peak at 2.9 MB, ~700 B a row
+# the CPU's caches.  A block's temporaries peak at 2.8 MB, ~680 B a row
 # (tracemalloc, inoue-sm kind 2 strong with its certificate; kinds 1 and 3
-# at 1.4 and 1.6 MB); the tie rule keeps at most 7 rows in any entry, kind
+# at 1.3 and 1.6 MB); the tie rule keeps at most 7 rows in any entry, kind
 # and mode at K=42.  Blocks start at the same row offsets whether the rows
 # come as one array or in chunks
 SCAN_BLOCK = 4096
@@ -1016,7 +1020,8 @@ def default_surface_grid(r_values=None, s_values=None, radii=SURFACE_RADII,
     with np.errstate(over="ignore", invalid="ignore"):
         rho = (0.95 * r[:, None] * s[:, None] * np.arange(1, radii + 1)
                / (radii + 1))
-        rows[:, 1:, 2] = (rho[:, :, None] * phase).reshape(len(r), -1)
+        rows[:, 1:, 2] = (rho[:, :, None] * phase).reshape(len(r),
+                                                           radii * phases)
     return rows.reshape(-1, 3)
 
 
@@ -1042,6 +1047,8 @@ def _row_blocks(grid):
     carry = np.empty((0, 3), complex)
     for chunk in chunks:
         chunk = np.asarray(chunk, dtype=complex)
+        if chunk.shape == (0,):  # an empty list of rows
+            continue
         if chunk.ndim != 2 or chunk.shape[1] != 3:
             raise ValueError(f"grid must be (r, s, u) rows, shape M x 3, "
                              f"got shape {chunk.shape}")
@@ -1059,32 +1066,36 @@ def _row_blocks(grid):
         yield carry
 
 
-def _surface_blocks(grid):
-    """Per block of :func:`_row_blocks`, the (r, s, u, h stack) of the
-    rows :func:`scan` keeps, h their :func:`surface_matrix` as the
-    leading-M view of a trailing-M array; blocks keeping none are skipped.
+def _surface_block(block):
+    """The (r, s, u, h stack, max |h|) of the rows of a block of
+    :func:`_row_blocks` that :func:`scan` keeps, h their
+    :func:`surface_matrix` as the leading-M view of a trailing-M array;
+    the block's other temporaries are freed on return.
 
-    r^2, s^2, |u|^2, det h and max |h|^2 overflow for huge rows by design:
-    such a row fails the mask, or its det h or max |h|^2 is not finite and
-    it is dropped with the numerically degenerate rows, as
-    :class:`HermitianMetric` refuses both.
-    """
-    for block in _row_blocks(grid):
-        with np.errstate(over="ignore", invalid="ignore"):
-            ok = surface_admissible(block[:, 0], block[:, 1], block[:, 2])
-            if not ok.all():
-                block = block[ok]
-            r, s, u = block[:, 0].real, block[:, 1].real, block[:, 2]
-            hs = np.array(surface_matrix(r, s, u), dtype=complex)
-            det = hs[0, 0] * hs[1, 1] - hs[0, 1] * hs[1, 0]
-            top = np.max(np.abs(hs), axis=(0, 1))
-        # HermitianMetric's DegenerateMetric rule: a row on the cone
-        # |u| = r s can pass the mask with a singular h in floats
-        keep = _nondegenerate(det, top, 2)
-        if not keep.all():
-            r, s, u, hs = r[keep], s[keep], u[keep], hs[..., keep]
-        if len(r):
-            yield r, s, u, _leading(hs)
+    h_00, h_11 are real and |h_10| = |h_01|, so det h = h_00 h_11 - |h_01|^2
+    and max |h| = max(h_00, h_11, |h_01|) are taken in real arithmetic,
+    bit for bit :class:`HermitianMetric`'s (numpy's complex product may
+    fuse a multiply and an add).  Huge rows overflow by design: such a row
+    fails the mask, or its det h or max |h|^2 is not finite and it is
+    dropped with the degenerate rows, as :class:`HermitianMetric` refuses
+    both."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        ok = surface_admissible(block[:, 0], block[:, 1], block[:, 2])
+        if not ok.all():
+            block = block[ok]
+        r, s, u = block[:, 0].real, block[:, 1].real, block[:, 2]
+        h = surface_matrix(r, s, u)
+        (p, off), (_, q) = h
+        det = p * q - abs2(off)
+        top = np.maximum(np.maximum(p, q), np.abs(off))
+    hs = np.empty((2, 2, len(r)), complex)
+    (hs[0, 0], hs[0, 1]), (hs[1, 0], hs[1, 1]) = h
+    # HermitianMetric's DegenerateMetric rule: a row on the cone |u| = r s
+    # can pass the mask with a singular h in floats
+    keep = _nondegenerate(det, top, 2)
+    if not keep.all():
+        r, s, u, hs, top = r[keep], s[keep], u[keep], hs[..., keep], top[keep]
+    return r, s, u, _leading(hs), top
 
 
 def scan(alg: CoframeAlgebra, kind: int, grid=None, mode: str = "strong",
@@ -1094,8 +1105,9 @@ def scan(alg: CoframeAlgebra, kind: int, grid=None, mode: str = "strong",
     an iterator of such arrays, whose rows run on as one grid; when None,
     :func:`surface_grid_chunks` of the default axes.  Rows that are not
     :func:`surface_admissible` are dropped, and so are rows whose metric
-    is numerically degenerate or not finite, as :class:`HermitianMetric`
-    refuses it.
+    :class:`HermitianMetric` refuses as numerically degenerate or not
+    finite, by its det h and max |h|, taken per block in real arithmetic
+    (:func:`_surface_block`); max |h| is also the residual's scale.
 
     ``certificate``, optional, is a sign certificate
     callable(r, s, u, lam) -> values that must all be negative; it is
@@ -1122,10 +1134,12 @@ def scan(alg: CoframeAlgebra, kind: int, grid=None, mode: str = "strong",
     # every earlier row and within TIE of the running minimum ``low``; the
     # first survivor wins, or the first row if every residual is NaN
     count, low, kept, first, certs = 0, np.nan, [], None, []
-    for r, s, u, hs in _surface_blocks(
-            surface_grid_chunks() if grid is None else grid):
-        lam, resid_abs, resid, _ = batch_einstein_residual(kind, alg, hs,
-                                                           mode=mode, b=b)
+    for r, s, u, hs, h_max in map(_surface_block, _row_blocks(
+            surface_grid_chunks() if grid is None else grid)):
+        if not len(r):
+            continue
+        lam, resid_abs, resid, _ = batch_einstein_residual(
+            kind, alg, hs, mode=mode, b=b, h_max=h_max)
         # before[i]: the least earlier residual, NaN while there is none
         before = np.fmin.accumulate(np.concatenate(([low], resid[:-1])))
         low = np.fmin(low, np.fmin.reduce(resid))

@@ -25,7 +25,13 @@ Run from the repository root, against the package under test::
     PYTHONPATH=src python tests/golden/regen.py [PREFIX ...]
 
 With prefixes, only the cases whose names start with one of them are
-rewritten, e.g. ``regen.py scan-`` for the scan outputs alone.
+rewritten, e.g. ``regen.py scan-`` for the scan outputs alone.  With
+``--check`` nothing is rewritten: the script prints the name of every
+selected case whose exit code or stdout differs byte for byte from its
+stored golden (or whose exact case does not exit 0), and exits 1 if
+there is one::
+
+    PYTHONPATH=src python tests/golden/regen.py --check [PREFIX ...]
 
 ``tests/test_golden.py`` reruns the same cases; it compares the exact
 outputs byte for byte and the float outputs key by key, with numbers
@@ -94,23 +100,28 @@ def run(argv):
     return rc, buf.getvalue()
 
 
-def main(prefixes=()) -> int:
-    prefixes = tuple(prefixes) or ("",)
-    for name, argv in cases():
+def main(args=()) -> int:
+    check = "--check" in args
+    prefixes = tuple(a for a in args if a != "--check") or ("",)
+    changed = []
+    for exact, (name, argv) in ([(True, c) for c in cases()]
+                                + [(False, c) for c in float_cases()]):
         if not name.startswith(prefixes):
             continue
         rc, text = run(argv)
-        if rc != 0:
+        if exact and rc != 0 and not check:
             print(f"{name}: exit {rc}", file=sys.stderr)
             return 1
-        (GOLDEN_DIR / f"{name}.txt").write_bytes(text.encode())
-    for name, argv in float_cases():
-        if not name.startswith(prefixes):
-            continue
-        rc, text = run(argv)
-        (GOLDEN_DIR / f"{name}.txt").write_bytes(
-            f"exit {rc}\n{text}".encode())
-    return 0
+        data = (text if exact else f"exit {rc}\n{text}").encode()
+        path = GOLDEN_DIR / f"{name}.txt"
+        if not check:
+            path.write_bytes(data)
+        elif (exact and rc != 0) or not path.exists() \
+                or path.read_bytes() != data:
+            changed.append(name)
+    for name in changed:
+        print(name)
+    return 1 if changed else 0
 
 
 if __name__ == "__main__":

@@ -77,3 +77,25 @@ def test_float_output_matches_golden(name, argv):
         .partition("\n")
     assert f"exit {rc}" == head
     assert_float_output_close(text, want)
+
+
+def test_regen_check_lists_changed_goldens_and_writes_nothing(
+        tmp_path, monkeypatch, capsys):
+    # one exact and one float case, stored as they are and then with the
+    # last digit of a float golden changed
+    names = ("verify-hopf", "scan-hopf-1-strong")
+    for name in names:
+        (tmp_path / f"{name}.txt").write_bytes(
+            (regen.GOLDEN_DIR / f"{name}.txt").read_bytes())
+    monkeypatch.setattr(regen, "GOLDEN_DIR", tmp_path)
+    assert regen.main(["--check", *names]) == 0
+    assert capsys.readouterr().out == ""
+    path = tmp_path / "scan-hopf-1-strong.txt"
+    text = path.read_text()
+    digit = max(i for i, c in enumerate(text) if c.isdigit())
+    edited = text[:digit] + str((int(text[digit]) + 1) % 10) \
+        + text[digit + 1:]
+    path.write_text(edited)
+    assert regen.main(["--check", *names]) == 1
+    assert capsys.readouterr().out == "scan-hopf-1-strong\n"
+    assert path.read_text() == edited

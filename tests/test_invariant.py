@@ -11,7 +11,7 @@ import pytest
 from cherncurv import catalog
 from cherncurv import invariant as inv
 from cherncurv.forms import CoframeAlgebra, InvariantForm, ext_d
-from cherncurv.scalars import ROUNDING, I_EXACT, QQi, conj
+from cherncurv.scalars import ROUNDING, I_EXACT, QQi, conj, mat_det
 from cherncurv.invariant import (DegenerateMetric, HermitianMetric,
                                  NotPositiveDefinite, SurfaceMetricParams)
 from forms_oracle import (chern_weil, ddbar_gauduchon, forms_curvature,
@@ -336,12 +336,12 @@ def _leading_axis_pipeline(alg, hs):
     return theta, ric, s, residuals, traced, traced_residuals
 
 
-def _log_uniform_params(seed, m):
+def _log_uniform_params(seed, m, lo=-2, hi=3):
     """m surface-metric parameters (r, s, u): r and s log-uniform in
-    1e-2..1e3, |u| < 0.95 r s at a uniform phase, and u = 0 on every
+    10^lo..10^hi, |u| < 0.95 r s at a uniform phase, and u = 0 on every
     fifth."""
     rng = np.random.default_rng(seed)
-    r, s = 10 ** rng.uniform(-2, 3, (2, m))
+    r, s = 10 ** rng.uniform(lo, hi, (2, m))
     u = (0.95 * r * s * rng.uniform(0, 1, m)
          * np.exp(2j * np.pi * rng.uniform(0, 1, m)))
     u[::5] = 0
@@ -587,7 +587,7 @@ def test_first_chern_ricci_flat_entry_has_zero_kind_1_residual():
          * np.exp(2j * np.pi * rng.uniform(0, 1, 2000)))
     grid = np.stack([r, s, u], axis=1)
     alg, _, _ = catalog.build("kodaira-primary", exact=False)
-    (_, _, _, hs), = inv._surface_blocks(grid)  # the rows scan keeps
+    _, _, _, hs, _ = inv._surface_block(grid)  # the rows scan keeps
     assert len(hs) == 1814
     for mode in ("strong", "weak"):
         _, resid_abs, resid, _ = inv.batch_einstein_residual(1, alg, hs, mode)
@@ -600,7 +600,7 @@ def test_kind_1_scale_takes_moduli_of_one_ric1(monkeypatch):
     # all n^2 M
     grid = np.array([[r, s, 0.1 * r * s] for r in (0.5, 1, 2)
                      for s in (0.7, 3)])
-    (_, _, _, hs), = inv._surface_blocks(grid)
+    _, _, _, hs, _ = inv._surface_block(grid)
     alg, _, _ = catalog.build("inoue-sm", exact=False)
     sizes, real = [], np.abs
 
@@ -911,7 +911,7 @@ def test_scan_blocks_hold_the_surface_metric_bit_for_bit():
     # the scan's h stack and a single metric's h come from one formula,
     # inv.surface_matrix; u = 0 on every fifth row
     r, s, u = _log_uniform_params(23, 400)
-    (r, s, u, hs), = inv._surface_blocks(np.stack([r, s, u], axis=1))
+    r, s, u, hs, _ = inv._surface_block(np.stack([r, s, u], axis=1))
     assert len(hs) == 400
     for i in range(len(hs)):
         _same_bits(hs[i],
@@ -986,12 +986,32 @@ def test_scan_rejects_empty_grid():
         inv.scan(alg, 2, grid=[(1.0, 1.0, 5.0)])  # inadmissible point
 
 
-@pytest.mark.parametrize("grid", [[(1.0, 1.0)], [1.0, 1.0, 0.5], [],
-                                  np.ones((4, 3, 1)), np.ones((2, 4))])
+@pytest.mark.parametrize("grid", [[(1.0, 1.0)], [1.0, 1.0, 0.5],
+                                  np.ones((0, 4)), np.ones((4, 3, 1)),
+                                  np.ones((2, 4))])
 def test_scan_rejects_grid_not_m_by_3(grid):
     alg, _, _ = catalog.build("hopf", {"r": 1.0}, exact=False)
     with pytest.raises(ValueError, match="M x 3"):
         inv.scan(alg, 2, grid=grid)
+
+
+@pytest.mark.parametrize("grid", [
+    lambda: [], lambda: np.empty((0, 3)), lambda: iter([]),
+    lambda: inv.default_surface_grid([1.0], []),
+    lambda: inv.surface_grid_chunks([], [1.0]),
+    lambda: inv.surface_grid_chunks([1.0], [])],
+    ids=["list", "array", "iterator", "grid-no-s", "chunks-no-r",
+         "chunks-no-s"])
+def test_scan_of_no_rows_has_no_admissible_points(grid):
+    alg, _, _ = catalog.build("hopf", {"r": 1.0}, exact=False)
+    with pytest.raises(ValueError, match="no admissible grid points"):
+        inv.scan(alg, 2, grid=grid())
+
+
+@pytest.mark.parametrize("r_values, s_values", [([1.0], []), ([], [1.0])])
+def test_default_surface_grid_of_an_empty_axis(r_values, s_values):
+    rows = inv.default_surface_grid(r_values, s_values)
+    assert rows.shape == (0, 3) and rows.dtype == complex
 
 
 def _nested_loop_grid(r_values=None, s_values=None, radii=9, phases=8):
@@ -1084,21 +1104,41 @@ EDGE = (4.2078405135370796, 4.72617142078429,
         -19.649257210196208 + 3.065695474006352j)  # degenerate in floats
 
 
-def _whole_grid_scan(alg, kind, grid, mode="strong", certificate=None):
-    """The scan on all rows at once: one batched residual, the first row
-    within TIE of the least residual (NaN rows never, the first row when
-    all are NaN), all and np.max for the certificate."""
+def _complex_rows(grid):
+    """(mask, keep, r, s, u, h, det h, max |h|) of an (M, 3) grid: the
+    mask r^2 > 0, s^2 > 0 and r^2 s^2 - |u|^2 > 0 of every row, |u|^2 as
+    Re(u)^2 + Im(u)^2; of the rows it passes the complex h (M, 2, 2),
+    det h and max |h| as HermitianMetric takes them, mat_det of the row's
+    h in Python complex scalars and the largest of the four moduli; and
+    HermitianMetric's rule ``keep``: det h and max |h|^2 finite and
+    |det h| >= DEGENERACY max |h|^2."""
     grid = np.asarray(grid, dtype=complex)
-    grid = grid[inv.surface_admissible(grid[:, 0], grid[:, 1], grid[:, 2])]
-    r, s, u = grid[:, 0].real, grid[:, 1].real, grid[:, 2]
-    hs = np.empty((len(grid), 2, 2), dtype=complex)
-    hs[:, 0, 0] = r * r / 2
-    hs[:, 1, 1] = s * s / 2
-    hs[:, 0, 1] = -1j * u / 2
-    hs[:, 1, 0] = 1j * u.conjugate() / 2
-    det = hs[:, 0, 0] * hs[:, 1, 1] - hs[:, 0, 1] * hs[:, 1, 0]
-    keep = (np.abs(det) >= inv.DEGENERACY
-            * np.max(np.abs(hs), axis=(1, 2)) ** 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r2, s2 = grid[:, 0].real ** 2, grid[:, 1].real ** 2
+        mask = ((r2 > 0) & (s2 > 0)
+                & (r2 * s2 - (grid[:, 2].real ** 2 + grid[:, 2].imag ** 2)
+                   > 0))
+        r, s, u = grid[mask, 0].real, grid[mask, 1].real, grid[mask, 2]
+        hs = np.empty((len(r), 2, 2), dtype=complex)
+        hs[:, 0, 0] = r * r / 2
+        hs[:, 1, 1] = s * s / 2
+        hs[:, 0, 1] = -(1j * u) / 2
+        hs[:, 1, 0] = 1j * u.conjugate() / 2
+        # numpy's complex product may fuse a multiply and an add, which
+        # CPython's does not
+        det = np.array([mat_det(h) for h in hs.tolist()], dtype=complex)
+        top = np.max(np.abs(hs), axis=(1, 2))
+        volume = inv.DEGENERACY * top ** 2
+    keep = np.isfinite(det) & np.isfinite(volume) & (np.abs(det) >= volume)
+    return mask, keep, r, s, u, hs, det, top
+
+
+def _whole_grid_scan(alg, kind, grid, mode="strong", certificate=None):
+    """The scan on all rows at once: one batched residual over the rows
+    :func:`_complex_rows` keeps, the first row within TIE of the least
+    residual (NaN rows never, the first row when all are NaN), all and
+    np.max for the certificate."""
+    _, keep, r, s, u, hs, _, _ = _complex_rows(grid)
     hs, r, s, u = hs[keep], r[keep], s[keep], u[keep]
     lam, resid_abs, resid, _ = inv.batch_einstein_residual(kind, alg, hs,
                                                            mode=mode)
@@ -1138,6 +1178,88 @@ def _check_blocks(grid, kind=2, mode="strong", entry="inoue-sm",
     got = inv.scan(alg, kind, grid=grid, mode=mode, certificate=cert)
     _assert_same_report(got, _whole_grid_scan(alg, kind, grid, mode, cert))
     return got
+
+
+def _wide_grid(seed, m):
+    """m rows of :func:`_log_uniform_params` with r and s in 1e-80..1e76;
+    m / 4 rows with |det h| within 1e-12 of DEGENERACY max |h|^2, where
+    the rule's verdict turns on det h's last bits; rows on the cone,
+    |u| = r s (1 - 2^-52); and rows that underflow or overflow: r^2 s^2
+    subnormal, r^2 s^2 past the largest float where (r^2 / 2) (s^2 / 2)
+    is not, det h or h itself not finite."""
+    r, s, u = _log_uniform_params(seed, m, -80, 76)
+    rng = np.random.default_rng(seed)
+    a, b = 10 ** rng.uniform(-1, 1, (2, m // 4))
+    p, q = a * a / 2, b * b / 2
+    near = 1e-10 * np.maximum(p, q) ** 2 * (1 + rng.uniform(-1e-12, 1e-12,
+                                                            m // 4))
+    edge = list(zip(a, b, 2 * np.sqrt(p * q - near)
+                    * np.exp(2j * np.pi * rng.uniform(0, 1, m // 4))))
+    a, b = 10 ** rng.uniform(-30, 30, (2, 40))
+    edge += [(x, y, x * y * (1 - 2 ** -52) * phase) for x, y, phase in
+             zip(a, b, np.exp(2j * np.pi * rng.uniform(0, 1, 40)))]
+    edge += [(x, y, x * y * (1 - 2 ** -52)) for x, y in zip(a, b)]
+    a, b = 10 ** rng.uniform(-80, -77, (2, 40))
+    edge += [(x, y, x * y * f) for x, y, f in
+             zip(a, b, rng.uniform(-0.9, 0.9, 40))]
+    edge += [(1.2e77, 1.2e77, 0), (1.2e77, 1.3e77, 1e150),
+             (1.5e77, 1e77, 3e153j), (1e150, 1e150, 0), (1e160, 1e160, 0),
+             (1e-81, 1e-81, 0), (1e160, 1, 0), (1, 1, 1e160), EDGE]
+    return np.concatenate([np.stack([r, s, u], axis=1), edge])
+
+
+def test_scan_prologue_is_hermitian_metrics_rule_bit_for_bit(monkeypatch):
+    # the mask, det h and max |h| that decide which rows are kept, and the
+    # max |h| the residual's scale reads, over every block of the grid.
+    # Rows with r^2 s^2 and |u|^2 subnormal and |u| just above r s: some
+    # pass the mask, and DEGENERACY max |h|^2 underflows, so they pass the
+    # rule with |h_01| the largest modulus; _upper refuses them
+    rng = np.random.default_rng(31)
+    x = 10 ** rng.uniform(-81, -79, 400)
+    v = (x * x * rng.uniform(1, 1.002, 400)
+         * np.exp(2j * np.pi * rng.uniform(0, 1, 400)))
+    grid = np.concatenate([_wide_grid(31, B), np.stack([x, x, v], axis=1)])
+    seen = {"surface_admissible": [], "_nondegenerate": []}
+    for name in seen:
+        def recorded(*args, _name=name, _fn=getattr(inv, name)):
+            seen[_name].append(args + (_fn(*args),))
+            return seen[_name][-1][-1]
+        monkeypatch.setattr(inv, name, recorded)
+    blocks = [inv._surface_block(b) for b in inv._row_blocks(grid)]
+    monkeypatch.undo()
+    mask, keep, r, s, u, hs, det, top = _complex_rows(grid)
+    _same_bits(np.concatenate([c[-1] for c in seen["surface_admissible"]]),
+               mask)
+    got_det, got_top, _, got_keep = zip(*seen["_nondegenerate"])
+    _same_bits(np.concatenate(got_det), det.real)
+    _same_bits(np.concatenate(got_top), top)
+    _same_bits(np.concatenate(got_keep), keep)
+    assert not det.imag[np.isfinite(det.real)].any()
+    got = [np.concatenate(x) for x in zip(*blocks)]
+    for x, want in zip(got, (r, s, u, hs, top)):
+        _same_bits(x, want[keep])
+
+    # keep is HermitianMetric's degeneracy verdict on each row
+    def degenerate(h):
+        try:
+            HermitianMetric(h)
+        except DegenerateMetric:
+            return True
+        except NotPositiveDefinite:
+            pass
+        return False
+
+    assert [not degenerate(h) for h in hs.tolist()] == keep.tolist()
+    assert 0 < np.count_nonzero(keep) < np.count_nonzero(mask) < len(grid)
+    off = np.abs(hs[:, 0, 1])
+    assert np.any(keep & (off > hs[:, 0, 0].real) & (off > hs[:, 1, 1].real))
+
+
+@pytest.mark.parametrize("kind, mode", [(1, "weak"), (2, "strong"),
+                                        (3, "weak")])
+def test_block_scan_matches_whole_grid_on_wide_rows(kind, mode):
+    grid = _wide_grid(37, 2 * B)
+    assert _check_blocks(grid, kind, mode, certificate=False).count > 0
 
 
 @pytest.mark.parametrize("rows", [1, B - 1, B, B + 1, 2 * B + 3],
@@ -1180,7 +1302,7 @@ def test_block_scan_winner_copied_later():
     lambda r, s: np.full_like(r, np.nan)])
 def test_block_scan_tie_rule(monkeypatch, resid_of):
     # ties between different rows, so the earliest row is seen to win
-    def fake(kind, alg, hs, mode="strong", b=None):
+    def fake(kind, alg, hs, mode="strong", b=None, h_max=None):
         r, s = np.sqrt(2 * hs[:, 0, 0].real), np.sqrt(2 * hs[:, 1, 1].real)
         zero = np.zeros(len(hs))
         return zero, zero, resid_of(r, s), zero
@@ -1191,7 +1313,7 @@ def test_block_scan_tie_rule(monkeypatch, resid_of):
 
 def test_block_scan_tie_across_blocks(monkeypatch):
     # the tied rows sit at local index 10 of block 1 and 0 of block 2
-    def fake(kind, alg, hs, mode="strong", b=None):
+    def fake(kind, alg, hs, mode="strong", b=None, h_max=None):
         zero = np.zeros(len(hs))
         return zero, zero, (hs[:, 1, 1].real > 0.1) * 1.0, zero
 
