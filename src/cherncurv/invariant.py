@@ -168,7 +168,7 @@ def _nondegenerate(det, top, n):
     """Elementwise: whether a float metric with determinant ``det`` and
     largest |h_ij| ``top`` is not numerically degenerate, that is det h
     and top^n are finite and |det h| >= DEGENERACY top^n (which no finite
-    det h is of a top^n that is not)."""
+    |det h| is when top^n is infinite or NaN)."""
     with np.errstate(over="ignore", invalid="ignore"):
         volume = DEGENERACY * np.asarray(top, dtype=float) ** n
         return np.isfinite(det) & (abs(det) >= volume)
