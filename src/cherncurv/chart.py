@@ -282,13 +282,13 @@ def curvature_at(field: ChartMetricField, x):
 
 
 def ricci_matrices_at(field: ChartMetricField, x):
-    """(Ric1, Ric2, S) from the curvature tensor at x, by the invariant
-    layer's contractions of the stack of one point."""
+    """(Ric1, Ric2, S = <h^{-1}, Ric1>) from the curvature tensor at x, by
+    the invariant layer's contractions of the stack of one point."""
     theta, _, up = _curvature(field, x)
     up, theta = up[..., None], theta[..., None]
-    return (inv._ricci_stack(1, up, theta)[..., 0],
-            inv._ricci_stack(2, up, theta)[..., 0],
-            float(inv._scalar_stack(up, theta)[0]))
+    ric1 = np.einsum(inv._RICCI[1], up, theta)[..., 0]
+    return (ric1, np.einsum(inv._RICCI[2], up, theta)[..., 0],
+            float(np.einsum(inv._S, up, ric1)[0].real))
 
 
 def chern_laplacian_at(field: ChartMetricField, f: ScalarField, x):
@@ -379,9 +379,9 @@ def conformal_check(field: ChartMetricField, f: ScalarField, x):
 
     # the rescaled and the base metric as one stack of M = 2
     ups, thetas = np.stack([up_f, up], -1), np.stack([theta_f, theta], -1)
-    ric1_f, ric1 = inv._leading(inv._ricci_stack(1, ups, thetas))
+    ric1_f, ric1 = inv._leading(np.einsum(inv._RICCI[1], ups, thetas))
     out["ric1"] = _rel(ric1_f, ric1 - n * d2f)
-    ric2_f, ric2 = inv._leading(inv._ricci_stack(2, ups, thetas))
+    ric2_f, ric2 = inv._leading(np.einsum(inv._RICCI[2], ups, thetas))
     lap = inv._laplacian_stack(up[..., None], d2f[..., None])[0]
     out["ric2"] = _rel(ric2_f, ric2 + 0.5 * lap * h0)
     return out
@@ -456,7 +456,8 @@ def first_ce_from_potential(potential: ScalarField, sign: int,
             raise ValueError(
                 "potential is not strictly plurisubharmonic at a point")
         theta, _, up = _curvature(scaled, x)
-        ric1 = inv._ricci_stack(1, up[..., None], theta[..., None])[..., 0]
+        ric1 = np.einsum(inv._RICCI[1], up[..., None],
+                         theta[..., None])[..., 0]
         worst = max(worst, _rel(ric1, sign * h0))
         z = [complex(x[2 * i], x[2 * i + 1]) for i in range(n)]
         fval = float(np.real(complex(f_of(h0.tolist(), z))))

@@ -18,17 +18,15 @@ theta^l_k = R^m_{k i jbar} phi^i ^ bar(phi)^j has the closed form
                    + gamma^m_{l i} B^l_{k j} - B^m_{l j} gamma^l_{k i},
     Theta_{i jbar k lbar} = R^m_{k i jbar} h_{m lbar}.
 
-One einsum evaluation of this formula, and one set of contractions of
-Theta (the two Ricci forms, the third Ricci tensor, both scalar
-curvatures, the Einstein residuals), serves a single metric in exact QQi
-or float arithmetic.  The chart backend (:mod:`cherncurv.chart`) takes its
-h^{-1}, Ricci forms, S and Chern-Laplacian trace from the same
-contractions.  The batched scan reads only one Ricci trace and S, and
-contracts them from gamma, B, h^{-1} and h without forming R or Theta
-(:func:`_connection_traces`; for kind 2 over B's nonzero entries alone,
-each step an elementwise ufunc over the metrics), so the single path,
-with ``chern_connection``'s einsum, is its independent reference; in both,
-one metric is the batch of size M = 1.
+One einsum evaluation of this formula gives a single metric's Theta, in
+exact QQi or float arithmetic.  Ric1, Ric3, S = <h^{-1}, Ric1> and S3 =
+<h^{-1}, Ric3> have one rule, for a scan block and for one metric as its
+stack of one: :func:`_connection_traces` contracts gamma, B, h^{-1} and h,
+without R or Theta.  Ric2 of one metric is Theta's trace, about four times
+cheaper there; a scan block's runs over B's nonzero entries alone.  The
+chart backend (:mod:`cherncurv.chart`) contracts the Theta of its jets by
+the same einsums.  The tests keep Theta's contractions as the kernel's
+independent reference; one metric is the batch of size M = 1.
 
 :func:`chern_curvature` validates and solves a (coframe, metric) pair once;
 its :class:`CurvatureTensor` carries A, B, gamma and h^{-1}, forms R and
@@ -391,30 +389,9 @@ def _contract(spec, *pairs):
     return value, _bound(spec, *((abs(v), e) for v, e in pairs))
 
 
-# the einsum of Ric^(kind) [a, b, M] over (up, Theta); kind 3 has indices
-# (k, jbar)
-_RICCI = {1: "klM,abklM->abM", 2: "ijM,ijabM->abM", 3: "ilM,ibalM->abM"}
-_S_CHERN = "ijM,klM,ijklM->M"
-
-
-def _ricci_stack(kind, up, theta):
-    """Ric^(kind) [a, b, M] of trailing-M (up, Theta).  Kinds 1 and 3
-    contract Theta's last index l; each l-sum is formed first and the sums
-    are then added over the outer index, the order in which one metric's
-    einsum adds them, so a metric gets the same bits alone or in a stack."""
-    if kind not in _RICCI:
-        raise ValueError("kind must be 1, 2 or 3")
-    spec = _RICCI[kind]
-    if kind == 2:
-        return np.einsum(spec, up, theta)
-    outer = spec[0]
-    return np.einsum(spec.replace("->ab", "->ab" + outer), up,
-                     theta).sum(axis=2)
-
-
-def _scalar_stack(up, theta):
-    """S [M], real part, of trailing-M (up, Theta)."""
-    return np.einsum(_S_CHERN, up, up, theta).real
+# the einsum of Ric^(kind) [a, b, M] over trailing-M (up, Theta), kinds 1
+# and 2: the chart's Ricci forms, and a solved metric's Ric2
+_RICCI = {1: "klM,abklM->abM", 2: "ijM,ijabM->abM"}
 
 
 def _laplacian_stack(up, d2f):
@@ -444,7 +421,6 @@ def _einstein_stack(mode, hs, ric, s):
 # ---------------------------------------------------------------------------
 # one metric: the solve, and the tensor that owns its contractions
 
-_S_THIRD = "kjM,ilM,ijklM->M"
 _TAU = "kjk->j"
 
 
@@ -531,42 +507,65 @@ class CurvatureTensor:
             return _bound(_THETA, (mag("r_upper"), self._err("r_upper")), h)
         return self._once(("bound", name), compute)
 
-    def _bound_of(self, spec, *names):
-        """The rounding bound of np.einsum(spec) over the named arrays of
-        the tensor; zero for an exact tensor."""
-        if self.exact:
-            return np.zeros((self.n,) * len(spec.split("->")[1].strip("M")))
-        return _bound(spec, *((self._abs(x), self._err(x)) for x in names))
+    @functools.cached_property
+    def _ric3_steps(self):
+        """(t, g, Ric3) of :func:`_ric3` on the stack of one."""
+        return tuple(x[..., 0] for x in _ric3(self.b, self.h[..., None],
+                                              self.up[..., None]))
 
     def ric(self, kind: int):
         """Coefficient matrix M with Ric = sqrt(-1) M_{a bbar} phi^a ^
-        bar(phi)^b for kinds 1 and 2; for kind 3 the tensor Ric3_{k jbar}."""
-        return self._once(("ric", kind), lambda: _ricci_stack(
-            kind, self.up[..., None], self.lowered[..., None])[..., 0])
+        bar(phi)^b for kinds 1 and 2; for kind 3 the tensor Ric3_{k jbar}:
+        Theta's trace for kind 2, the connection kernel's for 1 and 3."""
+        def compute():
+            if kind == 1:
+                return _ric1(self.b)
+            if kind == 3:
+                return self._ric3_steps[2]
+            if kind == 2:
+                return np.einsum(_RICCI[2], self.up[..., None],
+                                 self.lowered[..., None])[..., 0]
+            raise ValueError("kind must be 1, 2 or 3")
+        return self._once(("ric", kind), compute)
 
     def ric_bound(self, kind: int):
-        """The rounding bound of each entry of :meth:`ric`."""
-        return self._once(("ric_bound", kind), lambda: self._bound_of(
-            _RICCI[kind], "up", "lowered"))
+        """Each entry's rounding bound of :meth:`ric`, by :func:`_bound` over
+        the einsums that formed it (B is an input)."""
+        def compute():
+            if self.exact:
+                return np.zeros((self.n, self.n))
+            up, b = (self._abs("up"), self._err("up")), (self._abs("b"), None)
+            if kind == 1:  # Ric1 = X + X^*
+                e_x = _bound(_X, b, b)
+                return e_x + e_x.T
+            if kind == 3:
+                t, g, _ = map(abs, self._ric3_steps)
+                e_g = _bound(_G, (self._abs("h"), None),
+                             (t, _bound(_T, up, b)))
+                return _bound(_RIC3[0], (g, e_g), b) + _bound(_RIC3[1], b, b)
+            return _bound(_RICCI[2], up, (self._abs("lowered"),
+                                          self._err("lowered")))
+        return self._once(("ric_bound", kind), compute)
 
-    def _double_trace(self, spec):
-        """(real value, rounding bound) of a double trace of Theta; a float
-        value within its bound is 0."""
-        x = np.asarray(np.einsum(spec.replace("M", ""), self.up, self.up,
-                                 self.lowered)).item()
-        bound = self._bound_of(spec, "up", "up", "lowered").item()
-        x = _realize(x, bound)
+    def _trace(self, kind):
+        """(real value, rounding bound) of <h^{-1}, Ric^(kind)>, the kernel's
+        S on the stack of one; a float value within its bound is 0."""
+        ric = self.ric(kind)
+        bound = 0.0 if self.exact else _bound(
+            _S, (self._abs("up"), self._err("up")),
+            (abs(ric), self.ric_bound(kind))).item()
+        x = _realize(np.einsum(_S, self.up[..., None], ric)[0], bound)
         return (0.0 if x and negligible(x, bound) else x), bound
 
     @functools.cached_property
     def s_chern(self):
         """(S, its rounding bound); see :func:`scalar_chern`."""
-        return self._double_trace(_S_CHERN)
+        return self._trace(1)
 
     @functools.cached_property
     def s_third(self):
         """(S3, its rounding bound); see :func:`scalar_third`."""
-        return self._double_trace(_S_THIRD)
+        return self._trace(3)
 
     def einstein(self, kind: int, mode: str = "strong"):
         """(lambda*, residual); see :func:`einstein_residual`."""
@@ -667,7 +666,7 @@ def scalar_chern(curv: CurvatureTensor, h: HermitianMetric):
 
 
 def scalar_third(curv: CurvatureTensor, h: HermitianMetric):
-    """The alternative double trace h^{k jbar} h^{i lbar} Theta_{i jbar k lbar}."""
+    """S3 = h^{k jbar} h^{i lbar} Theta_{i jbar k lbar} = <h^{-1}, Ric3>."""
     return curv.s_third[0]
 
 
@@ -804,18 +803,17 @@ def bogomolov_lubke(curv: CurvatureTensor, h: HermitianMetric):
 # ---------------------------------------------------------------------------
 # batched float pipeline (used by parameter scans)
 
-def batch_curvature(alg: CoframeAlgebra, hs: np.ndarray, up=None):
+def batch_curvature(alg: CoframeAlgebra, hs: np.ndarray):
     """Lowered curvature for a batch of constant metrics, vectorised.
 
-    ``hs`` has shape (M, n, n), and ``up``, if given, is their trailing-M
-    inverse.  Returns Theta of shape (M, n, n, n, n) indexed [batch, i, j,
-    k, l], by the formula :func:`chern_curvature` applies to one metric:
-    the leading-M view of a trailing-M array.  The scan does not form it;
-    :func:`batch_einstein_residual` contracts the connection instead.
+    ``hs`` has shape (M, n, n).  Returns Theta of shape (M, n, n, n, n)
+    indexed [batch, i, j, k, l], by the formula :func:`chern_curvature`
+    applies to one metric: the leading-M view of a trailing-M array.  The
+    scan does not call it.
     """
     _check_pair(alg, hs.shape[1])
     b = _structure(alg, exact=False)[1]
-    up = _trailing(_upper(hs)) if up is None else up
+    up = _trailing(_upper(hs))
     hs = _trailing(hs)
     return _leading(_curvature(b, chern_connection(b, hs, up), hs)[1])
 
@@ -844,23 +842,37 @@ def _connection_traces(kind, b, hs, up):
     commutator terms l = m = a are the same products and are left out;
     summed with the rest instead, their rounding, times a large h_{m bbar},
     reached 2e-3 of Ric2 at kodaira-secondary r = 718, s = 0.28, u = 0."""
-    if kind not in _RICCI:
+    if kind not in (1, 2, 3):
         raise ValueError("kind must be 1, 2 or 3")
-    cb = np.conj(b)
-    x = -np.einsum("mml,lab->ab", cb, b)
-    ric1 = x + np.conj(x.T)
-    s = np.einsum("abM,ab->M", up, ric1)
+    ric1 = _ric1(b)
+    s = np.einsum(_S, up, ric1)
     if kind == 1:
         return np.broadcast_to(ric1[..., None], hs.shape), s
     if kind == 3:
-        t = np.einsum("ijM,lij->lM", up, b)
-        g = -np.einsum("lkM,kM->lM", hs, np.conj(t))
-        return (np.einsum("lM,lab->abM", g, b)
-                - np.einsum("ial,lbi->ab", b, cb)[..., None]), s
+        return _ric3(b, hs, up)[2], s
     ric = np.full(hs.shape, QQi() if hs.dtype == object else 0j, hs.dtype)
     for (a, c), x in _ric2(_nonzeros(b), hs, up).items():
         ric[a, c] = x
     return ric, s
+
+
+# the kernel's einsums of kinds 1 and 3 and S, which the tensor's bounds reuse
+_X, _S = "mml,lab->ab", "abM,ab->M"
+_T, _G, _RIC3 = "ijM,lij->lM", "lkM,kM->lM", ("lM,lab->abM", "ial,lbi->ab")
+
+
+def _ric1(b):
+    """Ric1 = X + X^* of B (:func:`_connection_traces`)."""
+    x = -np.einsum(_X, np.conj(b), b)
+    return x + np.conj(x.T)
+
+
+def _ric3(b, hs, up):
+    """(t, g, Ric3) of trailing-M (h, up) (:func:`_connection_traces`)."""
+    t = np.einsum(_T, up, b)
+    g = -np.einsum(_G, hs, np.conj(t))
+    return t, g, (np.einsum(_RIC3[0], g, b)
+                  - np.einsum(_RIC3[1], b, np.conj(b))[..., None])
 
 
 def _nonzeros(b):
@@ -996,13 +1008,13 @@ SURFACE_PAIR_ROWS = 1 + SURFACE_RADII * SURFACE_PHASES
 SURFACE_AXIS = tuple(0.25 * k for k in range(1, 13))
 
 
-def default_surface_grid(r_values=None, s_values=None, radii=SURFACE_RADII,
-                         phases=SURFACE_PHASES):
+def default_surface_grid(r_values=None, s_values=None):
     """The (r, s, u) grid as an (M, 3) complex array of rows: r, s in
     0.25..3 and, for each (r, s) pair in that order, u = 0 and then u on a
     polar grid strictly inside the admissibility cone |u| < 0.95 r s,
     radius 0.95 r s a / (radii + 1) for a = 1..radii, each at the phases
-    2 pi p / phases."""
+    2 pi p / phases (:data:`SURFACE_RADII`, :data:`SURFACE_PHASES`)."""
+    radii, phases = SURFACE_RADII, SURFACE_PHASES
     if r_values is None:
         r_values = SURFACE_AXIS
     if s_values is None:
@@ -1077,9 +1089,9 @@ def _surface_block(block):
     bit for bit :class:`HermitianMetric`'s (numpy's complex product may
     fuse a multiply and an add).  Huge rows overflow by design: such a row
     fails the mask, or its det h or max |h|^2 is not finite and it is
-    dropped with the degenerate rows, as :class:`HermitianMetric` refuses
-    both."""
-    with np.errstate(over="ignore", invalid="ignore"):
+    dropped with the degenerate rows, and so is a row whose pivots
+    :func:`_upper` refuses, as :class:`HermitianMetric` refuses them all."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         ok = surface_admissible(block[:, 0], block[:, 1], block[:, 2])
         if not ok.all():
             block = block[ok]
@@ -1088,11 +1100,12 @@ def _surface_block(block):
         (p, off), (_, q) = h
         det = p * q - abs2(off)
         top = np.maximum(np.maximum(p, q), np.abs(off))
-    hs = np.empty((2, 2, len(r)), complex)
-    (hs[0, 0], hs[0, 1]), (hs[1, 0], hs[1, 1]) = h
-    # HermitianMetric's DegenerateMetric rule: a row on the cone |u| = r s
-    # can pass the mask with a singular h in floats
-    keep = _nondegenerate(det, top, 2)
+        hs = np.empty((2, 2, len(r)), complex)
+        (hs[0, 0], hs[0, 1]), (hs[1, 0], hs[1, 1]) = h
+        # on the cone |u| = r s h can be singular; where r^2 s^2 is
+        # subnormal the rule underflows, and _upper's pivot 2 can be <= 0
+        pivot = hs[1, 1] - hs[1, 0] * (hs[0, 1] / hs[0, 0])
+        keep = _nondegenerate(det, top, 2) & (p > 0) & (pivot.real > 0)
     if not keep.all():
         r, s, u, hs, top = r[keep], s[keep], u[keep], hs[..., keep], top[keep]
     return r, s, u, _leading(hs), top
@@ -1105,8 +1118,8 @@ def scan(alg: CoframeAlgebra, kind: int, grid=None, mode: str = "strong",
     an iterator of such arrays, whose rows run on as one grid; when None,
     :func:`surface_grid_chunks` of the default axes.  Rows that are not
     :func:`surface_admissible` are dropped, and so are rows whose metric
-    :class:`HermitianMetric` refuses as numerically degenerate or not
-    finite, by its det h and max |h|, taken per block in real arithmetic
+    :class:`HermitianMetric` refuses, as degenerate or not finite by its
+    det h and max |h| or by its pivots, taken per block
     (:func:`_surface_block`); max |h| is also the residual's scale.
 
     ``certificate``, optional, is a sign certificate

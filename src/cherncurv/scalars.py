@@ -39,8 +39,9 @@ ABS_TOL = 1e-14
 UNIT_ROUNDOFF = 2.0 ** -53
 # negligible's one constant, its margin over a first-order rounding bound
 # for the dropped second-order terms and the few additions a bound folds
-# in.  Over 9 entries x 17 points, r and s from 1e-3 to 1e4, zero results
-# reached 0.73 of their bound and nonzero ones no less than 13.8 of it.
+# in.  Over 9 entries x 245 points, r and s from 1e-3 to 1e4, zero results
+# reached 0.063 of their bound and nonzero ones no less than 4.2e3 of it,
+# but for Ric2 where R's terms cancel (3.8e-5, ROADMAP item 11).
 ROUNDING = 4.0
 
 # metric parameters that must be real

@@ -146,8 +146,7 @@ PYTHON_CERTIFICATES = {"inoue-sm": _python_inoue_sm,
 @pytest.mark.parametrize("name", catalog.NONEXISTENCE_ENTRIES)
 def test_certificate_arrays_match_points_bit_for_bit(name):
     grid = inv.default_surface_grid([0.25, 0.7, 1.5, 3.0, 11.0],
-                                    [0.3, 1.0, 2.75, 1e-2], radii=4,
-                                    phases=7)
+                                    [0.3, 1.0, 2.75, 1e-2])
     grid = np.concatenate([grid, [[1.0, 2.0, 1e-13], [1.0, 2.0, 2e-12j]]])
     r, s, u = grid[:, 0].real, grid[:, 1].real, grid[:, 2]
     assert np.count_nonzero(u == 0) == 20
@@ -170,8 +169,7 @@ def test_inoue_spm_lemma():
 @pytest.mark.parametrize("name", catalog.NONEXISTENCE_ENTRIES)
 def test_scan_entry_quick(name):
     grid = inv.default_surface_grid(r_values=[0.5, 1.0, 2.0],
-                                    s_values=[0.5, 1.0, 2.0],
-                                    radii=3, phases=4)
+                                    s_values=[0.5, 1.0, 2.0])
     report = catalog.scan_entry(name, kind=2, grid=grid)
     assert report.entry == name
     assert report.min_residual > 1e-3

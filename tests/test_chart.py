@@ -157,9 +157,9 @@ def test_chart_ricci_is_the_invariant_contraction(name):
         h0 = chart._holo_jets(field.fn, x)[0]
         up, th = inv._upper(h0)[..., None], theta[..., None]
         ric1, ric2, s = ricci_matrices_at(field, x)
-        assert np.array_equal(ric1, inv._ricci_stack(1, up, th)[..., 0])
-        assert np.array_equal(ric2, inv._ricci_stack(2, up, th)[..., 0])
-        assert s == inv._scalar_stack(up, th)[0]
+        assert np.array_equal(ric1, np.einsum(inv._RICCI[1], up, th)[..., 0])
+        assert np.array_equal(ric2, np.einsum(inv._RICCI[2], up, th)[..., 0])
+        assert s == np.einsum(inv._S, up, ric1)[0].real
 
 
 # ---------------------------------------------------------------------------

@@ -1087,10 +1087,11 @@ def test_exact_run_takes_few_magnitudes(capsys, monkeypatch, argv, most):
 
 # einsum calls per command: the rounding bounds reuse the solve's specs
 # and add none, and the solved tensor evaluates each contraction once (S
-# once per verify point, not once per row that reads it)
+# once per verify point, not once per row that reads it); curvature
+# contracts the connection for Ric1, S and S3 beside Theta for its rows
 @pytest.mark.parametrize("argv, most", [
-    ("curvature hopf --params r=1.5", 27),
-    ("curvature hopf --exact --params r=1/2", 10),
+    ("curvature hopf --params r=1.5", 32),
+    ("curvature hopf --exact --params r=1/2", 14),
     ("einstein ovando-r4 --params r=2,s=1.5,u=0.25", 18),
     ("einstein ovando-r4 --params r=2,s=1.5,u=0.25 --mode weak", 9),
     ("lee inoue-sm --params r=1.2,s=0.9,u=0.1", 7),
@@ -1108,6 +1109,20 @@ def test_einsum_budget(capsys, monkeypatch, argv, most):
     monkeypatch.undo()
     assert code == 0 and err == ""
     assert len(calls) <= most
+
+
+# a solved metric takes Ric1, Ric3, S and S3 from the connection: only Ric2,
+# the Theta rows and the Bogomolov-Lubke pairing form R and Theta
+@pytest.mark.parametrize("argv", [
+    "einstein ovando-r4 --params r=2,s=1.5,u=0.25 --kind 1",
+    "einstein ovando-r4 --params r=2,s=1.5,u=0.25 --kind 3 --mode weak",
+    "einstein ovando-r4 --params r=2,s=3/2,u=1/4 --kind 3 --exact",
+    "gauduchon inoue-sm --params r=1.2,s=0.9,u=0.1"])
+def test_traces_of_kinds_1_and_3_form_no_theta(capsys, monkeypatch, argv):
+    calls = count_calls(monkeypatch, inv, "_curvature")
+    code, _, err = run(capsys, *argv.split())
+    monkeypatch.undo()
+    assert code in (0, 1) and err == "" and calls == []
 
 
 # a second read of a solved tensor's contraction computes nothing

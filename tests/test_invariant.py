@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import tracemalloc
 import warnings
@@ -11,13 +12,14 @@ import pytest
 from cherncurv import catalog
 from cherncurv import invariant as inv
 from cherncurv.forms import CoframeAlgebra, InvariantForm, ext_d
-from cherncurv.scalars import ROUNDING, I_EXACT, QQi, conj, mat_det
+from cherncurv.scalars import (ROUNDING, I_EXACT, QQi, conj, mat_det,
+                               negligible)
 from cherncurv.invariant import (DegenerateMetric, HermitianMetric,
                                  NotPositiveDefinite, SurfaceMetricParams)
 from forms_oracle import (chern_weil, ddbar_gauduchon, forms_curvature,
                           forms_torsion, lstsq_lee_form,
                           wedge_bogomolov_lubke)
-from rounding_oracle import rounding_bounds
+from rounding_oracle import rounding_bounds, trace_bounds
 from traces_oracle import dense_ric2
 
 ENTRIES = catalog.list_entries()
@@ -371,10 +373,10 @@ def test_trailing_batch_axis_is_bit_identical(name):
     batch_theta = inv.batch_curvature(alg, hs)
     _same_bits(batch_theta, theta)
     up, th = inv._trailing(inv._upper(hs)), inv._trailing(batch_theta)
-    _same_bits(np.einsum(inv._S_CHERN, up, up, th).real, s)
+    _same_bits(np.einsum("ijM,klM,ijklM->M", up, up, th).real, s)
+    _same_bits(inv._leading(np.einsum(inv._RICCI[2], up, th)), ric[2])
     b = inv._structure(alg, exact=False)[1]
     for kind in (1, 2, 3):
-        _same_bits(inv._leading(inv._ricci_stack(kind, up, th)), ric[kind])
         got = inv._connection_traces(kind, b, inv._trailing(hs), up)
         _same_bits(inv._leading(got[0]), traced[kind][0])
         _same_bits(got[1], traced[kind][1])
@@ -462,8 +464,9 @@ def test_float_theta_of_kodaira_secondary_at_u_zero():
 
 @pytest.mark.parametrize("name", ENTRIES)
 def test_one_metric_is_the_batch_of_one(name):
-    # a stack of one metric against the connection-contracted oracle, and
-    # the single-metric path against the Theta-route one
+    # a stack of one metric against the connection-contracted oracle; the
+    # single-metric path's Ric1, Ric3 and S are the connection kernel's on
+    # its stack of one, and its Ric2 is the Theta-route one
     alg, _, _ = catalog.build(name, exact=False)
     hs = _log_uniform_stack(100 + ENTRIES.index(name), 30)
     for idx in range(len(hs)):
@@ -479,11 +482,19 @@ def test_one_metric_is_the_batch_of_one(name):
             continue
         curv = inv.chern_curvature(alg, h)
         _same_bits(curv.lowered, theta[0])
+        _same_bits(inv._ric_matrix(2, curv, h), ric[2][0])
+        for kind in (1, 3):
+            want, s = inv._connection_traces(kind, curv.b, curv.h[..., None],
+                                             curv.up[..., None])
+            _same_bits(inv._ric_matrix(kind, curv, h), want[..., 0])
+            # S within its rounding bound prints as 0
+            got, bound = curv.s_chern
+            assert got == s[0].real or (got == 0.0
+                                        and negligible(s[0].real, bound))
         for kind in (1, 2, 3):
-            _same_bits(inv._ric_matrix(kind, curv, h), ric[kind][0])
             # weak lambda* has no rounding rule, so it is the stack's
             lam, resid = inv.einstein_residual(kind, alg, h, "weak", curv)
-            want = residuals[kind, "weak"]
+            want = (residuals if kind == 2 else traced)[kind, "weak"]
             assert (lam, resid) == (want[0][0], want[1][0])
 
 
@@ -498,28 +509,74 @@ def _rational_params(seed, m):
                         r * s * Fraction(int(q), 10))
 
 
+# the traces of Theta: Ric^(kind) [a, b] of (up, Theta), kind 3 with
+# indices (k, jbar), and S
+_THETA_RICCI = {1: "kl,abkl->ab", 2: "ij,ijab->ab", 3: "il,ibal->ab"}
+_THETA_S = "ij,kl,ijkl->"
+
+
 @pytest.mark.parametrize("name", ENTRIES)
 def test_connection_traces_against_exact(name):
     # the scan's contractions of the connection, in exact QQi arithmetic,
-    # equal the single path's exact traces of Theta; in floats they are
-    # within 1e-12 of them, relative to the largest entry
+    # equal the exact traces of Theta; in floats they are within 1e-12 of
+    # them, relative to the largest entry
     for point in _rational_params(400 + ENTRIES.index(name), 4):
         alg, h, _ = catalog.build(name, dict(zip("rsu", point)), exact=True)
         curv = inv.chern_curvature(alg, h)
         b, hf = curv.b.astype(complex), curv.h.astype(complex)
+        s_theta = np.einsum(_THETA_S, curv.up, curv.up, curv.lowered)
         for kind in (1, 2, 3):
             ric, s = inv._connection_traces(kind, curv.b, curv.h[..., None],
                                             curv.up[..., None])
-            want = curv.ric(kind)
+            want = np.einsum(_THETA_RICCI[kind], curv.up, curv.lowered)
             assert (ric[..., 0] == want).all()
-            assert s[0] == QQi(curv.s_chern[0])
+            assert s[0] == s_theta
             ric, s = inv._connection_traces(kind, b, hf[..., None],
                                             inv._upper(hf)[..., None])
             want = want.astype(complex)
             assert (np.max(np.abs(ric[..., 0] - want))
                     <= 1e-12 * np.max(np.abs(want))), (kind, point)
-            assert (abs(s[0] - curv.s_chern[0])
-                    <= 1e-12 * abs(curv.s_chern[0])), point
+            assert (abs(s[0] - complex(s_theta))
+                    <= 1e-12 * abs(complex(s_theta))), point
+
+
+@functools.cache
+def _solved_twins():
+    """(float, exact) solves of every entry at the 40 points of
+    :func:`_log_uniform_params` of seed 12, the exact run on the same
+    doubles; the points floats refuse as degenerate left out."""
+    r, s, u = _log_uniform_params(12, 40)
+    return [solves for name in ENTRIES
+            for point in zip(r.tolist(), s.tolist(), u.tolist())
+            if (solves := _float_and_exact(name, *point)) is not None]
+
+
+def test_solved_scalar_curvature_against_exact():
+    # S = <h^-1, Ric1> from the connection; through Theta its worst error
+    # here was 1.0e-7 relative, and it is 1.2e-15 now
+    for got, want in _solved_twins():
+        s, exact = got.s_chern[0], float(want.s_chern[0])
+        assert abs(s - exact) <= 1e-13 * abs(exact)
+
+
+def test_solved_ric1_is_exact_where_it_vanishes():
+    # Ric1 is a function of B alone; through Theta it was nonzero where the
+    # exact Ric1 is 0 at 206 of these points
+    for got, want in _solved_twins():
+        zero = want.ric(1) == 0
+        assert zero.any() and not got.ric(1)[zero].any()
+
+
+def test_solved_traces_are_within_their_rounding_bounds():
+    # Ric1, Ric3, S and S3 against the exact twin, within ROUNDING times
+    # the bounds _bound takes over the connection kernel's einsums
+    for got, want in _solved_twins():
+        for kind in (1, 3):
+            err = np.abs(got.ric(kind) - want.ric(kind).astype(complex))
+            assert np.all(err <= ROUNDING * got.ric_bound(kind))
+        for (x, bound), exact in ((got.s_chern, want.s_chern[0]),
+                                  (got.s_third, want.s_third[0])):
+            assert abs(x - float(exact)) <= ROUNDING * bound
 
 
 def _random_structure(rng, n, count):
@@ -689,8 +746,7 @@ def test_scan_forms_no_curvature_tensor(monkeypatch):
 
     monkeypatch.setattr(inv, "_curvature", refuse)
     alg, _, _ = catalog.build("inoue-sm", exact=False)
-    grid = inv.default_surface_grid([0.5, 1.0], [0.5, 1.0], radii=2,
-                                    phases=4)
+    grid = inv.default_surface_grid([0.5, 1.0], [0.5, 1.0])
     for kind, mode in product((1, 2, 3), ("strong", "weak")):
         inv.scan(alg, kind, grid=grid, mode=mode)
 
@@ -841,9 +897,10 @@ def test_rounding_bounds_hold(name):
 
 @pytest.mark.parametrize("name", ENTRIES)
 def test_bounds_match_hand_expanded_oracle(name):
-    # the bounds by _bound over the solve's specs equal the hand expansion
-    # bit for bit, at the registry points and at seeded metrics with r and
-    # s from 1e-2 to 1e3 and |u| up to 0.98 r s
+    # the bounds by _bound over the solve's and the connection kernel's
+    # specs equal the hand expansion bit for bit, at the registry points
+    # and at seeded metrics with r and s from 1e-2 to 1e3 and |u| up to
+    # 0.98 r s
     rng = np.random.default_rng(17)
     points = list(catalog.get(name).points)
     for _ in range(8):
@@ -858,6 +915,14 @@ def test_bounds_match_hand_expanded_oracle(name):
         assert curv.bound.keys() == want.keys()
         for key, bound in want.items():
             assert np.array_equal(curv.bound[key], bound), (point, key)
+        # and those of the traces taken from the connection kernel
+        t, g, ric3 = inv._ric3(curv.b, curv.h[..., None], curv.up[..., None])
+        want = trace_bounds(curv.b, curv.h, curv.up, t[..., 0], g[..., 0],
+                            curv.ric(1), ric3[..., 0])
+        got = {1: curv.ric_bound(1), 3: curv.ric_bound(3),
+               "S": curv.s_chern[1], "S3": curv.s_third[1]}
+        for key, bound in want.items():
+            assert np.array_equal(got[key], bound), (point, key)
 
 
 # ---------------------------------------------------------------------------
@@ -970,8 +1035,7 @@ def test_bogomolov_lubke_signs():
 # scans
 
 def test_scan_small_grid():
-    grid = inv.default_surface_grid(r_values=[0.5, 1.0], s_values=[0.5, 1.0],
-                                    radii=2, phases=4)
+    grid = inv.default_surface_grid(r_values=[0.5, 1.0], s_values=[0.5, 1.0])
     report = catalog.scan_entry("inoue-sm", kind=2, grid=grid)
     assert report.count > 0
     assert report.min_residual > 1e-3
@@ -1034,9 +1098,9 @@ def _nested_loop_grid(r_values=None, s_values=None, radii=9, phases=8):
 
 
 @pytest.mark.parametrize("kwargs", [
-    {}, {"radii": 2, "phases": 4},
+    {}, {"r_values": [0.5, 1.0], "s_values": [0.5, 1.0]},
     {"r_values": [0.375, 1.0, 1.625], "s_values": [0.1, 7.3]},
-    {"r_values": [1.5], "s_values": [0.5, 2.0], "radii": 0, "phases": 3}])
+    {"r_values": [1.5], "s_values": [0.5, 2.0]}])
 def test_default_surface_grid_matches_nested_loops(kwargs):
     grid = inv.default_surface_grid(**kwargs)
     want = np.array(_nested_loop_grid(**kwargs), dtype=complex)
@@ -1069,7 +1133,7 @@ def test_scan_calls_certificate_once():
         return catalog.get("kodaira-primary").certificate(r, s, u, lam)
 
     report = inv.scan(alg, 2, grid=inv.default_surface_grid(
-        [0.5, 1.0], [0.5, 1.0], radii=2, phases=4), certificate=counted)
+        [0.5, 1.0], [0.5, 1.0]), certificate=counted)
     assert calls == [report.count] and report.certificate_ok
 
 
@@ -1092,6 +1156,23 @@ def test_scan_drops_rows_whose_det_overflows(big):
         report = inv.scan(alg, 2, grid=[(big, big, 0), (1, 1, 0.5)])
         with pytest.raises(ValueError, match="no admissible grid points"):
             inv.scan(alg, 2, grid=[(big, big, 0), (big, 2 * big, big)])
+    assert report == inv.scan(alg, 2, grid=[(1, 1, 0.5)])
+    assert report.count == 1
+
+
+def test_scan_drops_a_row_whose_second_pivot_is_not_positive():
+    # r^2 s^2 is subnormal, so the row passes the mask and the degeneracy
+    # rule, whose DEGENERACY max |h|^2 underflows; _upper's second pivot is
+    # <= 0, so HermitianMetric refuses the row, and the scan drops it
+    row = (2.39428969030173e-81, 2.3927200109961983e-81,
+           -1.5669719412841712e-162 + 5.51557209272279e-162j)
+    with pytest.raises(NotPositiveDefinite, match="pivot 2"):
+        SurfaceMetricParams(*row).metric()
+    alg, _, _ = catalog.build("hopf", exact=False)
+    with warnings.catch_warnings(), np.errstate(over="raise", divide="raise",
+                                                invalid="raise"):
+        warnings.simplefilter("error")
+        report = inv.scan(alg, 2, grid=[row, (1, 1, 0.5)])
     assert report == inv.scan(alg, 2, grid=[(1, 1, 0.5)])
     assert report.count == 1
 
@@ -1133,12 +1214,29 @@ def _complex_rows(grid):
     return mask, keep, r, s, u, hs, det, top
 
 
+def _upper_accepts(hs):
+    """Per matrix of an (M, n, n) stack: whether inv._upper of that matrix
+    alone accepts its pivots; all of them when it accepts the stack."""
+    def accepts(x):
+        try:
+            with np.errstate(all="ignore"):
+                inv._upper(x)
+        except NotPositiveDefinite:
+            return False
+        return True
+
+    if accepts(hs):
+        return np.ones(len(hs), dtype=bool)
+    return np.array([accepts(h) for h in hs], dtype=bool)
+
+
 def _whole_grid_scan(alg, kind, grid, mode="strong", certificate=None):
     """The scan on all rows at once: one batched residual over the rows
-    :func:`_complex_rows` keeps, the first row within TIE of the least
-    residual (NaN rows never, the first row when all are NaN), all and
-    np.max for the certificate."""
+    :func:`_complex_rows` keeps and whose pivots _upper accepts, the first
+    row within TIE of the least residual (NaN rows never, the first row
+    when all are NaN), all and np.max for the certificate."""
     _, keep, r, s, u, hs, _, _ = _complex_rows(grid)
+    keep[keep] = _upper_accepts(hs[keep])
     hs, r, s, u = hs[keep], r[keep], s[keep], u[keep]
     lam, resid_abs, resid, _ = inv.batch_einstein_residual(kind, alg, hs,
                                                            mode=mode)
@@ -1213,7 +1311,8 @@ def test_scan_prologue_is_hermitian_metrics_rule_bit_for_bit(monkeypatch):
     # max |h| the residual's scale reads, over every block of the grid.
     # Rows with r^2 s^2 and |u|^2 subnormal and |u| just above r s: some
     # pass the mask, and DEGENERACY max |h|^2 underflows, so they pass the
-    # rule with |h_01| the largest modulus; _upper refuses them
+    # rule with |h_01| the largest modulus; the block drops those whose
+    # pivots _upper refuses
     rng = np.random.default_rng(31)
     x = 10 ** rng.uniform(-81, -79, 400)
     v = (x * x * rng.uniform(1, 1.002, 400)
@@ -1235,9 +1334,11 @@ def test_scan_prologue_is_hermitian_metrics_rule_bit_for_bit(monkeypatch):
     _same_bits(np.concatenate(got_top), top)
     _same_bits(np.concatenate(got_keep), keep)
     assert not det.imag[np.isfinite(det.real)].any()
+    accepted = keep.copy()
+    accepted[keep] = _upper_accepts(hs[keep])
     got = [np.concatenate(x) for x in zip(*blocks)]
     for x, want in zip(got, (r, s, u, hs, top)):
-        _same_bits(x, want[keep])
+        _same_bits(x, want[accepted])
 
     # keep is HermitianMetric's degeneracy verdict on each row
     def degenerate(h):
@@ -1252,7 +1353,8 @@ def test_scan_prologue_is_hermitian_metrics_rule_bit_for_bit(monkeypatch):
     assert [not degenerate(h) for h in hs.tolist()] == keep.tolist()
     assert 0 < np.count_nonzero(keep) < np.count_nonzero(mask) < len(grid)
     off = np.abs(hs[:, 0, 1])
-    assert np.any(keep & (off > hs[:, 0, 0].real) & (off > hs[:, 1, 1].real))
+    assert np.any(keep & ~accepted & (off > hs[:, 0, 0].real)
+                  & (off > hs[:, 1, 1].real))
 
 
 @pytest.mark.parametrize("kind, mode", [(1, "weak"), (2, "strong"),
