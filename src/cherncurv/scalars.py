@@ -41,7 +41,7 @@ UNIT_ROUNDOFF = 2.0 ** -53
 # for the dropped second-order terms and the few additions a bound folds
 # in.  Over 9 entries x 245 points, r and s from 1e-3 to 1e4, zero results
 # reached 0.063 of their bound and nonzero ones no less than 4.2e3 of it,
-# but for Ric2 where R's terms cancel (3.8e-5, ROADMAP item 11).
+# but for Theta's Ric2 where R's terms cancel (3.8e-5 at u = 0, r >> s).
 ROUNDING = 4.0
 
 # metric parameters that must be real
