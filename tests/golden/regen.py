@@ -18,7 +18,10 @@ Float cases store a first line ``exit <code>`` followed by the stdout:
 * ``scan <entry> --kind <k> --mode <mode> --grid <SCAN_GRID>`` for every
   entry, kind 1 to 3 and both modes (``scan-<entry>-<k>-<mode>.txt``),
   and the default-grid ``scan <entry> --kind 2`` of every non-existence
-  entry (``scan-default-<entry>.txt``).
+  entry (``scan-default-<entry>.txt``);
+* ``yamabe`` runs (``yamabe-<name>.txt``): each generator, ``--seed``,
+  ``--n 3``, odd N, runs that do not converge and exit 1, and the problem
+  files of ``problems/``.
 
 Run from the repository root, against the package under test::
 
@@ -34,8 +37,8 @@ there is one::
     PYTHONPATH=src python tests/golden/regen.py --check [PREFIX ...]
 
 ``tests/test_golden.py`` reruns the same cases; it compares the exact
-outputs byte for byte and the float outputs key by key, with numbers
-compared relative to the largest number of the output.
+and ``yamabe`` outputs byte for byte and the other float outputs key by
+key, with numbers compared relative to the largest number of the output.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from pathlib import Path
 from cherncurv import catalog, cli, structfile
 
 GOLDEN_DIR = Path(__file__).resolve().parent
+PROBLEM_DIR = GOLDEN_DIR / "problems"
 
 
 def _params_arg(point: dict) -> str:
@@ -92,6 +96,42 @@ def float_cases():
     return out
 
 
+# (name, yamabe arguments); a name without arguments runs the problem file
+# problems/yamabe-<name>.problem
+YAMABE_RUNS = (
+    ("sine-offset", ["--generator", "sine-offset", "--N", "32"]),
+    ("sine-offset-seed", ["--generator", "sine-offset", "--N", "32",
+                          "--seed", "3"]),
+    ("sine-offset-n3", ["--generator", "sine-offset", "--N", "24",
+                        "--n", "3"]),
+    ("sine-offset-odd", ["--generator", "sine-offset", "--N", "33",
+                         "--seed", "2"]),
+    ("synthetic-v", ["--generator", "synthetic-v", "--N", "64"]),
+    ("synthetic-v-n3-odd", ["--generator", "synthetic-v", "--N", "17",
+                            "--n", "3"]),
+    ("constant", ["--generator", "constant", "--N", "16"]),
+    ("constant-kv", ["--generator", "constant", "--N", "8",
+                     "--format", "kv"]),
+    ("zero", ["--generator", "zero", "--N", "16"]),
+    ("tol-0", ["--generator", "sine-offset", "--N", "16", "--tol", "0"]),
+    ("every-key", []),
+    ("max-iter-1", []),
+    ("huge-amplitude", []),
+    ("large-amplitude", ["--seed", "0"]),
+)
+
+
+def yamabe_cases():
+    """(case name, argv) for every yamabe golden output, in a fixed order."""
+    out = []
+    for name, argv in YAMABE_RUNS:
+        if "--generator" not in argv:
+            path = PROBLEM_DIR / f"yamabe-{name}.problem"
+            argv = ["--problem", str(path), *argv]
+        out.append((f"yamabe-{name}", ["yamabe", *argv]))
+    return out
+
+
 def run(argv):
     """(exit code, stdout) of one in-process CLI call."""
     buf = io.StringIO()
@@ -105,7 +145,8 @@ def main(args=()) -> int:
     prefixes = tuple(a for a in args if a != "--check") or ("",)
     changed = []
     for exact, (name, argv) in ([(True, c) for c in cases()]
-                                + [(False, c) for c in float_cases()]):
+                                + [(False, c) for c in float_cases()
+                                   + yamabe_cases()]):
         if not name.startswith(prefixes):
             continue
         rc, text = run(argv)

@@ -79,6 +79,14 @@ def test_float_output_matches_golden(name, argv):
     assert_float_output_close(text, want)
 
 
+@pytest.mark.parametrize("name,argv", regen.yamabe_cases(),
+                         ids=[name for name, _ in regen.yamabe_cases()])
+def test_yamabe_output_matches_golden(name, argv):
+    rc, text = regen.run(argv)
+    assert f"exit {rc}\n{text}".encode() == \
+        (regen.GOLDEN_DIR / f"{name}.txt").read_bytes()
+
+
 def test_regen_check_lists_changed_goldens_and_writes_nothing(
         tmp_path, monkeypatch, capsys):
     # one exact and one float case, stored as they are and then with the
