@@ -294,7 +294,7 @@ def cmd_yamabe(args) -> int:
     # exp(f) may overflow; law_constancy then reads inf
     with np.errstate(over="ignore"):
         law = yamabe.conformal_scalar_law(problem.S, result.f, problem.n,
-                                          problem.grid)
+                                          problem.grid, result.lap_f)
     rep = Report()
     rep.add("N", problem.grid.N)
     rep.add("n", problem.n)

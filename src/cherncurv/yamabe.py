@@ -17,10 +17,10 @@ to a linear Poisson equation with lam = 0; a negative mean is handled by an
 inexact Newton iteration whose steps are exact-Jacobian linear solves by
 spectrally preconditioned GMRES.  A Newton step costs one real-FFT pair per
 GMRES matvec and no more, because the Laplacian of the iterate is carried
-through the Krylov basis; the convergence verdict costs one more pair, on
-a fresh transform, and so does a given start f0.  A step of k matvecs holds
-2k fields.  The positive branch is an open problem and is refused, not
-approximated.
+through the Krylov basis; the convergence verdict costs one more pair, on a
+fresh transform that the conformal law of the result reads too, and a given
+start f0 one more.  A step of k matvecs holds 2k fields.  The positive
+branch is an open problem and is refused, not approximated.
 """
 
 from __future__ import annotations
@@ -63,13 +63,11 @@ class PeriodicGrid:
         kr = 2.0 * math.pi * np.fft.rfftfreq(N, d=1.0 / N)
         self._mult = -(k[:, None] ** 2 + kr[None, :] ** 2)
 
-    def coords(self):
-        x = np.arange(self.N) / self.N
-        return np.meshgrid(x, x, indexing="ij")
-
     def sample(self, fn: Callable[[np.ndarray, np.ndarray], np.ndarray]):
-        x, y = self.coords()
-        return np.asarray(fn(x, y), dtype=float) + np.zeros((self.N, self.N))
+        """Elementwise fn at (x_i, y_j) = (i/N, j/N), given the axes as
+        (N, 1) and (1, N) arrays: N values per axis, not N^2."""
+        x = np.arange(self.N)[:, None] / self.N
+        return np.asarray(fn(x, x.T), dtype=float) + np.zeros((self.N, self.N))
 
     def _filter(self, f: np.ndarray, mult: np.ndarray) -> np.ndarray:
         """The field whose half spectrum is mult times that of f."""
@@ -120,6 +118,7 @@ class YamabeResult:
     residuals: list          # max|F| per Newton iterate; the last, a fresh
                              # transform's if converged, included
     linear_iterations: list  # GMRES matvecs per Newton step
+    lap_f: Optional[np.ndarray] = None  # a transform of f, or None
 
 
 def _mean_scale_degree(S):
@@ -138,19 +137,20 @@ def gauduchon_degree_grid(S: np.ndarray) -> float:
 
 
 def conformal_scalar_law(S: np.ndarray, f: np.ndarray, n: int,
-                         grid: Optional[PeriodicGrid] = None) -> np.ndarray:
+                         grid: Optional[PeriodicGrid] = None,
+                         lap_f: Optional[np.ndarray] = None) -> np.ndarray:
     """Chern scalar curvature of exp(-f) * omega, given that of omega.
 
-    In trace form the Einstein factor transforms as
-    lam -> exp(f) * (lam + lap f), hence S -> exp(f) * (S + n * lap f).
+    In trace form the Einstein factor goes to exp(f) * (lam + lap f), hence
+    S -> exp(f) * (S + n * lap f); a given lap_f is read as lap f.
     """
     S = np.asarray(S, dtype=float)
     f = np.asarray(f, dtype=float)
     if S.shape != f.shape:
         raise ValueError("fields live on different grids")
-    if grid is None:
-        grid = PeriodicGrid(S.shape[0])
-    return np.exp(f) * (S + n * grid.laplacian(f))
+    if lap_f is None:
+        lap_f = (grid or PeriodicGrid(S.shape[0])).laplacian(f)
+    return np.exp(f) * (S + n * lap_f)
 
 
 def _residual(lap_f, f, S, n, gamma):
@@ -268,10 +268,11 @@ def solve_chya(p: YamabeProblem, f0: Optional[np.ndarray] = None
 
     if degree == 0:
         f = grid.poisson(-(S - gamma) / n)
+        lap_f = grid.laplacian(f)
         # lam = 0, so F = lap f + S/n, with no 0 exp(-f) term to overflow
-        res = float(np.max(np.abs(grid.laplacian(f) + S / n)))
+        res = float(np.max(np.abs(lap_f + S / n)))
         return YamabeResult(f, 0.0, res, 0, res <= max(p.tol, 1e-12 * scale),
-                            [res], [])
+                            [res], [], lap_f)
 
     # mu < 0, so lap + mu is invertible; with z = (lap + mu)^-1 v,
     # lap z = v - mu z, and J z needs no further transform.  Nor does the
@@ -301,9 +302,7 @@ def solve_chya(p: YamabeProblem, f0: Optional[np.ndarray] = None
                     break
                 lap_f, fresh = grid.laplacian(f), True
             residuals.append(res)
-            if res <= p.tol:
-                return YamabeResult(f, lam, res, it, True, residuals, linear)
-            if it == p.max_iter:
+            if res <= p.tol or it == p.max_iter:
                 break
             jac = _jacobian(lam, w)
             Z = []
@@ -321,8 +320,9 @@ def solve_chya(p: YamabeProblem, f0: Optional[np.ndarray] = None
             lap_f, fresh = lap_f + (x - mu * delta), False
             if not np.all(np.isfinite(f)):
                 raise SolverDiverged("iteration produced non-finite values")
-    # max_iter steps leave the condition failing: a result, not an error
-    return YamabeResult(f, lam, res, p.max_iter, False, residuals, linear)
+    # converged, or failing after max_iter steps: a result, not an error
+    return YamabeResult(f, lam, res, it, res <= p.tol, residuals, linear,
+                        lap_f if fresh else None)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cherncurv import yamabe
+from cherncurv import cli, yamabe
 from cherncurv.yamabe import (GENERATORS, GRID_MAX_N, KRYLOV_DIM,
                               SOLVE_FIELDS, SOLVE_MAX_BYTES, PeriodicGrid,
                               PositiveDegreeOpen, SolverDiverged,
@@ -234,6 +234,42 @@ def test_a_newton_step_costs_its_matvecs(monkeypatch, N):
     assert result.converged and result.iterations == 0 and calls == []
 
 
+@pytest.mark.parametrize("argv, law", [
+    ("--generator sine-offset --N 32", 0),
+    ("--generator sine-offset --N 33 --seed 2", 0),
+    ("--generator constant --N 16", 0),
+    ("--generator synthetic-v --N 32", 0),
+    ("--generator zero --N 16", 0),
+    ("--generator sine-offset --N 16 --tol 0", 1),
+    ("max_iter = 1", 1),
+], ids=["newton", "seeded-odd-N", "newton-at-start", "poisson", "zero",
+        "tol-0", "max-iter-1"])
+def test_the_law_reads_the_transform_of_a_converged_solve(
+        monkeypatch, capsys, tmp_path, argv, law):
+    # the law check of cli yamabe adds no transform to a converged Newton
+    # solve or to the Poisson branch, and one to a solve that stops at
+    # max_iter, whose Laplacian is carried
+    if "=" in argv:
+        path = tmp_path / "p.txt"
+        path.write_text(f"S = sine-offset\nN = 16\n{argv}\n")
+        argv = f"--problem {path}"
+    calls, solved = count_transforms(monkeypatch), []
+    real = yamabe.solve_chya
+
+    def solve(*args, **kwargs):
+        result = real(*args, **kwargs)
+        solved.append((len(calls), result))
+        return result
+
+    monkeypatch.setattr(yamabe, "solve_chya", solve)
+    code = cli.main(["yamabe", *argv.split()])
+    capsys.readouterr()
+    (at_return, result), = solved
+    assert code == (0 if result.converged else 1)
+    assert len(calls) == at_return + law
+    assert (result.lap_f is None) == bool(law)
+
+
 @pytest.mark.parametrize("case", [
     ("sine-offset", dict(N=64, offset=-1.0, amplitude=0.3), None),
     ("sine-offset", dict(N=128, offset=-2.5, amplitude=0.7), 7),
@@ -355,6 +391,67 @@ def test_divergence_reported():
 
 # ---------------------------------------------------------------------------
 # generators and problem files
+
+def dense_sample(grid, fn):
+    """fn on the dense N x N meshgrid of the grid's points: the oracle of
+    PeriodicGrid.sample, which gives fn the axes."""
+    x = np.arange(grid.N) / grid.N
+    X, Y = np.meshgrid(x, x, indexing="ij")
+    return np.asarray(fn(X, Y), dtype=float) + np.zeros((grid.N, grid.N))
+
+
+TAU = 2 * math.pi
+# the functions the tests sample, and one constant
+SAMPLED = [
+    lambda x, y: np.sin(TAU * x),
+    lambda x, y: np.cos(TAU * y),
+    lambda x, y: np.cos(TAU * (x + 2 * y)),
+    lambda x, y: synthetic_v(x, y, 0.1),
+    lambda x, y: 0.3 * np.sin(TAU * x) * np.cos(2 * TAU * y)
+    + 0.2 * np.cos(TAU * (x + y)),
+    lambda x, y: np.cos(TAU * x) + 0.5 * np.sin(TAU * (x - 2 * y)) + 0.1,
+    lambda x, y: -0.0,
+]
+GENERATED = [
+    ("zero", {}),
+    ("constant", dict(value=-1.3)),
+    ("synthetic-v", dict(amplitude=0.1)),
+    ("synthetic-v", dict(amplitude=1e150, n=3)),
+    ("sine-offset", dict(offset=-1.0, amplitude=0.3)),
+    ("sine-offset", dict(offset=-1000.0, amplitude=10000.0)),
+    ("sine-offset", dict(offset=-1.0, amplitude=1e150)),
+    ("sine-offset", dict(offset=-0.0, amplitude=-0.0)),
+]
+
+
+@pytest.mark.parametrize("N", [4, 17, 64, 129])
+def test_sampling_on_the_axes_is_the_dense_grid_byte_for_byte(monkeypatch,
+                                                              N):
+    grid = PeriodicGrid(N)
+    for fn in SAMPLED:
+        assert grid.sample(fn).tobytes() == dense_sample(grid, fn).tobytes()
+    for name, params in GENERATED:
+        axes = make_problem(name, N=N, **params).S
+        with monkeypatch.context() as m:
+            m.setattr(PeriodicGrid, "sample", dense_sample)
+            dense = make_problem(name, N=N, **params).S
+        assert axes.tobytes() == dense.tobytes(), (name, params)
+
+
+@pytest.mark.parametrize("name", ["synthetic-v", "sine-offset"])
+def test_generators_sample_on_the_axes(monkeypatch, name):
+    shapes, real = [], PeriodicGrid.sample
+
+    def sample(grid, fn):
+        def spy(x, y):
+            shapes.append((np.shape(x), np.shape(y)))
+            return fn(x, y)
+        return real(grid, spy)
+
+    monkeypatch.setattr(PeriodicGrid, "sample", sample)
+    assert make_problem(name, N=24).S.shape == (24, 24)
+    assert shapes == [((24, 1), (1, 24))]
+
 
 def test_generator_names():
     assert set(GENERATORS) == {"zero", "constant", "synthetic-v",
