@@ -356,12 +356,15 @@ def _gen_sine_offset(grid, params):
     return grid.sample(lambda x, y: off + amp * np.sin(2 * math.pi * x))
 
 
+# name: (generator, the problem-file keys it reads besides FILE_KEYS)
 GENERATORS = {
-    "zero": _gen_zero,
-    "constant": _gen_constant,
-    "synthetic-v": _gen_synthetic_v,
-    "sine-offset": _gen_sine_offset,
+    "zero": (_gen_zero, ()),
+    "constant": (_gen_constant, ("value",)),
+    "synthetic-v": (_gen_synthetic_v, ("amplitude",)),
+    "sine-offset": (_gen_sine_offset, ("offset", "amplitude")),
 }
+# every problem file's keys and their types; S names the generator
+FILE_KEYS = {"S": str, "N": int, "n": int, "tol": float, "max_iter": int}
 
 
 def make_problem(name: str, N: int = 64, n: int = 2, tol: float = 1e-9,
@@ -370,20 +373,20 @@ def make_problem(name: str, N: int = 64, n: int = 2, tol: float = 1e-9,
         raise KeyError(f"unknown generator {name!r}; "
                        f"have {sorted(GENERATORS)}")
     grid = PeriodicGrid(N)
-    params = dict(params)
     params.setdefault("n", n)
-    S = GENERATORS[name](grid, params)
+    S = GENERATORS[name][0](grid, params)
     return YamabeProblem(grid, S, n=n, tol=tol, max_iter=max_iter)
 
 
 def load_problem(path) -> YamabeProblem:
     """Read a problem from a plain key-value file.
 
-    One ``key = value`` pair per line; '#' starts a comment.  Recognized
-    keys: N, n, S (generator name), tol, max_iter, plus any generator
-    parameters (amplitude, value, offset).
+    One ``key = value`` pair per line; '#' starts a comment.  The keys are
+    FILE_KEYS (S names the generator) and the parameters that generator
+    reads (see GENERATORS).  Any other key, an unknown generator and a
+    value of the wrong type are refused with the file, line and key.
     """
-    kv = {}
+    kv, where = {}, {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -391,12 +394,22 @@ def load_problem(path) -> YamabeProblem:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, val = line.partition("=")
-            kv[key.strip()] = val.strip()
-    name = kv.pop("S", "zero")
-    N = int(kv.pop("N", 64))
-    n = int(kv.pop("n", 2))
-    tol = float(kv.pop("tol", 1e-9))
-    max_iter = int(kv.pop("max_iter", 200))
-    params = {k: float(v) for k, v in kv.items()}
-    return make_problem(name, N=N, n=n, tol=tol, max_iter=max_iter, **params)
+            key, _, val = (part.strip() for part in line.partition("="))
+            kv[key], where[key] = val, f"{path}:{lineno}: {key}"
+    name = kv.get("S", "zero")
+    if name not in GENERATORS:
+        raise ValueError(f"{where['S']}: unknown generator {name!r}; have "
+                         f"{', '.join(sorted(GENERATORS))}")
+    types = FILE_KEYS | dict.fromkeys(GENERATORS[name][1], float)
+    args = {}
+    for key, val in kv.items():
+        if key not in types:
+            raise ValueError(f"{where[key]}: unknown key; a {name} problem "
+                             f"reads {', '.join(types)}")
+        try:
+            args[key] = types[key](val)
+        except ValueError:
+            kind = "an integer" if types[key] is int else "a number"
+            raise ValueError(f"{where[key]}: expected {kind}, got {val!r}") \
+                from None
+    return make_problem(args.pop("S", "zero"), **args)

@@ -334,6 +334,52 @@ def test_yamabe_positive_file(capsys, tmp_path):
     assert "open" in err.lower() or "conjecture" in err.lower()
 
 
+# each bad problem file exits 2 with one line naming the file, the line
+# and the key
+@pytest.mark.parametrize("text, line, message", [
+    ("N = 16\nbogus = 3\n", 2,
+     "bogus: unknown key; a zero problem reads S, N, n, tol, max_iter"),
+    ("S = sine-offset\nN = 16\nampltude = 0.3\n", 3,
+     "ampltude: unknown key; a sine-offset problem reads S, N, n, tol, "
+     "max_iter, offset, amplitude"),
+    ("S = constant\nvalue = -2\noffset = -1\n", 3,
+     "offset: unknown key; a constant problem reads S, N, n, tol, "
+     "max_iter, value"),
+    ("# a comment\nS = nosuch\n", 2,
+     "S: unknown generator 'nosuch'; have constant, sine-offset, "
+     "synthetic-v, zero"),
+    ("N = 4.5\n", 1, "N: expected an integer, got '4.5'"),
+    ("S = synthetic-v\nmax_iter = 2.0\n", 2,
+     "max_iter: expected an integer, got '2.0'"),
+    ("S = sine-offset\noffset = -1\namplitude = big\n", 3,
+     "amplitude: expected a number, got 'big'"),
+    ("tol = 1e-9x\n", 1, "tol: expected a number, got '1e-9x'"),
+], ids=["unknown-key", "misspelt", "other-generators-key",
+        "unknown-generator", "float-N", "float-max-iter", "bad-amplitude",
+        "bad-tol"])
+def test_problem_file_refusals_name_file_line_and_key(capsys, tmp_path,
+                                                      text, line, message):
+    path = tmp_path / "p.txt"
+    path.write_text(text)
+    lines = refusal_lines(capsys, ["yamabe", "--problem", str(path)])
+    assert lines == [f"error: {path}:{line}: {message}"]
+
+
+# the key sets of the benchmark's problem files and of the stored golden
+# problems: every key of the format and of each generator
+@pytest.mark.parametrize("text", [
+    "N = 64\nS = sine-offset\noffset = -1.2\namplitude = 0.4\n",
+    "N = 64\nS = synthetic-v\namplitude = 0.3\n",
+    "N = 64\nS = constant\nvalue = -2.5\n",
+    "S = zero\nN = 8\nn = 3\ntol = 1e-10\nmax_iter = 5\n",
+])
+def test_problem_files_with_known_keys_solve(capsys, tmp_path, text):
+    path = tmp_path / "p.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, "yamabe", "--problem", str(path))
+    assert code == 0 and err == "" and fields(out)["converged"] == "true"
+
+
 def refusal_lines(capsys, argv):
     """The stderr lines of a call refused with exit code 2, returned by
     main or raised by its parser, after checking it printed no traceback
