@@ -96,8 +96,8 @@ def float_cases():
     return out
 
 
-# (name, yamabe arguments); a name without arguments runs the problem file
-# problems/yamabe-<name>.problem
+# (name, yamabe arguments); a run without --generator reads the problem
+# file problems/yamabe-<name>.problem
 YAMABE_RUNS = (
     ("sine-offset", ["--generator", "sine-offset", "--N", "32"]),
     ("sine-offset-seed", ["--generator", "sine-offset", "--N", "32",

@@ -12,6 +12,7 @@ from cherncurv.yamabe import (GENERATORS, GRID_MAX_N, KRYLOV_DIM,
                               conformal_scalar_law, gauduchon_degree_grid,
                               load_problem, make_problem, solve_chya,
                               synthetic_v)
+from golden import regen
 
 
 # ---------------------------------------------------------------------------
@@ -234,25 +235,24 @@ def test_a_newton_step_costs_its_matvecs(monkeypatch, N):
     assert result.converged and result.iterations == 0 and calls == []
 
 
+MAX_ITER_1 = regen.PROBLEM_DIR / "yamabe-max-iter-1.problem"
+
+
 @pytest.mark.parametrize("argv, law", [
-    ("--generator sine-offset --N 32", 0),
-    ("--generator sine-offset --N 33 --seed 2", 0),
-    ("--generator constant --N 16", 0),
-    ("--generator synthetic-v --N 32", 0),
-    ("--generator zero --N 16", 0),
-    ("--generator sine-offset --N 16 --tol 0", 1),
-    ("max_iter = 1", 1),
+    ("--generator sine-offset --N 32".split(), 0),
+    ("--generator sine-offset --N 33 --seed 2".split(), 0),
+    ("--generator constant --N 16".split(), 0),
+    ("--generator synthetic-v --N 32".split(), 0),
+    ("--generator zero --N 16".split(), 0),
+    ("--generator sine-offset --N 16 --tol 0".split(), 1),
+    (["--problem", str(MAX_ITER_1)], 1),
 ], ids=["newton", "seeded-odd-N", "newton-at-start", "poisson", "zero",
         "tol-0", "max-iter-1"])
 def test_the_law_reads_the_transform_of_a_converged_solve(
-        monkeypatch, capsys, tmp_path, argv, law):
+        monkeypatch, capsys, argv, law):
     # the law check of cli yamabe adds no transform to a converged Newton
     # solve or to the Poisson branch, and one to a solve that stops at
     # max_iter, whose Laplacian is carried
-    if "=" in argv:
-        path = tmp_path / "p.txt"
-        path.write_text(f"S = sine-offset\nN = 16\n{argv}\n")
-        argv = f"--problem {path}"
     calls, solved = count_transforms(monkeypatch), []
     real = yamabe.solve_chya
 
@@ -262,7 +262,7 @@ def test_the_law_reads_the_transform_of_a_converged_solve(
         return result
 
     monkeypatch.setattr(yamabe, "solve_chya", solve)
-    code = cli.main(["yamabe", *argv.split()])
+    code = cli.main(["yamabe", *argv])
     capsys.readouterr()
     (at_return, result), = solved
     assert code == (0 if result.converged else 1)
