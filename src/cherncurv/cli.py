@@ -285,7 +285,8 @@ def cmd_yamabe(args) -> int:
     f0 = None
     if args.seed is not None:
         rng = np.random.default_rng(args.seed)
-        f0 = 0.1 * rng.standard_normal((problem.grid.N, problem.grid.N))
+        f0 = rng.standard_normal((problem.grid.N, problem.grid.N))
+        f0 *= 0.1
     try:
         result = yamabe.solve_chya(problem, f0=f0)
     except yamabe.PositiveDegreeOpen as exc:
@@ -294,7 +295,9 @@ def cmd_yamabe(args) -> int:
     # exp(f) may overflow; law_constancy then reads inf
     with np.errstate(over="ignore"):
         law = yamabe.conformal_scalar_law(problem.S, result.f, problem.n,
-                                          problem.grid, result.lap_f)
+                                          problem.grid, result.lap_f,
+                                          out=problem.grid.scratch("law"))
+    law -= problem.n * result.lam
     rep = Report()
     rep.add("N", problem.grid.N)
     rep.add("n", problem.n)
@@ -305,8 +308,7 @@ def cmd_yamabe(args) -> int:
     rep.add("converged", result.converged)
     rep.add("f_min", float(np.min(result.f)))
     rep.add("f_max", float(np.max(result.f)))
-    rep.add("law_constancy", float(np.max(np.abs(
-        law - problem.n * result.lam))))
+    rep.add("law_constancy", float(np.max(np.abs(law, out=law))))
     _emit(rep, args)
     return 0 if result.converged else 1
 

@@ -19,12 +19,16 @@ spectrally preconditioned GMRES.  A Newton step costs one real-FFT pair per
 GMRES matvec and no more, because the Laplacian of the iterate is carried
 through the Krylov basis; the convergence verdict costs one more pair, on a
 fresh transform that the conformal law of the result reads too, and a given
-start f0 one more.  A step of k matvecs holds 2k fields.  The positive
-branch is an open problem and is refused, not approximated.
+start f0 one more.  The iteration allocates no fields: it works in the
+grid's scratch fields (see PeriodicGrid.scratch), 2k + 1 of them for a
+step of k matvecs and 6 more, and the solves that follow on that grid
+reuse them.  The positive branch is an open problem and is refused, not
+approximated.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -48,7 +52,10 @@ class PeriodicGrid:
     """Unit-square torus sampled on N x N points with a spectral Laplacian.
 
     Fields are real: multipliers act on the ``rfft2`` half spectrum, and
-    ``irfft2`` gets ``s=(N, N)``, without which odd N loses a column.
+    the inverse transform gets the length N, without which odd N loses a
+    column.  The grid owns its multipliers, one half-spectrum buffer that
+    every transform works in, and the scratch fields of :meth:`scratch`;
+    so a grid serves one computation at a time.
     """
 
     def __init__(self, N: int):
@@ -62,6 +69,21 @@ class PeriodicGrid:
         k = 2.0 * math.pi * np.fft.fftfreq(N, d=1.0 / N)
         kr = 2.0 * math.pi * np.fft.rfftfreq(N, d=1.0 / N)
         self._mult = -(k[:, None] ** 2 + kr[None, :] ** 2)
+        # the mean-zero inverse: 0 on the constants, the kernel of lap
+        self._inv = np.divide(1.0, self._mult, out=np.zeros_like(self._mult),
+                              where=self._mult != 0)
+        self._spec = np.empty(self._mult.shape, dtype=complex)
+        self._scratch = {}
+
+    def scratch(self, key) -> np.ndarray:
+        """The grid's (N, N) scratch field named key, made on first use and
+        the same array on every later call: what it holds is its last
+        writer's, so a caller reads it back only before another user of
+        that name runs."""
+        field = self._scratch.get(key)
+        if field is None:
+            field = self._scratch[key] = np.empty((self.N, self.N))
+        return field
 
     def sample(self, fn: Callable[[np.ndarray, np.ndarray], np.ndarray]):
         """Elementwise fn at (x_i, y_j) = (i/N, j/N), given the axes as
@@ -69,21 +91,27 @@ class PeriodicGrid:
         x = np.arange(self.N)[:, None] / self.N
         return np.asarray(fn(x, x.T), dtype=float) + np.zeros((self.N, self.N))
 
-    def _filter(self, f: np.ndarray, mult: np.ndarray) -> np.ndarray:
-        """The field whose half spectrum is mult times that of f."""
-        return np.fft.irfft2(mult * np.fft.rfft2(f), s=(self.N, self.N))
+    def _filter(self, f: np.ndarray, mult: np.ndarray,
+                out: Optional[np.ndarray] = None) -> np.ndarray:
+        """The field whose half spectrum is mult times that of f, in out if
+        given: the steps of ``irfft2(mult * rfft2(f), s=(N, N))``, bit for
+        bit, taken in the grid's spectrum buffer."""
+        spec = np.fft.rfft2(f, out=self._spec)
+        spec *= mult
+        np.fft.ifft(spec, axis=0, out=spec)
+        return np.fft.irfft(spec, n=self.N, axis=1, out=out)
 
-    def laplacian(self, f: np.ndarray) -> np.ndarray:
+    def laplacian(self, f: np.ndarray,
+                  out: Optional[np.ndarray] = None) -> np.ndarray:
         f = np.asarray(f, dtype=float)
         if f.shape != (self.N, self.N):
             raise ValueError("field shape does not match the grid")
-        return self._filter(f, self._mult)
+        return self._filter(f, self._mult, out)
 
-    def poisson(self, rhs: np.ndarray) -> np.ndarray:
+    def poisson(self, rhs: np.ndarray,
+                out: Optional[np.ndarray] = None) -> np.ndarray:
         """Mean-zero solution of lap u = rhs (rhs must have zero mean)."""
-        inv = np.divide(1.0, self._mult, out=np.zeros_like(self._mult),
-                        where=self._mult != 0)
-        return self._filter(np.asarray(rhs, dtype=float), inv)
+        return self._filter(np.asarray(rhs, dtype=float), self._inv, out)
 
 
 @dataclass
@@ -126,7 +154,9 @@ def _mean_scale_degree(S):
     |mean S| <= 1e-12 max(max|S|, 1) puts it below the rounding of the
     samples."""
     S = np.asarray(S, dtype=float)
-    mean, scale = float(np.mean(S)), max(float(np.max(np.abs(S))), 1.0)
+    # max|S| as max(max S, -min S), exactly, with no |S| field
+    mean = float(np.mean(S))
+    scale = max(float(np.max(S)), -float(np.min(S)), 1.0)
     return mean, scale, 0.0 if abs(mean) <= 1e-12 * scale else mean
 
 
@@ -138,11 +168,13 @@ def gauduchon_degree_grid(S: np.ndarray) -> float:
 
 def conformal_scalar_law(S: np.ndarray, f: np.ndarray, n: int,
                          grid: Optional[PeriodicGrid] = None,
-                         lap_f: Optional[np.ndarray] = None) -> np.ndarray:
+                         lap_f: Optional[np.ndarray] = None,
+                         out: Optional[np.ndarray] = None) -> np.ndarray:
     """Chern scalar curvature of exp(-f) * omega, given that of omega.
 
     In trace form the Einstein factor goes to exp(f) * (lam + lap f), hence
-    S -> exp(f) * (S + n * lap f); a given lap_f is read as lap f.
+    S -> exp(f) * (S + n * lap f); a given lap_f is read as lap f.  The
+    law is written into out if given.
     """
     S = np.asarray(S, dtype=float)
     f = np.asarray(f, dtype=float)
@@ -150,36 +182,70 @@ def conformal_scalar_law(S: np.ndarray, f: np.ndarray, n: int,
         raise ValueError("fields live on different grids")
     if lap_f is None:
         lap_f = (grid or PeriodicGrid(S.shape[0])).laplacian(f)
-    return np.exp(f) * (S + n * lap_f)
+    law = np.multiply(lap_f, n, out=out)
+    law += S
+    law *= np.exp(f)
+    return law
 
 
-def _residual(lap_f, f, S, n, gamma):
+# The iteration works in scratch fields that field(key) hands out by name
+# (PeriodicGrid.scratch in the solver).  Each operation keeps the order of
+# its out-of-place form, and a product or sum with its operands swapped is
+# the same IEEE result, so every field is the one that form gives, bit for
+# bit.
+
+def _residual(lap_f, f, S, n, gamma, field):
     """(F, lam, w) at f, given lap f: F = lap f + S/n - lam w with
     w = exp(-f) and lam refreshed from the constraint mean(S/n) = lam
-    mean(w)."""
-    w = np.exp(-f)
+    mean(w).  F and w are field("F") and field("w"); field("tmp") is
+    overwritten."""
+    w = np.exp(np.negative(f, out=field("w")), out=field("w"))
     lam = (gamma / n) / float(np.mean(w))
-    return lap_f + S / n - lam * w, lam, w
+    F = np.divide(S, n, out=field("F"))
+    F += lap_f
+    F -= np.multiply(w, lam, out=field("tmp"))
+    return F, lam, w
 
 
-def _jacobian(lam, w):
-    """(z, lap z) -> J z, the derivative of F at the iterate of (lam, w).
+def _jacobian(lam, w, field):
+    """(z, lap z, out) -> J z, written into out, the derivative of F at the
+    iterate of (lam, w); lam w is kept in field("lw").
 
     The mean term is the derivative of the refreshed lam; it keeps J z
     mean-free and puts the constants, along which F does not move, in the
     kernel of J.
     """
-    lw, mean_w = lam * w, float(np.mean(w))
-    return lambda z, lap_z: lap_z + lw * (z - float(np.mean(w * z)) / mean_w)
+    lw, mean_w = np.multiply(w, lam, out=field("lw")), float(np.mean(w))
+
+    def jac(z, lap_z, out):
+        c = float(np.mean(np.multiply(w, z, out=out))) / mean_w
+        np.subtract(z, c, out=out)
+        out *= lw
+        out += lap_z
+        return out
+    return jac
 
 
-def _gmres(op, b, rtol, m):
+def _combine(y, vectors, out, tmp):
+    """sum(c * v for c, v in zip(y, vectors)) in out, bit for bit: the sum
+    starts from 0."""
+    out.fill(0.0)
+    for c, v in zip(y, vectors):
+        out += np.multiply(v, c, out=tmp)
+    return out
+
+
+def _gmres(op, b, rtol, m, field):
     """(x, y, matvecs): GMRES (Saad & Schultz 1986) for op(x) = b from
     x = 0, stopped once |b - op(x)| <= rtol |b| or after m matvecs.
 
     x is y[j] times the j-th Krylov vector, summed, where the j-th vector is
     the j-th argument op was called with; a caller that keeps what op made
-    of each vector combines those with the same y.
+    of each vector combines those with the same y.  op(v, out) writes its
+    image of v into out.  The vectors are buffers of b's shape: the j-th
+    Krylov vector is field(("V", j)), x goes into the buffer of the new
+    vector that the basis did not take, and field("tmp") is overwritten,
+    though not while op runs.
 
     The least-squares problem is kept triangular by Givens rotations; the
     last sine times the previous residual is the new residual.  An exact
@@ -187,19 +253,20 @@ def _gmres(op, b, rtol, m):
     norm 0, hence residual 0, and the loop ends before that norm would be
     divided by.
     """
+    tmp = field("tmp")
     beta = np.linalg.norm(b)
-    V = [b / beta]
+    V = [np.divide(b, beta, out=field(("V", 0)))]
     R = np.zeros((m, m))                   # the rotated Hessenberg matrix
     cs, sn = np.zeros(m), np.zeros(m)
     g = np.zeros(m + 1)
     g[0] = beta
     for j in range(m):
         if j:
-            V.append(w / h)
-        w = op(V[j])
+            V.append(np.divide(w, h, out=w))
+        w = op(V[j], field(("V", j + 1)))
         for i, v in enumerate(V):          # modified Gram-Schmidt
             R[i, j] = np.vdot(v, w)
-            w = w - R[i, j] * v
+            w -= np.multiply(v, R[i, j], out=tmp)
         h = np.linalg.norm(w)
         for i in range(j):
             R[i, j], R[i + 1, j] = (cs[i] * R[i, j] + sn[i] * R[i + 1, j],
@@ -214,7 +281,7 @@ def _gmres(op, b, rtol, m):
     y = np.zeros(k)
     for i in reversed(range(k)):           # back substitution, R triangular
         y[i] = (g[i] - R[i, i + 1:k] @ y[i + 1:]) / R[i, i]
-    x = sum(c * v for c, v in zip(y, V))
+    x = _combine(y, V, w, tmp)
     if not np.all(np.isfinite(x)):
         raise SolverDiverged("Krylov solve produced non-finite values")
     return x, y, k
@@ -225,11 +292,13 @@ def _gmres(op, b, rtol, m):
 GMRES_RTOL = 1e-3
 # Krylov basis cap; each Newton step starts a new cycle, which is the
 # restart.  A step keeps each Krylov vector and its preconditioned image, so
-# k matvecs hold 2k fields; one N = 256 field is 0.5 MB.
+# k matvecs hold 2k + 1 fields; one N = 256 field is 0.5 MB.
 KRYLOV_DIM = 20
-# fields a solve holds at its peak: the Krylov storage and 12 more for S,
-# f, lap f, F, exp(-f), the step, the half spectra and their temporaries
-# (51.6 in all under tracemalloc at N = 256 with every step at KRYLOV_DIM)
+# fields a solve holds at its peak: the Krylov storage and 11 more for S,
+# f, lap f, F, exp(-f), lam exp(-f), the step, a temporary, the spectrum
+# buffer and the half-spectrum multipliers (51.8 to 52.1 in all under
+# tracemalloc at N = 256, S and a new grid included, with every step at
+# KRYLOV_DIM)
 SOLVE_FIELDS = 2 * KRYLOV_DIM + 12
 # PeriodicGrid refuses an N whose solve would hold more bytes than this,
 # so GRID_MAX_N is 2272
@@ -266,11 +335,14 @@ def solve_chya(p: YamabeProblem, f0: Optional[np.ndarray] = None
             "mean(S) > 0: existence there is the open Chern-Yamabe "
             "conjecture, refusing to fabricate a solution")
 
+    tmp = grid.scratch("tmp")
     if degree == 0:
-        f = grid.poisson(-(S - gamma) / n)
+        rhs = np.negative(np.subtract(S, gamma, out=tmp), out=tmp)
+        f = grid.poisson(np.divide(rhs, n, out=tmp))
         lap_f = grid.laplacian(f)
         # lam = 0, so F = lap f + S/n, with no 0 exp(-f) term to overflow
-        res = float(np.max(np.abs(lap_f + S / n)))
+        F = np.add(lap_f, np.divide(S, n, out=tmp), out=tmp)
+        res = float(np.max(np.abs(F, out=F)))
         return YamabeResult(f, 0.0, res, 0, res <= max(p.tol, 1e-12 * scale),
                             [res], [], lap_f)
 
@@ -279,7 +351,10 @@ def solve_chya(p: YamabeProblem, f0: Optional[np.ndarray] = None
     # step: delta = sum y_j z_j, and lap delta = sum y_j (v_j - mu z_j),
     # which is x - mu delta for GMRES's x = sum y_j v_j.
     mu = gamma / n
-    inv = 1.0 / (grid._mult + mu)
+    inv = grid._mult + mu
+    np.divide(1.0, inv, out=inv)
+    delta = grid.scratch("delta")
+    # f and lap f are the result's own arrays, updated in place
     if f0 is None:
         # the Laplacian of 0 is exactly 0, as a transform would give it
         f, lap_f = np.zeros((grid.N, grid.N)), np.zeros((grid.N, grid.N))
@@ -296,28 +371,31 @@ def solve_chya(p: YamabeProblem, f0: Optional[np.ndarray] = None
             # verdict and the residual reported are those of a new
             # transform, and the iteration goes on from it if it fails
             while True:
-                F, lam, w = _residual(lap_f, f, S, n, gamma)
-                res = float(np.max(np.abs(F)))
+                F, lam, w = _residual(lap_f, f, S, n, gamma, grid.scratch)
+                res = float(np.max(np.abs(F, out=tmp)))
                 if fresh or res > p.tol:
                     break
-                lap_f, fresh = grid.laplacian(f), True
+                grid.laplacian(f, out=lap_f)
+                fresh = True
             residuals.append(res)
             if res <= p.tol or it == p.max_iter:
                 break
-            jac = _jacobian(lam, w)
+            jac = _jacobian(lam, w, grid.scratch)
             Z = []
 
-            def op(v):
-                z = grid._filter(v, inv)
-                Z.append(z)
-                return jac(z, v - mu * z)
+            def op(v, out):
+                Z.append(grid._filter(v, inv, grid.scratch(("Z", len(Z)))))
+                lap_z = np.subtract(v, np.multiply(Z[-1], mu, out=tmp),
+                                    out=tmp)
+                return jac(Z[-1], lap_z, out)
 
-            x, y, matvecs = _gmres(op, -F, GMRES_RTOL, KRYLOV_DIM)
+            x, y, matvecs = _gmres(op, np.negative(F, out=F), GMRES_RTOL,
+                                   KRYLOV_DIM, grid.scratch)
             linear.append(matvecs)
-            delta = sum(c * z for c, z in zip(y, Z))
-            f = f + delta
+            f += _combine(y, Z, delta, tmp)
             f -= np.mean(f)
-            lap_f, fresh = lap_f + (x - mu * delta), False
+            lap_f += np.subtract(x, np.multiply(delta, mu, out=tmp), out=tmp)
+            fresh = False
             if not np.all(np.isfinite(f)):
                 raise SolverDiverged("iteration produced non-finite values")
     # converged, or failing after max_iter steps: a result, not an error
@@ -367,12 +445,19 @@ GENERATORS = {
 FILE_KEYS = {"S": str, "N": int, "n": int, "tol": float, "max_iter": int}
 
 
+# make_problem's grids, one for each of the last GRID_CACHE sizes asked
+# for, as cli builds its parser once: consecutive solves of one size reuse
+# one grid's buffers
+GRID_CACHE = 4
+_grid = functools.lru_cache(maxsize=GRID_CACHE)(PeriodicGrid)
+
+
 def make_problem(name: str, N: int = 64, n: int = 2, tol: float = 1e-9,
                  max_iter: int = 200, **params) -> YamabeProblem:
     if name not in GENERATORS:
         raise KeyError(f"unknown generator {name!r}; "
                        f"have {sorted(GENERATORS)}")
-    grid = PeriodicGrid(N)
+    grid = _grid(N)
     params.setdefault("n", n)
     S = GENERATORS[name][0](grid, params)
     return YamabeProblem(grid, S, n=n, tol=tol, max_iter=max_iter)

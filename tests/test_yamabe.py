@@ -1,4 +1,6 @@
+import collections
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,6 +15,12 @@ from cherncurv.yamabe import (GENERATORS, GRID_MAX_N, KRYLOV_DIM,
                               load_problem, make_problem, solve_chya,
                               synthetic_v)
 from golden import regen
+
+
+def fields(shape):
+    """A field(key) for _residual, _jacobian and _gmres: a buffer of the
+    given shape per key, made on first use."""
+    return collections.defaultdict(lambda: np.empty(shape)).__getitem__
 
 
 # ---------------------------------------------------------------------------
@@ -72,6 +80,20 @@ def test_real_transforms_match_full_spectrum(N):
     assert result.converged and result.f.shape == (N, N)
     F = _full_laplacian(result.f) + p.S / p.n - result.lam * np.exp(-result.f)
     assert np.max(np.abs(F)) <= 1e-10
+
+
+@pytest.mark.parametrize("N", [4, 17, 33, 64, 256])
+def test_filter_is_irfft2_of_the_product_byte_for_byte(N):
+    # the in-place steps of _filter against the library's irfft2, with
+    # both multipliers, into a new array and into a given one
+    grid = PeriodicGrid(N)
+    f = np.random.default_rng(N).standard_normal((N, N))
+    out = np.empty((N, N))
+    for mult in (grid._mult, grid._inv):
+        want = np.fft.irfft2(mult * np.fft.rfft2(f), s=(N, N)).tobytes()
+        assert grid._filter(f, mult).tobytes() == want
+        assert grid._filter(f, mult, out) is out
+        assert out.tobytes() == want
 
 
 def test_grid_validation():
@@ -166,10 +188,14 @@ def test_jacobian_matches_finite_difference():
                     + 0.2 * np.cos(tau * (x + y)))
     d = grid.sample(lambda x, y: np.cos(tau * x)
                     + 0.5 * np.sin(tau * (x - 2 * y)) + 0.1)
-    _, lam, w = _residual(grid.laplacian(f), f, p.S, p.n, gamma)
-    jd = _jacobian(lam, w)(d, grid.laplacian(d))
+    shape = p.S.shape
+    _, lam, w = _residual(grid.laplacian(f), f, p.S, p.n, gamma,
+                          fields(shape))
+    jd = _jacobian(lam, w, fields(shape))(d, grid.laplacian(d),
+                                          np.empty(shape))
     eps = 1e-4
-    plus, minus = (_residual(grid.laplacian(g), g, p.S, p.n, gamma)[0]
+    plus, minus = (_residual(grid.laplacian(g), g, p.S, p.n, gamma,
+                             fields(shape))[0]
                    for g in (f + eps * d, f - eps * d))
     fd = (plus - minus) / (2 * eps)
     assert np.max(np.abs(jd - fd)) <= 1e-8 * np.max(np.abs(jd))
@@ -199,9 +225,9 @@ def count_transforms(monkeypatch):
     one irfft2) while patched."""
     calls, real = [], PeriodicGrid._filter
 
-    def counting(self, f, mult):
+    def counting(self, f, mult, out=None):
         calls.append(None)
-        return real(self, f, mult)
+        return real(self, f, mult, out)
 
     monkeypatch.setattr(PeriodicGrid, "_filter", counting)
     return calls
@@ -315,6 +341,47 @@ def test_a_carried_residual_that_misleads_is_not_believed(monkeypatch):
     assert any(1e-7 < r < 1e-5 for r in result.residuals[1:])
 
 
+def test_solves_on_a_cached_grid_leave_earlier_results_alone():
+    # make_problem hands out one grid per N, whose scratch every solve of
+    # that size reuses; a result's f and lap f are its own arrays
+    a = make_problem("sine-offset", N=32, offset=-1.0, amplitude=0.3)
+    b = make_problem("sine-offset", N=32, offset=-2.5, amplitude=0.7)
+    c = make_problem("synthetic-v", N=32, amplitude=0.2)
+    assert a.grid is b.grid is c.grid
+    first = solve_chya(a)
+    kept = first.f.tobytes(), first.lap_f.tobytes()
+    for p in (b, c, a):
+        seed = np.random.default_rng(1).standard_normal((32, 32))
+        result = solve_chya(p, f0=0.1 * seed)
+        assert result.converged
+    assert (first.f.tobytes(), first.lap_f.tobytes()) == kept
+    assert all(not np.shares_memory(first.f, field) and
+               not np.shares_memory(first.lap_f, field)
+               for field in a.grid._scratch.values())
+
+
+def test_a_warm_solve_holds_a_fixed_number_of_fields():
+    # once a grid's scratch has grown, a solve allocates f, lap f, the
+    # half-spectrum preconditioner and, while a multiplier acts, numpy's
+    # buffer for the real multiplier cast to complex (8192 entries at most,
+    # a whole half spectrum at this N), and nothing per Newton step
+    N = 64
+    p = make_problem("sine-offset", N=N, offset=-1.0, amplitude=0.3)
+    f0 = 0.1 * np.random.default_rng(4).standard_normal((N, N))
+    full = solve_chya(p, f0=f0)
+    assert full.converged and full.iterations >= 3
+    peaks = []
+    for max_iter in (1, 2, full.iterations):
+        tracemalloc.start()
+        try:
+            solve_chya(YamabeProblem(p.grid, p.S, max_iter=max_iter), f0=f0)
+            peaks.append(tracemalloc.get_traced_memory()[1] / (8 * N * N))
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 4
+    assert max(peaks) - min(peaks) < 0.1
+
+
 def test_direct_branch_history():
     result = solve_chya(make_problem("synthetic-v", N=32))
     assert result.residuals == [result.residual]
@@ -327,18 +394,19 @@ def test_gmres_solves_and_caps_matvecs():
     b = rng.standard_normal(40)
     basis = []
 
-    def op(v):
+    def op(v, out):
         basis.append(v)
-        return A @ v
+        return np.matmul(A, v, out=out)
 
-    x, y, k = _gmres(op, b, 1e-10, 40)
+    x, y, k = _gmres(op, b, 1e-10, 40, fields(40))
     assert np.linalg.norm(b - A @ x) <= 1e-10 * np.linalg.norm(b)
     assert k < 40
     # x combines the vectors op was called with by the coefficients y
     assert len(y) == len(basis) == k
     assert np.allclose(x, sum(c * v for c, v in zip(y, basis)), rtol=0,
                        atol=1e-12 * np.linalg.norm(x))
-    x, y, k = _gmres(lambda v: A @ v, b, 1e-10, 3)
+    x, y, k = _gmres(lambda v, out: np.matmul(A, v, out=out), b, 1e-10, 3,
+                     fields(40))
     assert k == 3 and len(y) == 3
     assert np.linalg.norm(b - A @ x) < np.linalg.norm(b)
 
@@ -350,7 +418,8 @@ def test_gmres_exact_breakdown():
     b[2] = 2.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        x, y, k = _gmres(lambda v: d * v, b, 0.0, 8)
+        x, y, k = _gmres(lambda v, out: np.multiply(d, v, out=out), b, 0.0,
+                         8, fields(8))
     assert k == 1
     assert np.array_equal(x, b / d)
     assert np.array_equal(y, [2.0 / 3.0])
@@ -358,7 +427,8 @@ def test_gmres_exact_breakdown():
 
 def test_gmres_non_finite_result_raises():
     with pytest.raises(SolverDiverged, match="non-finite"):
-        _gmres(lambda v: np.full_like(v, np.nan), np.ones(4), 1e-3, 4)
+        _gmres(lambda v, out: np.multiply(v, np.nan, out=out), np.ones(4),
+               1e-3, 4, fields(4))
     p = make_problem("sine-offset", N=16, offset=-1e290, amplitude=1e300)
     with pytest.raises(SolverDiverged, match="non-finite"):
         solve_chya(p)
