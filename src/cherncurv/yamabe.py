@@ -468,10 +468,11 @@ def load_problem(path) -> YamabeProblem:
 
     One ``key = value`` pair per line; '#' starts a comment.  The keys are
     FILE_KEYS (S names the generator) and the parameters that generator
-    reads (see GENERATORS).  Any other key, an unknown generator and a
-    value of the wrong type are refused with the file, line and key.
+    reads (see GENERATORS).  Any other key, a key given twice, an unknown
+    generator and a value of the wrong type are refused with the file, line
+    and key.
     """
-    kv, where = {}, {}
+    kv, lines = {}, {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -480,7 +481,11 @@ def load_problem(path) -> YamabeProblem:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, _, val = (part.strip() for part in line.partition("="))
-            kv[key], where[key] = val, f"{path}:{lineno}: {key}"
+            if key in lines:
+                raise ValueError(f"{path}:{lineno}: {key}: given twice, on "
+                                 f"lines {lines[key]} and {lineno}")
+            kv[key], lines[key] = val, lineno
+    where = {key: f"{path}:{lineno}: {key}" for key, lineno in lines.items()}
     name = kv.get("S", "zero")
     if name not in GENERATORS:
         raise ValueError(f"{where['S']}: unknown generator {name!r}; have "

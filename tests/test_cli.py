@@ -354,9 +354,13 @@ def test_yamabe_positive_file(capsys, tmp_path):
     ("S = sine-offset\noffset = -1\namplitude = big\n", 3,
      "amplitude: expected a number, got 'big'"),
     ("tol = 1e-9x\n", 1, "tol: expected a number, got '1e-9x'"),
+    ("N = 16\nS = constant\n# again\nN = 32\n", 4,
+     "N: given twice, on lines 1 and 4"),
+    ("S = sine-offset\namplitude = 0.3\namplitude=0.3\n", 3,
+     "amplitude: given twice, on lines 2 and 3"),
 ], ids=["unknown-key", "misspelt", "other-generators-key",
         "unknown-generator", "float-N", "float-max-iter", "bad-amplitude",
-        "bad-tol"])
+        "bad-tol", "twice", "twice-same-value"])
 def test_problem_file_refusals_name_file_line_and_key(capsys, tmp_path,
                                                       text, line, message):
     path = tmp_path / "p.txt"
