@@ -235,6 +235,13 @@ def _combine(y, vectors, out, tmp):
     return out
 
 
+def _dot(a, b, tmp):
+    """The inner product of a and b: numpy's pairwise sum of their product,
+    formed in tmp.  A BLAS dot would split the sum, and so its last digits,
+    by the host's thread count."""
+    return float(np.multiply(a, b, out=tmp).sum())
+
+
 def _gmres(op, b, rtol, m, field):
     """(x, y, matvecs): GMRES (Saad & Schultz 1986) for op(x) = b from
     x = 0, stopped once |b - op(x)| <= rtol |b| or after m matvecs.
@@ -254,7 +261,7 @@ def _gmres(op, b, rtol, m, field):
     divided by.
     """
     tmp = field("tmp")
-    beta = np.linalg.norm(b)
+    beta = math.sqrt(_dot(b, b, tmp))
     V = [np.divide(b, beta, out=field(("V", 0)))]
     R = np.zeros((m, m))                   # the rotated Hessenberg matrix
     cs, sn = np.zeros(m), np.zeros(m)
@@ -265,9 +272,9 @@ def _gmres(op, b, rtol, m, field):
             V.append(np.divide(w, h, out=w))
         w = op(V[j], field(("V", j + 1)))
         for i, v in enumerate(V):          # modified Gram-Schmidt
-            R[i, j] = np.vdot(v, w)
+            R[i, j] = _dot(v, w, tmp)
             w -= np.multiply(v, R[i, j], out=tmp)
-        h = np.linalg.norm(w)
+        h = math.sqrt(_dot(w, w, tmp))
         for i in range(j):
             R[i, j], R[i + 1, j] = (cs[i] * R[i, j] + sn[i] * R[i + 1, j],
                                     cs[i] * R[i + 1, j] - sn[i] * R[i, j])
