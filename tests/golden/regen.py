@@ -20,8 +20,9 @@ Float cases store a first line ``exit <code>`` followed by the stdout:
   and the default-grid ``scan <entry> --kind 2`` of every non-existence
   entry (``scan-default-<entry>.txt``);
 * ``yamabe`` runs (``yamabe-<name>.txt``): each generator, ``--seed``,
-  ``--n 3``, odd N, runs that do not converge and exit 1, and the problem
-  files of ``problems/``.
+  ``--n 3``, odd N, a Newton solve at N = 128 (the size from which
+  OpenBLAS threads its dot products), runs that do not converge and exit
+  1, and the problem files of ``problems/``.
 
 Run from the repository root, against the package under test::
 
@@ -106,6 +107,8 @@ YAMABE_RUNS = (
                         "--n", "3"]),
     ("sine-offset-odd", ["--generator", "sine-offset", "--N", "33",
                          "--seed", "2"]),
+    ("sine-offset-128", ["--generator", "sine-offset", "--N", "128",
+                         "--seed", "7"]),
     ("synthetic-v", ["--generator", "synthetic-v", "--N", "64"]),
     ("synthetic-v-n3-odd", ["--generator", "synthetic-v", "--N", "17",
                             "--n", "3"]),

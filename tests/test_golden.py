@@ -9,9 +9,15 @@ number of the stored output: their last printed digits follow the
 rounding of the evaluation order.
 """
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+from cherncurv import cli
 
 from golden import regen
 
@@ -84,6 +90,26 @@ def test_float_output_matches_golden(name, argv):
 def test_yamabe_output_matches_golden(name, argv):
     rc, text = regen.run(argv)
     assert f"exit {rc}\n{text}".encode() == \
+        (regen.GOLDEN_DIR / f"{name}.txt").read_bytes()
+
+
+def test_yamabe_output_does_not_follow_the_blas_thread_count():
+    # N = 128 is the size from which OpenBLAS threads a dot product; the
+    # solver takes none, so a fresh process held to one BLAS thread prints
+    # the bytes of this process's run, whatever its thread count
+    name, argv = "yamabe-sine-offset-128", dict(regen.yamabe_cases())[
+        "yamabe-sine-offset-128"]
+    rc, text = regen.run(argv)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "cherncurv.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.stderr == ""
+    assert f"exit {proc.returncode}\n{proc.stdout}".encode() == \
+        f"exit {rc}\n{text}".encode() == \
         (regen.GOLDEN_DIR / f"{name}.txt").read_bytes()
 
 
