@@ -20,10 +20,10 @@ GMRES matvec and no more, because the Laplacian of the iterate is carried
 through the Krylov basis; the convergence verdict costs one more pair, on a
 fresh transform that the conformal law of the result reads too, and a given
 start f0 one more.  The iteration allocates no fields: it works in the
-grid's scratch fields (see PeriodicGrid.scratch), 2k + 1 of them for a
-step of k matvecs and 6 more, and the solves that follow on that grid
-reuse them.  The positive branch is an open problem and is refused, not
-approximated.
+grid's scratch fields (see PeriodicGrid.scratch), 2k + 1 for the vectors
+of a step of k matvecs and five more, and the solves that follow on that
+grid reuse them.  The positive branch is an open problem and is refused,
+not approximated.
 """
 
 from __future__ import annotations
