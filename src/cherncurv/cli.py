@@ -292,11 +292,12 @@ def cmd_yamabe(args) -> int:
     except yamabe.PositiveDegreeOpen as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    # exp(f) may overflow; law_constancy then reads inf
+    # exp(f) may overflow; law_constancy then reads inf.  The law goes into
+    # the grid's residual field, which the solve no longer needs
     with np.errstate(over="ignore"):
         law = yamabe.conformal_scalar_law(problem.S, result.f, problem.n,
                                           problem.grid, result.lap_f,
-                                          out=problem.grid.scratch("law"))
+                                          out=problem.grid.scratch("F"))
     law -= problem.n * result.lam
     rep = Report()
     rep.add("N", problem.grid.N)

@@ -21,7 +21,7 @@ through the Krylov basis; the convergence verdict costs one more pair, on a
 fresh transform that the conformal law of the result reads too, and a given
 start f0 one more.  The iteration allocates no fields: it works in the
 grid's scratch fields (see PeriodicGrid.scratch), 2k + 1 for the vectors
-of a step of k matvecs and five more, and the solves that follow on that
+of a step of k matvecs and four more, and the solves that follow on that
 grid reuse them.  The positive branch is an open problem and is refused,
 not approximated.
 """
@@ -301,11 +301,11 @@ GMRES_RTOL = 1e-3
 # restart.  A step keeps each Krylov vector and its preconditioned image, so
 # k matvecs hold 2k + 1 fields; one N = 256 field is 0.5 MB.
 KRYLOV_DIM = 20
-# fields a solve holds at its peak: the Krylov storage and 11 more for S,
-# f, lap f, F, exp(-f), lam exp(-f), the step, a temporary, the spectrum
-# buffer and the half-spectrum multipliers (51.8 to 52.1 in all under
-# tracemalloc at N = 256, S and a new grid included, with every step at
-# KRYLOV_DIM)
+# fields a solve holds at its peak, with a field to spare: the Krylov
+# storage and 9.5 more for S, f, lap f, F, exp(-f), lam exp(-f), a
+# temporary, the spectrum buffer and three half-spectrum multipliers (50.8
+# to 51.1 in all under tracemalloc at N = 256, S and a new grid included,
+# with every step at KRYLOV_DIM)
 SOLVE_FIELDS = 2 * KRYLOV_DIM + 12
 # PeriodicGrid refuses an N whose solve would hold more bytes than this,
 # so GRID_MAX_N is 2272
@@ -360,7 +360,6 @@ def solve_chya(p: YamabeProblem, f0: Optional[np.ndarray] = None
     mu = gamma / n
     inv = grid._mult + mu
     np.divide(1.0, inv, out=inv)
-    delta = grid.scratch("delta")
     # f and lap f are the result's own arrays, updated in place
     if f0 is None:
         # the Laplacian of 0 is exactly 0, as a transform would give it
@@ -399,7 +398,9 @@ def solve_chya(p: YamabeProblem, f0: Optional[np.ndarray] = None
             x, y, matvecs = _gmres(op, np.negative(F, out=F), GMRES_RTOL,
                                    KRYLOV_DIM, grid.scratch)
             linear.append(matvecs)
-            f += _combine(y, Z, delta, tmp)
+            # the step goes into the first Krylov vector, spent by now
+            delta = _combine(y, Z, grid.scratch(("V", 0)), tmp)
+            f += delta
             f -= np.mean(f)
             lap_f += np.subtract(x, np.multiply(delta, mu, out=tmp), out=tmp)
             fresh = False
