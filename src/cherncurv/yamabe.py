@@ -108,10 +108,9 @@ class PeriodicGrid:
             raise ValueError("field shape does not match the grid")
         return self._filter(f, self._mult, out)
 
-    def poisson(self, rhs: np.ndarray,
-                out: Optional[np.ndarray] = None) -> np.ndarray:
+    def poisson(self, rhs: np.ndarray) -> np.ndarray:
         """Mean-zero solution of lap u = rhs (rhs must have zero mean)."""
-        return self._filter(np.asarray(rhs, dtype=float), self._inv, out)
+        return self._filter(np.asarray(rhs, dtype=float), self._inv)
 
 
 @dataclass
