@@ -252,28 +252,43 @@ def _holo(grad, hess):
     return dz, dzbar, d2
 
 
-def _holo_jets(fn, x):
-    """Value, d/dz^i, d/dzbar^i and d^2/dz^i dzbar^j of ``fn`` at the real
-    point x as complex arrays, derivative indices first:
-    dz[i, k, l] = d fn_kl / dz^i."""
+def _holo_parts(fn, x):
+    """Value, d/dz^i, d/dzbar^i and d^2/dz^i dzbar^j of each part of
+    ``fn`` at the real point x, from one jet: ``fn`` maps z to a list of
+    parts, each a scalar or a nested list, and each part gives a tuple of
+    complex arrays, derivative indices first: dz[i, k, l] = d part_kl /
+    dz^i."""
     val, grad, hess = jet2(fn, list(x))
-    dz, dzbar, d2 = _holo(np.array(grad, dtype=complex),
-                          np.array(hess, dtype=complex))
-    return (np.array(val, dtype=complex), np.array(dz), np.array(dzbar),
-            np.array(d2))
+    out = []
+    for p, v in enumerate(val):
+        dz, dzbar, d2 = _holo(
+            np.array([g[p] for g in grad], dtype=complex),
+            np.array([[e[p] for e in row] for row in hess], dtype=complex))
+        out.append((np.array(v, dtype=complex), np.array(dz),
+                    np.array(dzbar), np.array(d2)))
+    return out
+
+
+def _holo_jets(fn, x):
+    """:func:`_holo_parts` of ``fn`` as the one part."""
+    return _holo_parts(lambda z: [fn(z)], x)[0]
 
 
 def _assemble_curvature(up, dh, dhb, d2h):
     return -d2h + np.einsum("pq,ikq,jpl->ijkl", up, dh, dhb)
 
 
-def _curvature(field: ChartMetricField, x):
-    """(Theta, h, h^{-1} as :func:`invariant._upper`) at x from one jet of
-    the metric field, with h inverted once; the inverse refuses a metric
-    that is not positive definite at x."""
-    h0, dh, dhb, d2h = _holo_jets(field.fn, x)
+def _curvature_of(h0, dh, dhb, d2h):
+    """(Theta, h, h^{-1} as :func:`invariant._upper`) from the holomorphic
+    jets of a metric, with h inverted once; the inverse refuses a metric
+    that is not positive definite."""
     up = inv._upper(h0)
     return _assemble_curvature(up, dh, dhb, d2h), h0, up
+
+
+def _curvature(field: ChartMetricField, x):
+    """:func:`_curvature_of` the metric field at x, from one jet."""
+    return _curvature_of(*_holo_jets(field.fn, x))
 
 
 def curvature_at(field: ChartMetricField, x):
@@ -357,22 +372,23 @@ def fd_oracle(field: ChartMetricField, x, step: float = 1e-4):
 def conformal_check(field: ChartMetricField, f: ScalarField, x):
     """Verify the three conformal-change identities at one point.
 
-    Returns a dict of max relative discrepancies for the curvature identity,
-    the Ric1 law and the Ric2 law.
+    One set of jet passes evaluates f, h and e^f h, each pass once per
+    field; e^f h is evaluated as a field, not built from the jets of f
+    and h, so its curvature tests the law.  Returns a dict of max
+    relative discrepancies for the curvature identity, the Ric1 law and
+    the Ric2 law.
     """
     n = field.n
 
-    def scaled_fn(z):
-        ef = hd_exp(f.fn(z))
-        mat = field.fn(z)
-        return [[ef * mat[i][j] for j in range(n)] for i in range(n)]
+    def parts(z):
+        fz, mat = f.fn(z), field.fn(z)
+        ef = hd_exp(fz)
+        return [fz, mat, [[ef * mat[i][j] for j in range(n)]
+                          for i in range(n)]]
 
-    scaled = ChartMetricField(n, scaled_fn, field.box,
-                              name=field.name + "*e^f",
-                              excluded=field.excluded)
-    theta_f, _, up_f = _curvature(scaled, x)
-    theta, h0, up = _curvature(field, x)
-    fval, _, _, d2f = _holo_jets(f.fn, x)
+    (fval, _, _, d2f), base, scaled = _holo_parts(parts, x)
+    theta_f, _, up_f = _curvature_of(*scaled)
+    theta, h0, up = _curvature_of(*base)
     ef = math.exp(float(np.real(fval)))
     rhs = ef * (theta - np.einsum("kl,ij->ijkl", h0, d2f))
     out = {"curvature": _rel(theta_f, rhs)}

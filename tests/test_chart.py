@@ -108,15 +108,24 @@ def counted(fn):
 @pytest.mark.parametrize("call, evals", [
     (curvature_at, 10),
     (ricci_matrices_at, 10),
-    (lambda field, x: conformal_check(field, FACTORS["mixed"], x), 20),
+    (lambda field, x: conformal_check(field, FACTORS["mixed"], x), 10),
 ])
 def test_one_jet_per_field_per_point(call, evals):
-    # n = 2: one evaluation per seeded pair of the 4 real coordinates, and
-    # conformal_check takes one jet of the field and one of e^f times it
+    # n = 2: one evaluation per seeded pair of the 4 real coordinates;
+    # conformal_check's one set of passes serves h and e^f times h
     base = METRICS["random-poly"]
     field = ChartMetricField(base.n, counted(base.fn), base.box)
     call(field, sample_points(base, 1, seed=6)[0])
     assert field.fn.calls == evals
+
+
+def test_conformal_check_evaluates_the_factor_once_per_pass():
+    # the same 10 passes serve f and e^f times h
+    fac = FACTORS["mixed"]
+    f = ScalarField(fac.n, counted(fac.fn))
+    conformal_check(METRICS["random-poly"], f,
+                    sample_points(METRICS["random-poly"], 1, seed=6)[0])
+    assert f.fn.calls == 10
 
 
 @pytest.mark.parametrize("call, inversions", [
@@ -175,6 +184,42 @@ def test_conformal_laws(mname, fname):
         assert out["curvature"] < 1e-10
         assert out["ric1"] < 1e-10
         assert out["ric2"] < 1e-10
+
+
+def three_jet_conformal_check(field, f, x):
+    """conformal_check from three separate jets: of e^f h (which evaluates
+    f and h again), of h and of f."""
+    n = field.n
+
+    def scaled_fn(z):
+        ef = hd_exp(f.fn(z))
+        mat = field.fn(z)
+        return [[ef * mat[i][j] for j in range(n)] for i in range(n)]
+
+    scaled = ChartMetricField(n, scaled_fn, field.box)
+    theta_f, _, up_f = chart._curvature(scaled, x)
+    theta, h0, up = chart._curvature(field, x)
+    fval, _, _, d2f = chart._holo_jets(f.fn, x)
+    ef = math.exp(float(np.real(fval)))
+    rhs = ef * (theta - np.einsum("kl,ij->ijkl", h0, d2f))
+    out = {"curvature": chart._rel(theta_f, rhs)}
+    ups, thetas = np.stack([up_f, up], -1), np.stack([theta_f, theta], -1)
+    ric1_f, ric1 = inv._leading(np.einsum(inv._RICCI[1], ups, thetas))
+    out["ric1"] = chart._rel(ric1_f, ric1 - n * d2f)
+    ric2_f, ric2 = inv._leading(np.einsum(inv._RICCI[2], ups, thetas))
+    lap = inv._laplacian_stack(up[..., None], d2f[..., None])[0]
+    out["ric2"] = chart._rel(ric2_f, ric2 + 0.5 * lap * h0)
+    return out
+
+
+@pytest.mark.parametrize("mname", sorted(METRICS))
+def test_conformal_check_is_the_three_jet_check(mname):
+    # the shared passes give f, h and e^f h the bits of their own jets
+    field = METRICS[mname]
+    for fname in sorted(FACTORS):
+        for x in sample_points(field, 10, seed=12):
+            assert conformal_check(field, FACTORS[fname], x) == \
+                three_jet_conformal_check(field, FACTORS[fname], x)
 
 
 # ---------------------------------------------------------------------------
