@@ -83,12 +83,6 @@ class CoframeAlgebra:
         return all(is_exact(v) for table in (self.a, self.b, self.c)
                    for v in table.values())
 
-    def basis_1form(self, idx: int, barred=False) -> "InvariantForm":
-        """phi^idx (or bar(phi)^idx), idx 1-based; the coefficient 1 is the
-        unit of both arithmetics."""
-        key = (idx - 1 + (self.n if barred else 0),)
-        return InvariantForm(self.n, {key: 1})
-
     def d_basis(self, idx: int, barred=False) -> "InvariantForm":
         """Structure-equation expansion of d(phi^idx) resp. d(bar phi^idx)."""
         n = self.n

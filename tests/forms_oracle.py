@@ -25,6 +25,13 @@ from cherncurv.forms import InvariantForm, dbar_part, del_part, ext_d
 from cherncurv.scalars import QQi, is_zero
 
 
+def basis_1form(alg, idx, barred=False):
+    """phi^idx (or bar(phi)^idx) of the algebra, idx 1-based; the
+    coefficient 1 is the unit of both arithmetics."""
+    key = (idx - 1 + (alg.n if barred else 0),)
+    return InvariantForm(alg.n, {key: 1})
+
+
 def forms_connection(alg, h):
     """theta[m][k] = gamma^m_{k l} phi^l + B^m_{k l} bar(phi)^l, with B read
     from the structure table and gamma from the solved tensor of
@@ -79,9 +86,9 @@ def forms_torsion(alg, h):
     n = alg.n
     taus = []
     for i in range(n):
-        tau = ext_d(alg, alg.basis_1form(i + 1))
+        tau = ext_d(alg, basis_1form(alg, i + 1))
         for j in range(n):
-            tau = tau + theta[i][j].wedge(alg.basis_1form(j + 1))
+            tau = tau + theta[i][j].wedge(basis_1form(alg, j + 1))
         assert (tau.project_bidegree(1, 1) + tau.project_bidegree(0, 2)
                 ).is_zero(tol_scale=max(tau.max_abs(), 1.0)), \
             "torsion is not of type (2,0)"
@@ -108,7 +115,7 @@ def lstsq_lee_form(alg, h):
     n = alg.n
     power = _omega_power(h, n - 1)
     target = ext_d(alg, power)
-    basis = [alg.basis_1form(i + 1, barred=bar)
+    basis = [basis_1form(alg, i + 1, barred=bar)
              for bar in (False, True) for i in range(n)]
     wedges = [e.wedge(power) for e in basis]
     keys = sorted({k for w in wedges for k in w.coefficients}

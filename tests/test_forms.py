@@ -4,6 +4,7 @@ from cherncurv import catalog
 from cherncurv.forms import (CoframeAlgebra, DimensionMismatch, InvariantForm,
                              NotIntegrable, del_part, dbar_part, ext_d)
 from cherncurv.scalars import I_EXACT, QQi
+from forms_oracle import basis_1form
 
 
 def hopf_algebra():
@@ -13,8 +14,8 @@ def hopf_algebra():
 
 def test_wedge_anticommutes_on_1forms():
     alg = hopf_algebra()
-    a = alg.basis_1form(1)
-    b = alg.basis_1form(2, barred=True)
+    a = basis_1form(alg, 1)
+    b = basis_1form(alg, 2, barred=True)
     assert a.wedge(b) == b.wedge(a).scale(QQi(-1))
     assert a.wedge(a).is_zero()
 
@@ -53,10 +54,10 @@ def test_canonical_reordering_sign():
 
 def test_conj_involution():
     alg = hopf_algebra()
-    f = alg.basis_1form(1).wedge(alg.basis_1form(2, barred=True)).scale(
+    f = basis_1form(alg, 1).wedge(basis_1form(alg, 2, barred=True)).scale(
         QQi(1, 2))
     assert f.conj().conj() == f
-    assert alg.basis_1form(1).conj() == alg.basis_1form(1, barred=True)
+    assert basis_1form(alg, 1).conj() == basis_1form(alg, 1, barred=True)
 
 
 @pytest.mark.parametrize("name", catalog.list_entries())
@@ -64,17 +65,17 @@ def test_d_squared_zero_on_catalog(name):
     alg, _, _ = catalog.build(name, exact=True)
     for idx in range(1, alg.n + 1):
         for barred in (False, True):
-            phi = alg.basis_1form(idx, barred=barred)
+            phi = basis_1form(alg, idx, barred=barred)
             assert ext_d(alg, ext_d(alg, phi)).is_zero()
-    two_form = alg.basis_1form(1).wedge(alg.basis_1form(2, barred=True))
+    two_form = basis_1form(alg, 1).wedge(basis_1form(alg, 2, barred=True))
     assert ext_d(alg, ext_d(alg, two_form)).is_zero()
 
 
 @pytest.mark.parametrize("name", catalog.list_entries())
 def test_d_commutes_with_conj(name):
     alg, h, _ = catalog.build(name, exact=True)
-    f = alg.basis_1form(1).scale(QQi(1, 1)) + alg.basis_1form(
-        2, barred=True).scale(QQi(3))
+    f = basis_1form(alg, 1).scale(QQi(1, 1)) + basis_1form(
+        alg, 2, barred=True).scale(QQi(3))
     assert ext_d(alg, f.conj()) == ext_d(alg, f).conj()
 
 
