@@ -37,9 +37,10 @@ there is one::
 
     PYTHONPATH=src python tests/golden/regen.py --check [PREFIX ...]
 
-``tests/test_golden.py`` reruns the same cases; it compares the exact
-and ``yamabe`` outputs byte for byte and the other float outputs key by
-key, with numbers compared relative to the largest number of the output.
+``tests/test_golden.py`` reruns the same cases and compares each output
+byte for byte, as ``--check`` does; a float output that differs is
+reported key by key, with the largest drift of its numbers relative to
+the largest number of the output.
 """
 
 from __future__ import annotations
