@@ -372,9 +372,9 @@ def fd_oracle(field: ChartMetricField, x, step: float = 1e-4):
 def conformal_check(field: ChartMetricField, f: ScalarField, x):
     """Verify the three conformal-change identities at one point.
 
-    One set of jet passes evaluates f, h and e^f h, each pass once per
-    field; e^f h is evaluated as a field, not built from the jets of f
-    and h, so its curvature tests the law.  Returns a dict of max
+    One set of jet passes serves f, h and e^f h, and each pass evaluates
+    f and h once; e^f h is evaluated as a field, not built from the jets
+    of f and h, so its curvature tests the law.  Returns a dict of max
     relative discrepancies for the curvature identity, the Ric1 law and
     the Ric2 law.
     """
