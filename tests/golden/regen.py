@@ -19,6 +19,10 @@ Float cases store a first line ``exit <code>`` followed by the stdout:
   entry, kind 1 to 3 and both modes (``scan-<entry>-<k>-<mode>.txt``),
   and the default-grid ``scan <entry> --kind 2`` of every non-existence
   entry (``scan-default-<entry>.txt``);
+* anisotropic metrics, with r and s far apart: ``curvature`` and
+  ``einstein inoue-sm`` at the points of ``WIDE_POINTS``
+  (``<command>-wide-<index>.txt``), and ``scan <entry> --kind 2 --grid
+  <WIDE_GRID>`` for every entry (``scan-wide-<entry>.txt``);
 * ``yamabe`` runs (``yamabe-<name>.txt``): each generator, ``--seed``,
   ``--n 3``, odd N, a Newton solve at N = 128 (the size from which
   OpenBLAS threads its dot products), runs that do not converge and exit
@@ -78,6 +82,10 @@ def cases():
 FLOAT_COMMANDS = ("curvature", "einstein", "lee", "gauduchon", "bl")
 # three values per axis, exact in binary: 3 * 3 * 73 = 657 grid points
 SCAN_GRID = "0.375:1.625:0.625"
+# anisotropic metrics: s / r = 1e6 at the points, and axis ends 4e5
+# apart in the grid, 5 * 5 * 73 = 1825 grid points
+WIDE_POINTS = ("r=0.001,s=1000,u=0", "r=0.001,s=1000,u=0.5")
+WIDE_GRID = "0.01:4000.01:1000"
 
 
 def float_cases():
@@ -95,6 +103,13 @@ def float_cases():
             for kind in (1, 2, 3) for mode in ("strong", "weak")]
     out += [(f"scan-default-{entry}", ["scan", entry, "--kind", "2"])
             for entry in catalog.NONEXISTENCE_ENTRIES]
+    out += [(f"{command}-wide-{idx}",
+             [command, "inoue-sm", "--params", params])
+            for command in ("curvature", "einstein")
+            for idx, params in enumerate(WIDE_POINTS)]
+    out += [(f"scan-wide-{entry}",
+             ["scan", entry, "--kind", "2", "--grid", WIDE_GRID])
+            for entry in catalog.list_entries()]
     return out
 
 
