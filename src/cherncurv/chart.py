@@ -281,8 +281,8 @@ def _assemble_curvature(up, dh, dhb, d2h):
 def _curvature_of(h0, dh, dhb, d2h):
     """(Theta, h, h^{-1} as :func:`invariant._upper`) from the holomorphic
     jets of a metric, with h inverted once; the inverse refuses a metric
-    that is not positive definite."""
-    up = inv._upper(h0)
+    that the invariant layer's rule does not admit."""
+    up = inv._admit(*inv._upper(h0))
     return _assemble_curvature(up, dh, dhb, d2h), h0, up
 
 
@@ -308,7 +308,8 @@ def ricci_matrices_at(field: ChartMetricField, x):
 
 def chern_laplacian_at(field: ChartMetricField, f: ScalarField, x):
     """Delta^Ch f = -2 h^{j kbar} d^2 f / dz^j dzbar^k at x."""
-    up, d2f = inv._upper(field.matrix(x)), _holo_jets(f.fn, x)[3]
+    up = inv._admit(*inv._upper(field.matrix(x)))
+    d2f = _holo_jets(f.fn, x)[3]
     return float(inv._laplacian_stack(up[..., None], d2f[..., None])[0])
 
 
@@ -359,7 +360,7 @@ def fd_oracle(field: ChartMetricField, x, step: float = 1e-4):
     def assemble(hstep):
         f0, g, hes = jets(hstep)
         dh, dhb, d2h = (np.array(v) for v in _holo(g, hes))
-        return _assemble_curvature(inv._upper(f0), dh, dhb, d2h)
+        return _assemble_curvature(inv._admit(*inv._upper(f0)), dh, dhb, d2h)
 
     coarse = assemble(step)
     fine = assemble(step / 2)
@@ -454,30 +455,28 @@ def first_ce_from_potential(potential: ScalarField, sign: int,
     n = potential.n
     base = metric_from_potential(potential)
 
-    def f_of(mat, z):
-        return -hd_log(mat_det(mat)) - sign * potential.fn(z)
-
-    def scaled_fn(z):
+    def parts(z):
         mat = base.fn(z)
-        ef = hd_exp(f_of(mat, z) * (1.0 / n))
-        return [[ef * mat[i][j] for j in range(n)] for i in range(n)]
+        f = -hd_log(mat_det(mat)) - sign * potential.fn(z)
+        ef = hd_exp(f * (1.0 / n))
+        return [f, mat, [[ef * mat[i][j] for j in range(n)]
+                         for i in range(n)]]
 
-    scaled = ChartMetricField(n, scaled_fn, base.box,
-                              name=potential.name + "-ce")
-    worst = 0.0
-    factors = []
+    worst, factors = 0.0, []
     for x in points:
-        h0 = base.matrix(x)
-        if np.min(np.linalg.eigvalsh(h0)) <= 0:
+        # one set of jet passes gives f, h and e^{f/n} h, and one
+        # elimination of the stack (h, e^{f/n} h) judges h and inverts both
+        (fval, *_), (h0, *_), (h_f, *jets) = _holo_parts(parts, x)
+        up, fault = inv._upper(np.stack([h0, h_f]))
+        if fault[0]:
             raise ValueError(
                 "potential is not strictly plurisubharmonic at a point")
-        theta, _, up = _curvature(scaled, x)
+        up = inv._admit(up, fault)[1]
+        theta = _assemble_curvature(up, *jets)
         ric1 = np.einsum(inv._RICCI[1], up[..., None],
                          theta[..., None])[..., 0]
         worst = max(worst, _rel(ric1, sign * h0))
-        z = [complex(x[2 * i], x[2 * i + 1]) for i in range(n)]
-        fval = float(np.real(complex(f_of(h0.tolist(), z))))
-        factors.append(sign * math.exp(-fval / n))
+        factors.append(sign * math.exp(-float(np.real(fval)) / n))
     return PotentialCEReport(points=list(points), max_error=worst,
                              factors=factors)
 

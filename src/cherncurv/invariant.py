@@ -101,9 +101,10 @@ class DegenerateMetric(ValueError):
     pass
 
 
-# a float metric is degenerate if |det h| < DEGENERACY (largest |h_ij|)^n,
-# or if either side is not finite (:func:`_nondegenerate`)
-DEGENERACY = 1e-10
+# a float pivot p_k of :func:`_upper` below TAU Re h_kk is degenerate, a
+# scale-free rule: diagonal scaling keeps p_k / h_kk (van der Sluis, Numer.
+# Math. 14, 1969); for the surface family p_2 / h_11 = 1 - |u|^2 / (r s)^2
+TAU = 1e-10
 
 
 class HermitianMetric:
@@ -129,20 +130,15 @@ class HermitianMetric:
 
     def _validate(self):
         """h^{-1}, once the metric is found nondegenerate, Hermitian and
-        positive definite, in that order; the last test is
-        :func:`_upper`'s."""
-        n = self.n
-        # exact tests need no scale; floats are judged against the largest
-        # entry
-        scale = None if self.exact else max(abs(v) for row in self.h
-                                            for v in row)
-        if not (self.exact or _nondegenerate(mat_det(self.h), scale, n)):
-            raise DegenerateMetric("metric is numerically degenerate")
-        for i in range(n):
-            for j in range(n):
-                if not is_zero(self.h[i][j] - conj(self.h[j][i]), scale=scale):
-                    raise ValueError("metric matrix is not Hermitian")
-        return _upper(self.array)
+        positive definite, in that order, the others by :func:`_admit`."""
+        up, fault = _upper(self.array)
+        # floats are judged against the largest entry
+        scale = None if self.exact else max(map(abs, self.array.flat))
+        if fault >= 0 and not all(
+                is_zero(x - conj(y), scale=scale)
+                for x, y in zip(self.array.flat, self.array.T.flat)):
+            raise ValueError("metric matrix is not Hermitian")
+        return _admit(up, fault)
 
     def inverse_upper(self):
         """h^{i jbar}, the inverse satisfying h^{i jbar} h_{k jbar} = delta;
@@ -162,16 +158,6 @@ def abs2(z):
     return np.real(z) * np.real(z) + np.imag(z) * np.imag(z)
 
 
-def _nondegenerate(det, top, n):
-    """Elementwise: whether a float metric with determinant ``det`` and
-    largest |h_ij| ``top`` is not numerically degenerate, that is det h
-    and top^n are finite and |det h| >= DEGENERACY top^n (which no finite
-    |det h| is when top^n is infinite or NaN)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        volume = DEGENERACY * np.asarray(top, dtype=float) ** n
-        return np.isfinite(det) & (abs(det) >= volume)
-
-
 def surface_matrix(r, s, u):
     """The surface family's h(r, s, u) as a 2 x 2 nested list,
     [[r^2/2, -sqrt(-1) u/2], [sqrt(-1) conj(u)/2, s^2/2]], elementwise in
@@ -181,27 +167,21 @@ def surface_matrix(r, s, u):
             [times_i(conj(u)) / 2, s * s / 2]]
 
 
-def surface_admissible(r, s, u):
-    """Elementwise r^2 > 0, s^2 > 0 and r^2 s^2 - |u|^2 > 0: whether
-    (r, s, u), real parts of r and s taken, gives a positive-definite
-    surface metric.  Scalars give a numpy bool, arrays a boolean mask."""
-    r, s = np.real(r), np.real(s)
-    r2, s2 = r * r, s * s
-    return (r2 > 0) & (s2 > 0) & (r2 * s2 - abs2(u) > 0)
-
-
 @dataclass(frozen=True)
 class SurfaceMetricParams:
     """(r, s, u) parameterisation of invariant surface metrics, inducing
-    :func:`surface_matrix`, admissible when r^2 s^2 - |u|^2 > 0."""
+    :func:`surface_matrix`."""
 
     r: object
     s: object
     u: object = 0
 
     def admissible(self) -> bool:
-        return bool(surface_admissible(complex(self.r), complex(self.s),
-                                       complex(self.u)))
+        """Whether :meth:`metric` answers, in the arithmetic of r, s, u."""
+        try:
+            return bool(self.metric())
+        except (ValueError, ArithmeticError):
+            return False
 
     def metric(self, exact: Optional[bool] = None) -> HermitianMetric:
         """The metric, exact when r, s and u are rational unless ``exact``
@@ -288,33 +268,60 @@ def chern_connection(b, hs, up):
 
 
 def _upper(hs):
-    """up[..., k, l] = h^{k lbar}, the inverse with h^{k lbar} h_{m lbar} =
-    delta_km, of a stack hs[M, ...] of Hermitian positive-definite
-    matrices or of one such matrix: for a stack, the leading-M view of a
-    trailing-M array.
+    """(up, fault) of a stack hs[M, ...] of matrices, the leading-M view
+    of a trailing-M array, or of one matrix: up[..., k, l] = h^{k lbar},
+    the inverse with h^{k lbar} h_{m lbar} = delta_km, and fault[M] (an int
+    for one matrix) the verdict of the one rule that admits a metric: 0,
+    or the first pivot k (1-based) that fails, -k if it is degenerate.
 
     One Gauss-Jordan elimination without pivoting runs on the trailing-M
-    stack, each entry an M-vector, complex or QQi.  On such matrices it is
-    backward stable without pivoting (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, 2nd ed., 10.1), and its pivots, ratios of
-    leading principal minors, are positive: one that is not raises
-    NotPositiveDefinite."""
+    stack, each entry an M-vector, complex or QQi.  On Hermitian
+    positive-definite matrices it is backward stable (Higham, 10.1), and
+    its pivots p_k, ratios of leading principal minors, are positive.  An
+    exact p_k passes if Re p_k > 0, a float one if finite and Re p_k >=
+    :data:`TAU` Re h_kk > 0; a finite float Re p_k < 0 is not positive.  A
+    failed pivot is replaced by 1 for the elimination to go on; that
+    metric's up means nothing.  The rule decides conditioning, not range."""
     one = hs.ndim == 2
     h = hs[..., None] if one else _trailing(hs)
     n, exact = h.shape[0], h.dtype == object
+    fault = np.zeros(h.shape[-1], dtype=int)
     a = [[h[i, j] for j in range(n)] for i in range(n)]
-    for k in range(n):
-        piv = a[k][k]
-        re = np.array([x.real for x in piv]) if exact else piv.real
-        if not (re > 0).all():
-            raise NotPositiveDefinite(f"metric is not positive definite: "
-                                      f"pivot {k + 1} is not positive")
-        row = [1 / piv if j == k else x / piv for j, x in enumerate(a[k])]
-        a = [row if i == k else
-             [-(a[i][k] * row[j]) if j == k else a[i][j] - a[i][k] * row[j]
-              for j in range(n)] for i in range(n)]
+    # a refused float metric may overflow, or make NaNs, on its way
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k in range(n):
+            piv = a[k][k]
+            re = np.array([x.real for x in piv]) if exact else piv.real
+            ok = re > 0 if exact else np.isfinite(piv) & (re > 0) & (
+                re >= TAU * h[k, k].real)
+            if not ok.all():
+                code = np.where(exact or np.isfinite(piv) & (re < 0), k + 1,
+                                -k - 1)
+                fault = np.where((fault != 0) | ok, fault, code)
+                piv = np.where(ok, piv, QQi(1) if exact else 1)
+            row = [1 / piv if j == k else x / piv
+                   for j, x in enumerate(a[k])]
+            a = [row if i == k else
+                 [-(a[i][k] * row[j]) if j == k
+                  else a[i][j] - a[i][k] * row[j] for j in range(n)]
+                 for i in range(n)]
     up = np.array([[a[l][k] for l in range(n)] for k in range(n)])
-    return up[..., 0] if one else _leading(up)
+    return (up[..., 0], int(fault[0])) if one else (_leading(up), fault)
+
+
+def _admit(up, fault):
+    """``up`` of :func:`_upper`, once its ``fault`` admits every metric and
+    a float ``up`` is in range; else raise for the first that is not."""
+    k = next((int(f) for f in np.ravel(fault) if f), 0)
+    if k < 0:
+        raise DegenerateMetric("metric is numerically degenerate")
+    if k:
+        raise NotPositiveDefinite(f"metric is not positive definite: "
+                                  f"pivot {k} is not positive")
+    if up.dtype != object and not np.isfinite(up).all():
+        raise FloatingPointError("metric is out of range: its inverse "
+                                 "overflows")
+    return up
 
 
 # R^m_{k i jbar} as (sign, einsum spec, operands) terms, and Theta
@@ -813,7 +820,7 @@ def batch_curvature(alg: CoframeAlgebra, hs: np.ndarray):
     """
     _check_pair(alg, hs.shape[1])
     b = _structure(alg, exact=False)[1]
-    up = _trailing(_upper(hs))
+    up = _trailing(_admit(*_upper(hs)))
     hs = _trailing(hs)
     return _leading(_curvature(b, chern_connection(b, hs, up), hs)[1])
 
@@ -933,12 +940,14 @@ def _ric2(nonzeros, hs, up):
 
 
 def batch_einstein_residual(kind: int, alg: CoframeAlgebra, hs: np.ndarray,
-                            mode: str = "strong", b=None, h_max=None):
+                            mode: str = "strong", b=None, h_max=None,
+                            up=None):
     """Vectorised (lambda*, residual, relative residual, S) over a batch of
     metrics, from the traces of :func:`_connection_traces`.  ``b``, if
     given, is the structure B of ``alg`` (:func:`_structure`), whose pair
     the caller has checked, as :func:`scan` does once for all its blocks;
-    ``h_max``, if given, is max |h| per metric, as :func:`scan` has it.
+    ``h_max`` and ``up``, if given, are max |h| and h^{-1} per metric, as
+    :func:`scan` has them; else h is inverted here, and refused as one is.
 
     The relative residual is normalised by max(|Ric|, |lambda| |h|) per
     point, a dimensionless distance from the Einstein condition that is
@@ -947,7 +956,7 @@ def batch_einstein_residual(kind: int, alg: CoframeAlgebra, hs: np.ndarray,
     if b is None:
         _check_pair(alg, hs.shape[1])
         b = _structure(alg, exact=False)[1]
-    up = _trailing(_upper(hs))
+    up = _trailing(_admit(*_upper(hs)) if up is None else up)
     hs = _trailing(hs)
     ric, s = _connection_traces(kind, b, hs, up)
     s = s.real
@@ -1080,34 +1089,16 @@ def _row_blocks(grid):
 
 def _surface_block(block):
     """The (r, s, u, h stack, max |h|) of the rows of a block of
-    :func:`_row_blocks` that :func:`scan` keeps, h their
-    :func:`surface_matrix` as the leading-M view of a trailing-M array;
-    the block's other temporaries are freed on return.
-
-    h_00, h_11 are real and |h_10| = |h_01|, so det h = h_00 h_11 - |h_01|^2
-    and max |h| = max(h_00, h_11, |h_01|) are taken in real arithmetic,
-    bit for bit :class:`HermitianMetric`'s (numpy's complex product may
-    fuse a multiply and an add).  Huge rows overflow by design: such a row
-    fails the mask, or its det h or max |h|^2 is not finite and it is
-    dropped with the degenerate rows, and so is a row whose pivots
-    :func:`_upper` refuses, as :class:`HermitianMetric` refuses them all."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        ok = surface_admissible(block[:, 0], block[:, 1], block[:, 2])
-        if not ok.all():
-            block = block[ok]
-        r, s, u = block[:, 0].real, block[:, 1].real, block[:, 2]
-        h = surface_matrix(r, s, u)
-        (p, off), (_, q) = h
-        det = p * q - abs2(off)
-        top = np.maximum(np.maximum(p, q), np.abs(off))
-        hs = np.empty((2, 2, len(r)), complex)
-        (hs[0, 0], hs[0, 1]), (hs[1, 0], hs[1, 1]) = h
-        # on the cone |u| = r s h can be singular; where r^2 s^2 is
-        # subnormal the rule underflows, and _upper's pivot 2 can be <= 0
-        pivot = hs[1, 1] - hs[1, 0] * (hs[0, 1] / hs[0, 0])
-        keep = _nondegenerate(det, top, 2) & (p > 0) & (pivot.real > 0)
-    if not keep.all():
-        r, s, u, hs, top = r[keep], s[keep], u[keep], hs[..., keep], top[keep]
+    :func:`_row_blocks`, r and s their real parts and h their
+    :func:`surface_matrix` as the leading-M view of a trailing-M array.
+    h_00, h_11 are real and |h_10| = |h_01|, so max |h| = max(h_00, h_11,
+    |h_01|), the residual's scale, is taken in real arithmetic."""
+    r, s, u = block[:, 0].real, block[:, 1].real, block[:, 2]
+    h = surface_matrix(r, s, u)
+    (p, off), (_, q) = h
+    top = np.maximum(np.maximum(p, q), np.abs(off))
+    hs = np.empty((2, 2, len(r)), complex)
+    (hs[0, 0], hs[0, 1]), (hs[1, 0], hs[1, 1]) = h
     return r, s, u, _leading(hs), top
 
 
@@ -1116,11 +1107,11 @@ def scan(alg: CoframeAlgebra, kind: int, grid=None, mode: str = "strong",
     """Einstein residual over an (r, s, u) grid: an (M, 3) array of rows,
     or anything ``np.asarray`` makes one of, such as a list of triples; or
     an iterator of such arrays, whose rows run on as one grid; when None,
-    :func:`surface_grid_chunks` of the default axes.  Rows that are not
-    :func:`surface_admissible` are dropped, and so are rows whose metric
-    :class:`HermitianMetric` refuses, as degenerate or not finite by its
-    det h and max |h| or by its pivots, taken per block
-    (:func:`_surface_block`); max |h| is also the residual's scale.
+    :func:`surface_grid_chunks` of the default axes.  Each block's metrics
+    (:func:`_surface_block`) go through one :func:`_upper`, whose h^{-1}
+    the residual reads and whose verdict drops the rows that
+    :class:`HermitianMetric` refuses; a row whose lambda* or residual is
+    not finite, out of range, is dropped too.
 
     ``certificate``, optional, is a sign certificate
     callable(r, s, u, lam) -> values that must all be negative; it is
@@ -1132,7 +1123,7 @@ def scan(alg: CoframeAlgebra, kind: int, grid=None, mode: str = "strong",
     different metric scales on a common footing; the absolute residual at
     the minimiser is reported alongside.  The minimiser is the earliest
     row whose relative residual is within :data:`TIE` of the least, so
-    rounding cannot move it; NaN residuals never are, unless all are.
+    rounding cannot move it.
 
     The rows run in blocks of :data:`SCAN_BLOCK`; only per-block
     reductions and the tie rule's few candidates are kept.  With rows
@@ -1145,28 +1136,36 @@ def scan(alg: CoframeAlgebra, kind: int, grid=None, mode: str = "strong",
     b = _structure(alg, exact=False)[1]
     # (relative residual, r, s, u, absolute residual) of the rows below
     # every earlier row and within TIE of the running minimum ``low``; the
-    # first survivor wins, or the first row if every residual is NaN
-    count, low, kept, first, certs = 0, np.nan, [], None, []
-    for r, s, u, hs, h_max in map(_surface_block, _row_blocks(
-            surface_grid_chunks() if grid is None else grid)):
+    # first survivor wins
+    count, low, kept, certs = 0, np.inf, [], []
+    for block in _row_blocks(surface_grid_chunks() if grid is None
+                             else grid):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            r, s, u, hs, h_max = _surface_block(block)
+            up, fault = _upper(hs)
+            lam, resid_abs, resid, _ = batch_einstein_residual(
+                kind, alg, hs, mode=mode, b=b, h_max=h_max, up=up)
+        # the rule's verdict, then range
+        rows = ((fault == 0) & np.isfinite(lam) & np.isfinite(resid_abs)
+                & np.isfinite(resid))
+        if not rows.all():
+            r, s, u, lam, resid_abs, resid = (
+                x[rows] for x in (r, s, u, lam, resid_abs, resid))
         if not len(r):
             continue
-        lam, resid_abs, resid, _ = batch_einstein_residual(
-            kind, alg, hs, mode=mode, b=b, h_max=h_max)
-        # before[i]: the least earlier residual, NaN while there is none
-        before = np.fmin.accumulate(np.concatenate(([low], resid[:-1])))
-        low = np.fmin(low, np.fmin.reduce(resid))
-        new = np.flatnonzero(~(resid >= before) & (resid <= low + TIE))
+        # before[i]: the least earlier residual
+        before = np.minimum.accumulate(np.concatenate(([low], resid[:-1])))
+        low = min(low, np.min(resid))
+        new = np.flatnonzero((resid < before) & (resid <= low + TIE))
         kept = [c for c in kept if c[0] <= low + TIE] + [
             (resid[b], r[b], s[b], u[b], resid_abs[b]) for b in new]
-        first = first or (resid[0], r[0], s[0], u[0], resid_abs[0])
-        count += len(hs)
+        count += len(r)
         if certificate is not None:
             vals = certificate(r, s, u, lam)
             certs.append((bool(np.all(vals < 0)), np.max(vals)))
     if not count:
         raise ValueError("no admissible grid points")
-    resid, r, s, u, resid_abs = kept[0] if kept else first
+    resid, r, s, u, resid_abs = kept[0]
     cert_ok, cert_worst = None, None
     if certs:
         oks, maxima = zip(*certs)

@@ -10,6 +10,7 @@ from cherncurv.chart import (ChartMetricField, HyperDual, ScalarField,
                              hd_exp, hd_log, jet2, metric_from_potential,
                              registered_factors, registered_metrics,
                              ricci_matrices_at, sample_points)
+from cherncurv.scalars import mat_det
 from logdet_oracle import ric1_logdet_at
 
 METRICS = registered_metrics()
@@ -164,7 +165,7 @@ def test_chart_ricci_is_the_invariant_contraction(name):
     for x in sample_points(field, 4, seed=8):
         theta = curvature_at(field, x)
         h0 = chart._holo_jets(field.fn, x)[0]
-        up, th = inv._upper(h0)[..., None], theta[..., None]
+        up, th = inv._upper(h0)[0][..., None], theta[..., None]
         ric1, ric2, s = ricci_matrices_at(field, x)
         assert np.array_equal(ric1, np.einsum(inv._RICCI[1], up, th)[..., 0])
         assert np.array_equal(ric2, np.einsum(inv._RICCI[2], up, th)[..., 0])
@@ -283,9 +284,51 @@ def test_first_ce_one_potential_jet_per_point():
     pot.fn = counted(pot.fn)
     points = sample_points(metric_from_potential(pot), 2, seed=6)
     first_ce_from_potential(pot, 1, points)
-    # 10 passes of the rescaled metric, each one 10-pass jet of the
-    # potential plus one value; then one jet and one value at the point
-    assert pot.fn.calls == 121 * len(points)
+    # 10 passes that give f, h and the rescaled metric, each one 10-pass
+    # jet of the potential plus one value
+    assert pot.fn.calls == 110 * len(points)
+
+
+def two_jet_first_ce(potential, sign, points):
+    """first_ce_from_potential from a jet of the rescaled metric and a
+    second one of h at each point, f evaluated again, and h judged
+    positive definite by its eigenvalues."""
+    n = potential.n
+    base = metric_from_potential(potential)
+
+    def f_of(mat, z):
+        return -hd_log(mat_det(mat)) - sign * potential.fn(z)
+
+    def scaled_fn(z):
+        mat = base.fn(z)
+        ef = hd_exp(f_of(mat, z) * (1.0 / n))
+        return [[ef * mat[i][j] for j in range(n)] for i in range(n)]
+
+    scaled = ChartMetricField(n, scaled_fn, base.box)
+    worst, factors = 0.0, []
+    for x in points:
+        h0 = base.matrix(x)
+        if np.min(np.linalg.eigvalsh(h0)) <= 0:
+            raise ValueError("not strictly plurisubharmonic")
+        theta, _, up = chart._curvature(scaled, x)
+        ric1 = np.einsum(inv._RICCI[1], up[..., None],
+                         theta[..., None])[..., 0]
+        worst = max(worst, chart._rel(ric1, sign * h0))
+        z = [complex(x[2 * i], x[2 * i + 1]) for i in range(n)]
+        fval = float(np.real(complex(f_of(h0.tolist(), z))))
+        factors.append(sign * math.exp(-fval / n))
+    return worst, factors
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_first_ce_is_the_two_jet_construction(sign):
+    # the value parts of the passes are the bits of h and f evaluated at
+    # the point
+    pot = fs_potential()
+    points = sample_points(metric_from_potential(pot), 20, seed=5)
+    report = first_ce_from_potential(pot, sign, points)
+    assert (report.max_error, report.factors) == two_jet_first_ce(
+        pot, sign, points)
 
 
 def test_potential_must_be_psh():
@@ -294,7 +337,7 @@ def test_potential_must_be_psh():
 
     pot = ScalarField(2, neg, name="neg")
     base = metric_from_potential(pot)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not strictly plurisubharmonic"):
         first_ce_from_potential(pot, 1, [sample_points_center(base)])
 
 

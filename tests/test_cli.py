@@ -137,13 +137,20 @@ def test_scan_overflowing_grid_is_one_line(capsys):
     assert (code, out, err) == (2, "", "error: no admissible grid points\n")
 
 
-@pytest.mark.parametrize("grid", ["1e100:1e101:1e100", "1e150:1e151:1e150"])
-def test_scan_det_overflowing_grid_is_one_line(capsys, grid):
-    # h is finite, but det h overflows on every row
+@pytest.mark.parametrize("scale", [1e100, 1e150])
+def test_scan_det_overflowing_grid_is_the_rescaled_grid(capsys, scale):
+    # h is finite and det h overflows on every row, but the rule forms no
+    # det h: every row is kept, as on the same grid 1/scale times the size
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, out, err = run(capsys, "scan", "hopf", "--grid", grid)
-    assert (code, out, err) == (2, "", "error: no admissible grid points\n")
+        code, out, err = run(capsys, "scan", "hopf", "--grid",
+                             f"{scale:g}:{10 * scale:g}:{scale:g}")
+    assert code == 0 and err == ""
+    got, want = fields(out), fields(run(capsys, "scan", "hopf", "--grid",
+                                        "1:10:1")[1])
+    assert got["points"] == want["points"] == "7300"
+    assert [float(got[k]) for k in ("argmin_r", "argmin_s")] == \
+        [scale * float(want[k]) for k in ("argmin_r", "argmin_s")]
 
 
 def test_scan_tiny_grid_is_counted_by_its_step(capsys):
@@ -1267,14 +1274,25 @@ def test_hostile_params_keep_the_exit_code_contract(entry):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["scan", "snow-s5", "--params", "ell=1e153"],
+    (["scan", "inoue-spm", "--grid", "1e40:1e41:1e40"],
      "error: overflow encountered in multiply"),
     (["scan", "inoue-sm", "--grid", "1e40:1e41:1e40"],
      "error: overflow encountered in multiply")])
 def test_float_overflow_is_one_line(capsys, argv, message):
-    # both overflow in floats past the metric's checks; inoue-sm's
-    # certificate would reach -inf and read as a pass
+    # both certificates overflow in floats past the metric's checks, and
+    # would reach -inf and read as a pass
     assert run(capsys, *argv) == (2, "", message + "\n")
+
+
+def test_scan_drops_rows_whose_residual_overflows(capsys):
+    # ell = 1e153 makes some rows' Ric2 overflow: the rule admits their
+    # metrics, and the scan drops them for their residual
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "scan", "snow-s5", "--params",
+                             "ell=1e153")
+    assert code == 0 and err == ""
+    assert 0 < int(fields(out)["points"]) < 144 * 73
 
 
 # fuzz: structure files of rational and decimal literals never escape the

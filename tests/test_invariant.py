@@ -361,6 +361,14 @@ def _log_uniform_stack(seed, m):
     return hs
 
 
+def _kept_metrics(grid):
+    """The h stack, (M, 2, 2), of the rows of an (M, 3) grid that one
+    scan block keeps by the rule: the metrics of inv._surface_block that
+    inv._upper admits."""
+    hs = inv._surface_block(np.asarray(grid, complex))[3]
+    return hs[inv._upper(hs)[1] == 0]
+
+
 def _same_bits(got, want):
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
@@ -372,7 +380,7 @@ def test_trailing_batch_axis_is_bit_identical(name):
     theta, ric, s, _, traced, residuals = _leading_axis_pipeline(alg, hs)
     batch_theta = inv.batch_curvature(alg, hs)
     _same_bits(batch_theta, theta)
-    up, th = inv._trailing(inv._upper(hs)), inv._trailing(batch_theta)
+    up, th = inv._trailing(inv._upper(hs)[0]), inv._trailing(batch_theta)
     _same_bits(np.einsum("ijM,klM,ijklM->M", up, up, th).real, s)
     _same_bits(inv._leading(np.einsum(inv._RICCI[2], up, th)), ric[2])
     b = inv._structure(alg, exact=False)[1]
@@ -532,7 +540,7 @@ def test_connection_traces_against_exact(name):
             assert (ric[..., 0] == want).all()
             assert s[0] == s_theta
             ric, s = inv._connection_traces(kind, b, hf[..., None],
-                                            inv._upper(hf)[..., None])
+                                            inv._upper(hf)[0][..., None])
             want = want.astype(complex)
             assert (np.max(np.abs(ric[..., 0] - want))
                     <= 1e-12 * np.max(np.abs(want))), (kind, point)
@@ -616,11 +624,11 @@ def test_ric2_kernel_against_dense_einsums(n, count):
     # is within 1e-12 of them in floats, relative to the largest entry
     rng = np.random.default_rng(100 * n + count)
     b, hs = _random_structure(rng, n, count), _random_metrics(rng, n, 6)
-    up = inv._trailing(inv._upper(inv._leading(hs)))
+    up = inv._trailing(inv._upper(inv._leading(hs))[0])
     assert (inv._connection_traces(2, b, hs, up)[0]
             == dense_ric2(b, hs, up)).all()
     b, hs = b.astype(complex), hs.astype(complex)
-    up = inv._trailing(inv._upper(inv._leading(hs)))
+    up = inv._trailing(inv._upper(inv._leading(hs))[0])
     got, want = inv._connection_traces(2, b, hs, up)[0], dense_ric2(b, hs, up)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -647,8 +655,8 @@ def test_first_chern_ricci_flat_entry_has_zero_kind_1_residual():
          * np.exp(2j * np.pi * rng.uniform(0, 1, 2000)))
     grid = np.stack([r, s, u], axis=1)
     alg, _, _ = catalog.build("kodaira-primary", exact=False)
-    _, _, _, hs, _ = inv._surface_block(grid)  # the rows scan keeps
-    assert len(hs) == 1814
+    hs = _kept_metrics(grid)
+    assert len(hs) == 2000
     for mode in ("strong", "weak"):
         _, resid_abs, resid, _ = inv.batch_einstein_residual(1, alg, hs, mode)
         assert np.max(resid_abs) <= 1e-9 and np.max(resid) <= 1e-9
@@ -660,7 +668,7 @@ def test_kind_1_scale_takes_moduli_of_one_ric1(monkeypatch):
     # all n^2 M
     grid = np.array([[r, s, 0.1 * r * s] for r in (0.5, 1, 2)
                      for s in (0.7, 3)])
-    _, _, _, hs, _ = inv._surface_block(grid)
+    hs = _kept_metrics(grid)
     alg, _, _ = catalog.build("inoue-sm", exact=False)
     sizes, real = [], np.abs
 
@@ -937,22 +945,59 @@ def test_bounds_match_hand_expanded_oracle(name):
 def test_inverse_refuses_a_matrix_that_is_not_positive_definite(rows,
                                                                    exact):
     # the elimination's pivots are ratios of leading principal minors: 0
-    # and then -3 here
+    # and then -3 here.  A zero pivot is not positive in exact arithmetic
+    # and degenerate in floats, a negative one not positive in both
     h = np.array([[QQi(v) if exact else complex(v) for v in row]
                   for row in rows], dtype=object if exact else complex)
+    fault = 2 if rows[0][0] else 1 if exact else -1
+    assert inv._upper(h)[1] == fault
+    assert inv._upper(h[None])[1].tolist() == [fault]
     for stack in (h, h[None]):
-        with pytest.raises(NotPositiveDefinite):
-            inv._upper(stack)
+        with pytest.raises(NotPositiveDefinite if fault > 0
+                           else DegenerateMetric):
+            inv._admit(*inv._upper(stack))
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_upper_gives_each_metric_of_a_stack_its_verdict(exact):
+    # one admitted metric beside each way to fail, n = 3: the first pivot
+    # that fails decides, and a failed pivot does not stop the elimination
+    one = QQi(1) if exact else 1.0
+    eye = [[one if i == j else 0 * one for j in range(3)] for i in range(3)]
+    near = [row[:] for row in eye]
+    near[1][1] = near[1][2] = near[2][1] = one
+    near[2][2] = one + one / 10 ** 12   # p3 = 1e-12
+    flipped = [row[:] for row in eye]
+    flipped[2][2] = -one
+    zero = [row[:] for row in eye]
+    zero[0][0] = 0 * one
+    hs = np.array([eye, near, flipped, zero],
+                  dtype=object if exact else complex)
+    up, fault = inv._upper(hs)
+    assert fault.tolist() == ([0, 0, 3, 1] if exact else [0, -3, 3, -1])
+    assert (up[0] == hs[0]).all()
 
 def test_metric_validation():
     with pytest.raises(NotPositiveDefinite):
         HermitianMetric([[1 + 0j, 0j], [0j, -1 + 0j]])
     with pytest.raises(NotPositiveDefinite):
         HermitianMetric([[1 + 0j, 2 + 0j], [2 + 0j, 1 + 0j]])
-    with pytest.raises(ValueError):
-        HermitianMetric([[1 + 0j, 1j], [1j, 1 + 0j]])  # not Hermitian
+    with pytest.raises(ValueError, match="not Hermitian"):
+        HermitianMetric([[1 + 0j, 1j], [1j, 1 + 0j]])
+    # p2 / h11 = 1e-12
     with pytest.raises(DegenerateMetric):
-        HermitianMetric([[1e-30 + 0j, 0j], [0j, 1e30 + 0j]])
+        HermitianMetric([[1 + 0j, 1 + 0j], [1 + 0j, 1 + 1e-12 + 0j]])
+    # degenerate before it is not Hermitian, which comes before a pivot
+    # that is not positive
+    with pytest.raises(DegenerateMetric):   # p2 = 1 - inf i
+        HermitianMetric([[1 + 0j, 1e300 + 0j], [1e300j, 1 + 0j]])
+    with pytest.raises(ValueError, match="not Hermitian"):
+        HermitianMetric([[1 + 0j, 2 + 0j], [2j, 1 + 0j]])
+    # the rule is scale-free: a diagonal metric is admitted at any
+    # anisotropy
+    h = HermitianMetric([[2.0 ** -100, 0j], [0j, 2.0 ** 100]])
+    assert np.array_equal(h.inverse_upper(), np.diag([2.0 ** 100,
+                                                      2.0 ** -100]))
 
 
 def test_omega_of_tiny_metric():
@@ -969,10 +1014,27 @@ def test_omega_of_tiny_metric():
             (1, 3): QQi(0, Fraction(2, 10 ** 20))}
 
 
+def _answers(params, exact=None):
+    """Whether ``params.metric(exact)`` gives a metric, and does not
+    refuse its parameters."""
+    try:
+        params.metric(exact)
+    except (ValueError, ArithmeticError):
+        return False
+    return True
+
+
 def test_admissibility():
-    assert SurfaceMetricParams(1, 1, 0.5).admissible()
-    assert not SurfaceMetricParams(1, 1, 1.0).admissible()
-    assert not SurfaceMetricParams(0, 1, 0).admissible()
+    # admissible() is metric()'s answer, in the arithmetic of r, s and u:
+    # exactly, p2 = (1 - u^2) / 2 > 0 at u = 1 - 10^-20, which complex(u)
+    # rounds to 1; in floats p2 / h11 = 0.9975 at r = 1e-3, s = 1e4
+    cases = [(1, 1, 0.5, True), (1, 1, 1.0, False), (0, 1, 0, False),
+             (1, 1, 1 - Fraction(1, 10 ** 20), True),
+             (1e-3, 1e4, 0.5, True), (1, 1, 1 - 1e-12, False),
+             (1, 1e-160, 0, False), (1j, 1, 0, False)]
+    for r, s, u, want in cases:
+        params = SurfaceMetricParams(r, s, u)
+        assert params.admissible() == _answers(params) == want, (r, s, u)
 
 
 def test_scan_blocks_hold_the_surface_metric_bit_for_bit():
@@ -988,15 +1050,21 @@ def test_scan_blocks_hold_the_surface_metric_bit_for_bit():
 
 
 def test_admissibility_mask_matches_params():
+    # the rows one scan block keeps are the float parameters admissible()
+    # and metric() accept: |u| = r s (1 - 1.7e-13) and |u| = r s (1 -
+    # 2^-52) are refused as degenerate, by pivot ratios of 3.3e-13 and
+    # 4.4e-16
     rows = [(1, 1, 0.5), (1, 1, 1.0), (0, 1, 0), (1, -2, 0), (2, 3, 6j),
             (2, 3, 6 - 1e-12), (0.3, 0.7, 0.2099 * np.exp(0.4j)),
-            (1e-3, 1e4, 10 * (1 - 2 ** -52) * 1j), (1, 1, 0)]
-    grid = np.array(rows, dtype=complex)
-    mask = inv.surface_admissible(grid[:, 0], grid[:, 1], grid[:, 2])
-    assert mask.tolist() == [SurfaceMetricParams(*row).admissible()
-                             for row in rows]
-    assert mask.tolist() == [True, False, False, True, False, True, True,
-                             True, True]
+            (1e-3, 1e4, 10 * (1 - 2 ** -52) * 1j), (1, 1, 0),
+            (1e-3, 1e4, 0.5), (1e-3, 1e4, 9.9j)]
+    hs = inv._surface_block(np.array(rows, dtype=complex))[3]
+    kept = (inv._upper(hs)[1] == 0).tolist()
+    params = [SurfaceMetricParams(*row) for row in rows]
+    assert kept == [p.admissible() for p in params]
+    assert kept == [_answers(p, exact=False) for p in params]
+    assert kept == [True, False, False, True, False, False, True, False,
+                    True, True, True]
 
 
 def test_bad_kind_and_mode():
@@ -1150,23 +1218,47 @@ def test_scan_drops_overflowing_rows():
     assert report.count == 1
 
 
+# |u| = r s (1 - 2^-52): the pivot ratio 1 - |u|^2 / (r^2 s^2) is 4.4e-16
+CONE = 1 - 2 ** -52
+
+
 @pytest.mark.parametrize("big", [1e100, 1e150])
 def test_scan_drops_rows_whose_det_overflows(big):
-    # h is finite, but det h and max |h|^2 overflow
+    # h is finite, det h and max |h|^2 overflow, and the rows lie on the
+    # cone, where the rule refuses them
     alg, _, _ = catalog.build("hopf", {"r": 1.0}, exact=False)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        report = inv.scan(alg, 2, grid=[(big, big, 0), (1, 1, 0.5)])
+        report = inv.scan(alg, 2, grid=[(big, big, big * big * CONE),
+                                        (1, 1, 0.5)])
         with pytest.raises(ValueError, match="no admissible grid points"):
-            inv.scan(alg, 2, grid=[(big, big, 0), (big, 2 * big, big)])
+            inv.scan(alg, 2, grid=[(big, big, big * big * CONE),
+                                   (big, 2 * big, 2j * big * big * CONE)])
     assert report == inv.scan(alg, 2, grid=[(1, 1, 0.5)])
     assert report.count == 1
 
 
+@pytest.mark.parametrize("big", [1e100, 1e150])
+def test_scan_keeps_rows_whose_det_overflows(big):
+    # h is finite and det h overflows, away from the cone: the rows are
+    # kept, as the rows 1/big times the size are, and the same row wins
+    alg, _, _ = catalog.build("inoue-sm", exact=False)
+    rows = np.array([(1, 2, 0.5j), (1, 1, 0), (2, 1, 0.5 + 0.5j)])
+    scaled = rows * [big, big, big * big]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = inv.scan(alg, 2, grid=scaled)
+    want = inv.scan(alg, 2, grid=rows)
+    assert got.count == want.count == 3
+    assert got.argmin == (big * want.argmin[0], big * want.argmin[1],
+                          big * big * want.argmin[2])
+    assert got.min_residual == pytest.approx(want.min_residual, rel=1e-12)
+
+
 def test_scan_drops_a_row_whose_second_pivot_is_not_positive():
-    # r^2 s^2 is subnormal, so the row passes the mask and the degeneracy
-    # rule, whose DEGENERACY max |h|^2 underflows; _upper's second pivot is
-    # <= 0, so HermitianMetric refuses the row, and the scan drops it
+    # |u| just above r s, with r^2 s^2 near the smallest normal float:
+    # _upper's second pivot is < 0, so HermitianMetric refuses the row as
+    # not positive definite, and the scan drops it
     row = (2.39428969030173e-81, 2.3927200109961983e-81,
            -1.5669719412841712e-162 + 5.51557209272279e-162j)
     with pytest.raises(NotPositiveDefinite, match="pivot 2"):
@@ -1189,66 +1281,74 @@ EDGE = (4.2078405135370796, 4.72617142078429,
 
 
 def _complex_rows(grid):
-    """(mask, keep, r, s, u, h, det h, max |h|) of an (M, 3) grid: the
-    mask r^2 > 0, s^2 > 0 and r^2 s^2 - |u|^2 > 0 of every row, |u|^2 as
-    Re(u)^2 + Im(u)^2; of the rows it passes the complex h (M, 2, 2),
-    det h and max |h| as HermitianMetric takes them, mat_det of the row's
-    h in Python complex scalars and the largest of the four moduli; and
-    HermitianMetric's rule ``keep``: det h and max |h|^2 finite and
-    |det h| >= DEGENERACY max |h|^2."""
+    """(keep, r, s, u, h, max |h|) of an (M, 3) grid, in numpy and without
+    inv._upper: r and s the real parts of the rows', the complex h
+    (M, 2, 2) and its largest modulus, and the rule written out for
+    n = 2, ``keep``: the pivots p1 = h00 and p2 = h11 - |h01|^2 / h00
+    are finite, positive and at least TAU times their h_kk.  |h01|^2 / h00
+    is taken as x (x / h00) + y (y / h00) with h01 = x + y i, which
+    overflows where h10 (h01 / h00) does, not where |h01|^2 does."""
     grid = np.asarray(grid, dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        r2, s2 = grid[:, 0].real ** 2, grid[:, 1].real ** 2
-        mask = ((r2 > 0) & (s2 > 0)
-                & (r2 * s2 - (grid[:, 2].real ** 2 + grid[:, 2].imag ** 2)
-                   > 0))
-        r, s, u = grid[mask, 0].real, grid[mask, 1].real, grid[mask, 2]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        r, s, u = grid[:, 0].real, grid[:, 1].real, grid[:, 2]
         hs = np.empty((len(r), 2, 2), dtype=complex)
         hs[:, 0, 0] = r * r / 2
         hs[:, 1, 1] = s * s / 2
         hs[:, 0, 1] = -(1j * u) / 2
         hs[:, 1, 0] = 1j * u.conjugate() / 2
-        # numpy's complex product may fuse a multiply and an add, which
-        # CPython's does not
-        det = np.array([mat_det(h) for h in hs.tolist()], dtype=complex)
         top = np.max(np.abs(hs), axis=(1, 2))
-        volume = inv.DEGENERACY * top ** 2
-    keep = np.isfinite(det) & np.isfinite(volume) & (np.abs(det) >= volume)
-    return mask, keep, r, s, u, hs, det, top
+        h00, h11 = hs[:, 0, 0].real, hs[:, 1, 1].real
+        x, y = hs[:, 0, 1].real, hs[:, 0, 1].imag
+        p2 = h11 - (x * (x / h00) + y * (y / h00))
+        keep = np.ones(len(r), dtype=bool)
+        for p, h in ((h00, h00), (p2, h11)):
+            keep &= np.isfinite(p) & (p > 0) & (p >= inv.TAU * h)
+    return keep, r, s, u, hs, top
 
 
-def _upper_accepts(hs):
-    """Per matrix of an (M, n, n) stack: whether inv._upper of that matrix
-    alone accepts its pivots; all of them when it accepts the stack."""
-    def accepts(x):
-        try:
-            with np.errstate(all="ignore"):
-                inv._upper(x)
-        except NotPositiveDefinite:
-            return False
-        return True
-
-    if accepts(hs):
-        return np.ones(len(hs), dtype=bool)
-    return np.array([accepts(h) for h in hs], dtype=bool)
+def _old_rule(grid):
+    """Per row of an (M, 3) grid, whether the scan kept it before its rule
+    was :func:`inv._upper`'s, in the arithmetic of its blocks then: the
+    mask r^2 > 0, s^2 > 0 and r^2 s^2 - |u|^2 > 0; det h and max |h|
+    finite with |det h| >= 1e-10 max |h|^2; and the two pivots positive."""
+    grid = np.asarray(grid, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        r, s, u = grid[:, 0].real, grid[:, 1].real, grid[:, 2]
+        r2, s2 = r * r, s * s
+        mask = (r2 > 0) & (s2 > 0) & (r2 * s2 - inv.abs2(u) > 0)
+        h = inv.surface_matrix(r, s, u)
+        (p, off), (_, q) = h
+        det = p * q - inv.abs2(off)
+        top = np.maximum(np.maximum(p, q), np.abs(off))
+        hs = np.empty((2, 2, len(r)), complex)
+        (hs[0, 0], hs[0, 1]), (hs[1, 0], hs[1, 1]) = h
+        pivot = hs[1, 1] - hs[1, 0] * (hs[0, 1] / hs[0, 0])
+        return (mask & np.isfinite(det) & (abs(det) >= 1e-10 * top ** 2)
+                & (p > 0) & (pivot.real > 0))
 
 
 def _whole_grid_scan(alg, kind, grid, mode="strong", certificate=None):
     """The scan on all rows at once: one batched residual over the rows
-    :func:`_complex_rows` keeps and whose pivots _upper accepts, the first
-    row within TIE of the least residual (NaN rows never, the first row
-    when all are NaN), all and np.max for the certificate."""
-    _, keep, r, s, u, hs, _, _ = _complex_rows(grid)
-    keep[keep] = _upper_accepts(hs[keep])
+    :func:`_complex_rows` keeps, h^-1 by the tests' own elimination
+    :func:`_leading_upper`; the rows whose lambda* or residual is not
+    finite dropped; the first row within TIE of the least residual; all
+    and np.max for the certificate."""
+    keep, r, s, u, hs, _ = _complex_rows(grid)
     hs, r, s, u = hs[keep], r[keep], s[keep], u[keep]
-    lam, resid_abs, resid, _ = inv.batch_einstein_residual(kind, alg, hs,
-                                                           mode=mode)
-    best = int(np.argmax(resid <= np.fmin.reduce(resid) + inv.TIE))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        lam, resid_abs, resid, _ = inv.batch_einstein_residual(
+            kind, alg, hs, mode=mode, up=_leading_upper(hs))
+    rows = np.isfinite(lam) & np.isfinite(resid_abs) & np.isfinite(resid)
+    lam, resid_abs, resid, r, s, u = (x[rows] for x in
+                                      (lam, resid_abs, resid, r, s, u))
+    if not len(r):
+        raise ValueError("no admissible grid points")
+    best = int(np.argmax(resid <= np.min(resid) + inv.TIE))
     cert_ok, cert_worst = None, None
     if certificate is not None:
         vals = certificate(r, s, u, lam)
         cert_ok, cert_worst = bool(np.all(vals < 0)), float(np.max(vals))
-    return inv.ScanReport(entry=None, kind=kind, count=len(hs),
+    return inv.ScanReport(entry=None, kind=kind, count=len(r),
                           min_residual=float(resid[best]),
                           argmin=(float(r[best]), float(s[best]),
                                   complex(u[best])),
@@ -1274,20 +1374,28 @@ def _assert_same_report(got, want):
 
 def _check_blocks(grid, kind=2, mode="strong", entry="inoue-sm",
                   certificate=True):
+    """The scan's report of a grid, after checking it against the
+    whole-grid scan's; or None, when both refuse the grid alike."""
     alg, _, _ = catalog.build(entry, exact=False)
     cert = catalog.get(entry).certificate if certificate else None
+    try:
+        want = _whole_grid_scan(alg, kind, grid, mode, cert)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            inv.scan(alg, kind, grid=grid, mode=mode, certificate=cert)
+        return None
     got = inv.scan(alg, kind, grid=grid, mode=mode, certificate=cert)
-    _assert_same_report(got, _whole_grid_scan(alg, kind, grid, mode, cert))
+    _assert_same_report(got, want)
     return got
 
 
 def _wide_grid(seed, m):
     """m rows of :func:`_log_uniform_params` with r and s in 1e-80..1e76;
-    m / 4 rows with |det h| within 1e-12 of DEGENERACY max |h|^2, where
-    the rule's verdict turns on det h's last bits; rows on the cone,
-    |u| = r s (1 - 2^-52); and rows that underflow or overflow: r^2 s^2
-    subnormal, r^2 s^2 past the largest float where (r^2 / 2) (s^2 / 2)
-    is not, det h or h itself not finite."""
+    m / 4 rows with |det h| within 1e-12 of 1e-10 max |h|^2, where the old
+    rule's verdict turned on det h's last bits (:func:`_old_rule`); rows
+    on the cone, |u| = r s (1 - 2^-52); and rows that underflow or
+    overflow: r^2 s^2 subnormal, r^2 s^2 past the largest float where
+    (r^2 / 2) (s^2 / 2) is not, det h or h itself not finite."""
     r, s, u = _log_uniform_params(seed, m, -80, 76)
     rng = np.random.default_rng(seed)
     a, b = 10 ** rng.uniform(-1, 1, (2, m // 4))
@@ -1297,9 +1405,9 @@ def _wide_grid(seed, m):
     edge = list(zip(a, b, 2 * np.sqrt(p * q - near)
                     * np.exp(2j * np.pi * rng.uniform(0, 1, m // 4))))
     a, b = 10 ** rng.uniform(-30, 30, (2, 40))
-    edge += [(x, y, x * y * (1 - 2 ** -52) * phase) for x, y, phase in
+    edge += [(x, y, x * y * CONE * phase) for x, y, phase in
              zip(a, b, np.exp(2j * np.pi * rng.uniform(0, 1, 40)))]
-    edge += [(x, y, x * y * (1 - 2 ** -52)) for x, y in zip(a, b)]
+    edge += [(x, y, x * y * CONE) for x, y in zip(a, b)]
     a, b = 10 ** rng.uniform(-80, -77, (2, 40))
     edge += [(x, y, x * y * f) for x, y, f in
              zip(a, b, rng.uniform(-0.9, 0.9, 40))]
@@ -1309,55 +1417,77 @@ def _wide_grid(seed, m):
     return np.concatenate([np.stack([r, s, u], axis=1), edge])
 
 
-def test_scan_prologue_is_hermitian_metrics_rule_bit_for_bit(monkeypatch):
-    # the mask, det h and max |h| that decide which rows are kept, and the
-    # max |h| the residual's scale reads, over every block of the grid.
-    # Rows with r^2 s^2 and |u|^2 subnormal and |u| just above r s: some
-    # pass the mask, and DEGENERACY max |h|^2 underflows, so they pass the
-    # rule with |h_01| the largest modulus; the block drops those whose
-    # pivots _upper refuses
-    rng = np.random.default_rng(31)
-    x = 10 ** rng.uniform(-81, -79, 400)
-    v = (x * x * rng.uniform(1, 1.002, 400)
-         * np.exp(2j * np.pi * rng.uniform(0, 1, 400)))
-    grid = np.concatenate([_wide_grid(31, B), np.stack([x, x, v], axis=1)])
-    seen = {"surface_admissible": [], "_nondegenerate": []}
-    for name in seen:
-        def recorded(*args, _name=name, _fn=getattr(inv, name)):
-            seen[_name].append(args + (_fn(*args),))
-            return seen[_name][-1][-1]
-        monkeypatch.setattr(inv, name, recorded)
-    blocks = [inv._surface_block(b) for b in inv._row_blocks(grid)]
-    monkeypatch.undo()
-    mask, keep, r, s, u, hs, det, top = _complex_rows(grid)
-    _same_bits(np.concatenate([c[-1] for c in seen["surface_admissible"]]),
-               mask)
-    got_det, got_top, _, got_keep = zip(*seen["_nondegenerate"])
-    _same_bits(np.concatenate(got_det), det.real)
-    _same_bits(np.concatenate(got_top), top)
-    _same_bits(np.concatenate(got_keep), keep)
-    assert not det.imag[np.isfinite(det.real)].any()
-    accepted = keep.copy()
-    accepted[keep] = _upper_accepts(hs[keep])
-    got = [np.concatenate(x) for x in zip(*blocks)]
-    for x, want in zip(got, (r, s, u, hs, top)):
-        _same_bits(x, want[accepted])
+def _near_tau(seed, m):
+    """m rows whose pivot ratio 1 - |u|^2 / (r^2 s^2) lies within 1e-6 of
+    TAU, relative, where rounding decides the verdict; r and s
+    log-uniform in 1e-3..1e4."""
+    rng = np.random.default_rng(seed)
+    r, s = 10 ** rng.uniform(-3, 4, (2, m))
+    ratio = inv.TAU * (1 + rng.uniform(-1e-6, 1e-6, m))
+    u = (r * s * np.sqrt(1 - ratio)
+         * np.exp(2j * np.pi * rng.uniform(0, 1, m)))
+    return np.stack([r, s, u], axis=1)
 
-    # keep is HermitianMetric's degeneracy verdict on each row
-    def degenerate(h):
+
+@pytest.mark.parametrize("seed", [31, 37, 5, 6])
+def test_rule_keeps_every_row_the_old_rule_kept(seed):
+    # the written-out rule is inv._upper's verdict on every row, and it
+    # refuses no row that the old one kept: p_k <= h_kk and det h is the
+    # pivots' product, so each ratio p_k / h_kk >= |det h| / max |h|^2
+    grid = _wide_grid(seed, 2 * B)
+    keep, _, _, _, hs, _ = _complex_rows(grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert keep.tolist() == (inv._upper(hs)[1] == 0).tolist()
+    old = _old_rule(grid)
+    assert not (old & ~keep).any()
+    assert np.count_nonzero(old) < np.count_nonzero(keep)
+
+
+@pytest.mark.parametrize("K, step", [(6, 24), (8, 20), (12, 12), (42, 5)])
+def test_both_rules_keep_every_row_of_the_workload_grids(K, step):
+    # the invariant-scan workload's grids at their widest step, from its
+    # least and largest start: r, s in 6/64..(31 + (K - 1) step)/64, where
+    # every pivot ratio is at least 1 - 0.855^2
+    for start in (6, 31):
+        values = [(start + k * step) / 64 for k in range(K)]
+        grid = inv.default_surface_grid(values, values)
+        assert _old_rule(grid).all() and _complex_rows(grid)[0].all()
+
+
+def test_one_rule_admits_for_metrics_scans_and_params(monkeypatch):
+    # HermitianMetric, scan and SurfaceMetricParams.admissible reach one
+    # function, inv._upper, and it gives each row the same verdict through
+    # each, near TAU too; a scan block is inverted once, and its residual
+    # reads that inverse
+    monkeypatch.setattr(inv, "SCAN_BLOCK", 128)
+    grid = np.concatenate([_wide_grid(31, 256), _near_tau(31, 128)])
+    alg, _, _ = catalog.build("hopf", exact=False)
+    calls, real = [], inv._upper
+
+    def recorded(hs):
+        calls.append(real(hs))
+        return calls[-1]
+
+    monkeypatch.setattr(inv, "_upper", recorded)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        inv.scan(alg, 2, grid=grid)
+    assert len(calls) == len(list(inv._row_blocks(grid)))
+    verdict = np.concatenate([fault for _, fault in calls]).tolist()
+    assert len(verdict) == len(grid)
+    assert 0 in verdict and {-1, -2, 2} <= set(verdict)
+    assert 0 < verdict[-128:].count(0) < 128
+    for (r, s, u), fault in zip(grid.tolist(), verdict):
+        params = SurfaceMetricParams(r.real, s.real, u)
+        calls.clear()
+        assert params.admissible() == (fault == 0)
         try:
-            HermitianMetric(h)
-        except DegenerateMetric:
-            return True
-        except NotPositiveDefinite:
-            pass
-        return False
-
-    assert [not degenerate(h) for h in hs.tolist()] == keep.tolist()
-    assert 0 < np.count_nonzero(keep) < np.count_nonzero(mask) < len(grid)
-    off = np.abs(hs[:, 0, 1])
-    assert np.any(keep & ~accepted & (off > hs[:, 0, 0].real)
-                  & (off > hs[:, 1, 1].real))
+            HermitianMetric(inv.surface_matrix(r.real, s.real, u))
+        except (DegenerateMetric, NotPositiveDefinite):
+            assert fault != 0
+        else:
+            assert fault == 0
+        assert [f for _, f in calls] == [fault, fault]
 
 
 @pytest.mark.parametrize("kind, mode", [(1, "weak"), (2, "strong"),
@@ -1407,7 +1537,7 @@ def test_block_scan_winner_copied_later():
     lambda r, s: np.full_like(r, np.nan)])
 def test_block_scan_tie_rule(monkeypatch, resid_of):
     # ties between different rows, so the earliest row is seen to win
-    def fake(kind, alg, hs, mode="strong", b=None, h_max=None):
+    def fake(kind, alg, hs, mode="strong", b=None, h_max=None, up=None):
         r, s = np.sqrt(2 * hs[:, 0, 0].real), np.sqrt(2 * hs[:, 1, 1].real)
         zero = np.zeros(len(hs))
         return zero, zero, resid_of(r, s), zero
@@ -1418,7 +1548,7 @@ def test_block_scan_tie_rule(monkeypatch, resid_of):
 
 def test_block_scan_tie_across_blocks(monkeypatch):
     # the tied rows sit at local index 10 of block 1 and 0 of block 2
-    def fake(kind, alg, hs, mode="strong", b=None, h_max=None):
+    def fake(kind, alg, hs, mode="strong", b=None, h_max=None, up=None):
         zero = np.zeros(len(hs))
         return zero, zero, (hs[:, 1, 1].real > 0.1) * 1.0, zero
 
@@ -1578,7 +1708,8 @@ def test_streamed_scan_matches_materialised_rows(monkeypatch, name, kind,
 
 
 @pytest.mark.parametrize("at", [B - 1, B, B + 1])
-@pytest.mark.parametrize("bad", [EDGE, (1e160, 1e160, 0), (1e150, 1e150, 0)],
+@pytest.mark.parametrize("bad", [EDGE, (1e160, 1e160, 0),
+                                 (1e150, 1e150, 1e300 * CONE)],
                          ids=["degenerate", "overflow", "det-overflow"])
 def test_streamed_scan_drops_rows_next_to_a_boundary(at, bad):
     rows = np.insert(_random_grid(11, 2 * B), at, bad, axis=0)
