@@ -108,7 +108,7 @@ TAU = 1e-10
 
 
 class HermitianMetric:
-    """Constant Hermitian positive-definite matrix h_{i jbar}.
+    """Constant Hermitian matrix h_{i jbar} that :func:`_upper`'s rule admits.
 
     The associated fundamental form is
     omega = sqrt(-1) h_{i jbar} phi^i ^ bar(phi)^j.  The entries pass
@@ -129,14 +129,14 @@ class HermitianMetric:
         self._up = self._validate()
 
     def _validate(self):
-        """h^{-1}, once the metric is found nondegenerate, Hermitian and
-        positive definite, in that order, the others by :func:`_admit`."""
+        """h^{-1}, once found nondegenerate, Hermitian and positive definite,
+        in that order, the first and last by :func:`_upper`'s verdict."""
         up, fault = _upper(self.array)
         # floats are judged against the largest entry
-        scale = None if self.exact else max(map(abs, self.array.flat))
-        if fault >= 0 and not all(
-                is_zero(x - conj(y), scale=scale)
-                for x, y in zip(self.array.flat, self.array.T.flat)):
+        h, n = self.h, self.n
+        scale = None if self.exact else max(abs(v) for row in h for v in row)
+        if fault >= 0 and not all(is_zero(h[i][j] - conj(h[j][i]), scale)
+                                  for i in range(n) for j in range(n)):
             raise ValueError("metric matrix is not Hermitian")
         return _admit(up, fault)
 
@@ -278,9 +278,9 @@ def _upper(hs):
     stack, each entry an M-vector, complex or QQi.  On Hermitian
     positive-definite matrices it is backward stable (Higham, 10.1), and
     its pivots p_k, ratios of leading principal minors, are positive.  An
-    exact p_k passes if Re p_k > 0, a float one if finite and Re p_k >=
-    :data:`TAU` Re h_kk > 0; a finite float Re p_k < 0 is not positive.  A
-    failed pivot is replaced by 1 for the elimination to go on; that
+    exact p_k passes if Re p_k > 0, a float one if finite and Re p_k >
+    :data:`TAU` Re h_kk; a finite float Re p_k < 0 is not positive.  The
+    elimination goes on past a failed pivot, replaced by 1, and that
     metric's up means nothing.  The rule decides conditioning, not range."""
     one = hs.ndim == 2
     h = hs[..., None] if one else _trailing(hs)
@@ -292,8 +292,9 @@ def _upper(hs):
         for k in range(n):
             piv = a[k][k]
             re = np.array([x.real for x in piv]) if exact else piv.real
-            ok = re > 0 if exact else np.isfinite(piv) & (re > 0) & (
-                re >= TAU * h[k, k].real)
+            # Re p_k <= Re h_kk after pivots that pass: this implies Re p_k > 0
+            ok = re > 0 if exact else np.isfinite(piv) & (
+                re > TAU * h[k, k].real)
             if not ok.all():
                 code = np.where(exact or np.isfinite(piv) & (re < 0), k + 1,
                                 -k - 1)
