@@ -278,17 +278,13 @@ def _assemble_curvature(up, dh, dhb, d2h):
     return -d2h + np.einsum("pq,ikq,jpl->ijkl", up, dh, dhb)
 
 
-def _curvature_of(h0, dh, dhb, d2h):
-    """(Theta, h, h^{-1} as :func:`invariant._upper`) from the holomorphic
-    jets of a metric, with h inverted once; the inverse refuses a metric
+def _curvature(field: ChartMetricField, x):
+    """(Theta, h, h^{-1} as :func:`invariant._upper`) of the metric field
+    at x, from one jet, with h inverted once; the inverse refuses a metric
     that the invariant layer's rule does not admit."""
+    h0, dh, dhb, d2h = _holo_jets(field.fn, x)
     up = inv._admit(*inv._upper(h0))
     return _assemble_curvature(up, dh, dhb, d2h), h0, up
-
-
-def _curvature(field: ChartMetricField, x):
-    """:func:`_curvature_of` the metric field at x, from one jet."""
-    return _curvature_of(*_holo_jets(field.fn, x))
 
 
 def curvature_at(field: ChartMetricField, x):
@@ -375,7 +371,8 @@ def conformal_check(field: ChartMetricField, f: ScalarField, x):
 
     One set of jet passes serves f, h and e^f h, and each pass evaluates
     f and h once; e^f h is evaluated as a field, not built from the jets
-    of f and h, so its curvature tests the law.  Returns a dict of max
+    of f and h, so its curvature tests the law.  One elimination inverts
+    h and e^f h as a stack.  Returns a dict of max
     relative discrepancies for the curvature identity, the Ric1 law and
     the Ric2 law.
     """
@@ -387,15 +384,16 @@ def conformal_check(field: ChartMetricField, f: ScalarField, x):
         return [fz, mat, [[ef * mat[i][j] for j in range(n)]
                           for i in range(n)]]
 
-    (fval, _, _, d2f), base, scaled = _holo_parts(parts, x)
-    theta_f, _, up_f = _curvature_of(*scaled)
-    theta, h0, up = _curvature_of(*base)
+    (fval, _, _, d2f), (h0, *jets), (h_f, *jets_f) = _holo_parts(parts, x)
+    # the rescaled and the base metric as one stack of M = 2, inverted once
+    ups = inv._admit(*inv._upper(np.stack([h_f, h0])))
+    (up_f, up), ups = ups, inv._trailing(ups)
+    theta_f, theta = (_assemble_curvature(u, *j)
+                      for u, j in ((up_f, jets_f), (up, jets)))
     ef = math.exp(float(np.real(fval)))
     rhs = ef * (theta - np.einsum("kl,ij->ijkl", h0, d2f))
     out = {"curvature": _rel(theta_f, rhs)}
-
-    # the rescaled and the base metric as one stack of M = 2
-    ups, thetas = np.stack([up_f, up], -1), np.stack([theta_f, theta], -1)
+    thetas = np.stack([theta_f, theta], -1)
     ric1_f, ric1 = inv._leading(np.einsum(inv._RICCI[1], ups, thetas))
     out["ric1"] = _rel(ric1_f, ric1 - n * d2f)
     ric2_f, ric2 = inv._leading(np.einsum(inv._RICCI[2], ups, thetas))

@@ -131,14 +131,15 @@ def test_conformal_check_evaluates_the_factor_once_per_pass():
 
 @pytest.mark.parametrize("call, inversions", [
     (ricci_matrices_at, 1),
-    (lambda field, x: conformal_check(field, FACTORS["mixed"], x), 2),
+    (lambda field, x: conformal_check(field, FACTORS["mixed"], x), 1),
     (lambda field, x: first_ce_from_potential(fs_potential(), 1, [x, x]),
      2),
 ], ids=["ricci_matrices_at", "conformal_check", "first_ce_from_potential"])
 def test_one_inversion_per_chart_solve(monkeypatch, call, inversions):
     # each curvature solve inverts its h once, by the invariant layer's
     # shared inverse, and the Ricci traces reuse that inverse: one per
-    # point, and one per metric field in conformal_check
+    # point, and one stack of h and its rescaling in conformal_check and
+    # first_ce_from_potential
     monkeypatch.setattr(inv, "_upper", counted(inv._upper))
     call(METRICS["random-poly"], sample_points(METRICS["random-poly"], 1,
                                                seed=6)[0])
