@@ -42,6 +42,9 @@ def fmt_number(v) -> str:
     if is_exact(v):
         return structfile.format_complex(v)
     v = complex(v)
+    if not (math.isfinite(v.real) and math.isfinite(v.imag)):
+        # an overflow inside an einsum raises no floating-point error
+        raise FloatingPointError(f"value out of range: {v}")
     if v.imag == 0:
         return _fmt_float(v.real)
     out = _fmt_float(v.real) if v.real else ""
@@ -309,7 +312,7 @@ def cmd_yamabe(args) -> int:
     rep.add("converged", result.converged)
     rep.add("f_min", float(np.min(result.f)))
     rep.add("f_max", float(np.max(result.f)))
-    rep.add("law_constancy", float(np.max(np.abs(law, out=law))))
+    rep.add("law_constancy", _fmt_float(np.max(np.abs(law, out=law))))
     _emit(rep, args)
     return 0 if result.converged else 1
 

@@ -126,19 +126,16 @@ class HermitianMetric:
                                       for j, v in enumerate(row)}])
         self.h = [[flat[i, j] for j in range(self.n)] for i in range(self.n)]
         self.array = np.array(self.h, dtype=object if self.exact else complex)
-        self._up = self._validate()
-
-    def _validate(self):
-        """h^{-1}, once found nondegenerate, Hermitian and positive definite,
-        in that order, the first and last by :func:`_upper`'s verdict."""
+        # refused as degenerate, not Hermitian or not positive definite, in
+        # that order, the first and last by _upper's verdict; floats are
+        # judged Hermitian against the largest entry
         up, fault = _upper(self.array)
-        # floats are judged against the largest entry
         h, n = self.h, self.n
         scale = None if self.exact else max(abs(v) for row in h for v in row)
         if fault >= 0 and not all(is_zero(h[i][j] - conj(h[j][i]), scale)
                                   for i in range(n) for j in range(n)):
             raise ValueError("metric matrix is not Hermitian")
-        return _admit(up, fault)
+        self._up = _admit(up, fault)
 
     def inverse_upper(self):
         """h^{i jbar}, the inverse satisfying h^{i jbar} h_{k jbar} = delta;

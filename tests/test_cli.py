@@ -1284,6 +1284,18 @@ def test_float_overflow_is_one_line(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", message + "\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["curvature", "hopf", "--params", "s=1e153"],
+    ["einstein", "snow-s5", "--kind", "1", "--mode", "weak", "--params",
+     "ell=1e400"]], ids=["ric2-overflows", "infinite-structure"])
+def test_a_result_that_is_not_finite_is_refused(capsys, argv):
+    # the rule admits s = 1e153, but Ric2's einsum overflows, and raises
+    # no floating-point error; ell = 1e400 is infinite
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: value out of range: ")
+
+
 def test_scan_drops_rows_whose_residual_overflows(capsys):
     # ell = 1e153 makes some rows' Ric2 overflow: the rule admits their
     # metrics, and the scan drops them for their residual
