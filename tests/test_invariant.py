@@ -998,6 +998,7 @@ def test_upper_gives_each_metric_of_a_stack_its_verdict(exact):
     assert fault.tolist() == ([0, 0, 3, 1] if exact else [0, -3, 3, -1])
     assert (up[0] == hs[0]).all()
 
+
 def test_metric_validation():
     with pytest.raises(NotPositiveDefinite):
         HermitianMetric([[1 + 0j, 0j], [0j, -1 + 0j]])
